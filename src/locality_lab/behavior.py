@@ -4,7 +4,10 @@ A `Scenario` fixes the finite setting and outcome labels for the two wings
 plus free-form context metadata. A `Behavior` is the observable conditional
 probability table P(A, B | a, b) stored dense as a (n_a, n_b, k_A, k_B)
 array. A `HiddenVariableModel` is a finite weighted ensemble of behaviours
-sharing one scenario; `average` recovers the observable behaviour.
+sharing one scenario, stored as one read-only (L, n_a, n_b, k_A, k_B) table
+stack and a weight vector of length L; `average` recovers the observable
+behaviour. `validate` checks a table and the model paths check a whole stack
+with the same first-bad-cell search.
 
 Generators:
   * `from_quantum` packages the Born rule over an angle grid for a two-qubit
@@ -29,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .qstate import ALG_TOL, StateVector, born_joint
+from .qstate import ALG_TOL, StateVector, joint_probability_table
 
 _CHUNK = 1 << 17  # Monte Carlo draw size; fixed so any worker split resamples identically
 
@@ -136,61 +139,109 @@ class Behavior:
         return f"Behavior(shape={self.scenario.shape})"
 
 
+def _check_stack(scenario: Scenario, tables: np.ndarray, tol: float) -> None:
+    """Raise naming the first bad cell of a (L, n_a, n_b, k_A, k_B) table stack.
+
+    Tables are searched in lambda order. Within a table, non-finite entries
+    are reported first, then the first entry outside [0, 1], then the first
+    setting pair whose probabilities do not sum to 1.
+    """
+    nonfinite = ~np.isfinite(tables)
+    out_of_range = (tables < -tol) | (tables > 1.0 + tol)
+    sums = tables.sum(axis=(3, 4))
+    unnormalised = np.abs(sums - 1.0) > tol
+    bad = (nonfinite | out_of_range).any(axis=(1, 2, 3, 4)) | unnormalised.any(axis=(1, 2))
+    if not bad.any():
+        return
+    il = int(np.argmax(bad))
+    sc = scenario
+    if nonfinite[il].any():
+        raise BehaviorError("table contains non-finite entries")
+    if out_of_range[il].any():
+        ia, ib, iA, iB = np.unravel_index(np.argmax(out_of_range[il]), sc.shape)
+        raise NegativeEntryError(
+            "entry out of [0, 1] at cell "
+            f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}, "
+            f"A={sc.outcomes_a[iA]!r}, B={sc.outcomes_b[iB]!r}): {tables[il, ia, ib, iA, iB]!r}"
+        )
+    ia, ib = np.unravel_index(np.argmax(unnormalised[il]), sc.shape[:2])
+    total = sums[il, ia, ib]
+    raise TableNormalizationError(
+        f"P(.,.|a,b) sums to {total!r} at "
+        f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}); deficit {total - 1.0!r}"
+    )
+
+
 def validate(behavior: Behavior, tol: float = ALG_TOL) -> Behavior:
     """Return the behaviour iff its invariants hold; raise naming the first bad cell."""
-    sc = behavior.scenario
-    t = behavior.table
-    if not np.all(np.isfinite(t)):
-        raise BehaviorError("table contains non-finite entries")
-    for (ia, ib, iA, iB), value in np.ndenumerate(t):
-        if value < -tol or value > 1.0 + tol:
-            raise NegativeEntryError(
-                "entry out of [0, 1] at cell "
-                f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}, "
-                f"A={sc.outcomes_a[iA]!r}, B={sc.outcomes_b[iB]!r}): {value!r}"
-            )
-    sums = t.sum(axis=(2, 3))
-    for (ia, ib), total in np.ndenumerate(sums):
-        if abs(total - 1.0) > tol:
-            raise TableNormalizationError(
-                f"P(.,.|a,b) sums to {total!r} at "
-                f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}); deficit {total - 1.0!r}"
-            )
+    _check_stack(behavior.scenario, behavior.table[None], tol)
     return behavior
 
 
 class HiddenVariableModel:
-    """Finite weighted ensemble of conditional behaviours over one scenario."""
+    """Finite weighted ensemble of conditional behaviours over one scenario.
 
-    __slots__ = ("scenario", "lambdas")
+    The ensemble is stored once as a read-only (L, n_a, n_b, k_A, k_B) table
+    stack and a read-only weight vector of length L; every checker reads the
+    stack directly. Build a model from (weight, Behavior) pairs or, with
+    `from_arrays`, from a weight vector and a table stack. The constructors
+    check the weights (finite, non-negative, summing to 1) but not the
+    tables; those are validated by whoever produces them.
+    """
+
+    __slots__ = ("scenario", "_weights", "_tables")
 
     def __init__(self, scenario: Scenario, lambdas: Iterable[tuple[float, Behavior]]):
-        lams = tuple((float(w), b) for w, b in lambdas)
-        if not lams:
+        pairs = list(lambdas)
+        if any(b.scenario != scenario for _, b in pairs):
+            raise ModelError("all conditionals must share the model scenario")
+        tables = np.array([b.table for _, b in pairs]).reshape(len(pairs), *scenario.shape)
+        self._store(scenario, [w for w, _ in pairs], tables)
+
+    @classmethod
+    def from_arrays(cls, scenario: Scenario, weights: Sequence[float], tables: np.ndarray) -> HiddenVariableModel:
+        """Model from a weight vector and a (L, n_a, n_b, k_A, k_B) table stack (both copied)."""
+        model = cls.__new__(cls)
+        model._store(scenario, weights, np.array(tables, dtype=np.float64))
+        return model
+
+    def _store(self, scenario: Scenario, weights, tables: np.ndarray) -> None:
+        w = np.array(weights, dtype=np.float64).reshape(-1)
+        if w.size == 0:
             raise ModelError("model needs at least one hidden-variable value")
-        for w, b in lams:
-            if w < 0.0:
-                raise ModelError(f"negative weight {w!r}")
-            if b.scenario != scenario:
-                raise ModelError("all conditionals must share the model scenario")
-        total = math.fsum(w for w, _ in lams)
+        if tables.shape != (w.size, *scenario.shape):
+            raise ModelError(f"table stack has shape {tables.shape}, expected {(w.size, *scenario.shape)}")
+        bad = ~np.isfinite(w) | (w < 0.0)
+        if bad.any():
+            first = float(w[np.argmax(bad)])
+            raise ModelError(f"{'negative' if math.isfinite(first) else 'non-finite'} weight {first!r}")
+        total = math.fsum(w.tolist())
         if abs(total - 1.0) > ALG_TOL:
             raise ModelError(f"weights sum to {total!r}, not 1")
+        w.setflags(write=False)
+        tables.setflags(write=False)
         object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "lambdas", lams)
+        object.__setattr__(self, "_weights", w)
+        object.__setattr__(self, "_tables", tables)
 
     def __setattr__(self, name, value):
         raise AttributeError("HiddenVariableModel is immutable")
 
+    @property
+    def lambdas(self) -> tuple[tuple[float, Behavior], ...]:
+        """(weight, conditional behaviour) pairs in lambda order, built from the stack."""
+        return tuple((w, Behavior(self.scenario, t)) for w, t in zip(self._weights.tolist(), self._tables))
+
     def stacked_tables(self) -> np.ndarray:
-        """All conditional tables as one (n_lambda, n_a, n_b, k_A, k_B) array."""
-        return np.stack([b.table for _, b in self.lambdas])
+        """All conditional tables as one read-only (L, n_a, n_b, k_A, k_B) array."""
+        return self._tables
 
     def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.lambdas])
+        """The read-only weight vector, in lambda order."""
+        return self._weights
 
     def __repr__(self) -> str:
-        return f"HiddenVariableModel(n_lambda={len(self.lambdas)}, shape={self.scenario.shape})"
+        return f"HiddenVariableModel(n_lambda={self._weights.size}, shape={self.scenario.shape})"
 
 
 def average(model: HiddenVariableModel) -> Behavior:
@@ -200,8 +251,8 @@ def average(model: HiddenVariableModel) -> Behavior:
     to a naive per-cell loop over the same order.
     """
     acc = np.zeros(model.scenario.shape, dtype=np.float64)
-    for w, b in model.lambdas:
-        acc += w * b.table
+    for w, t in zip(model.weights().tolist(), model.stacked_tables()):
+        acc += w * t
     return validate(Behavior(model.scenario, acc))
 
 
@@ -224,14 +275,7 @@ def from_quantum(
         settings_b=tuple(angle_label(t) for t in angles_b),
         context=dict(context) if context is not None else {"source": "born-rule"},
     )
-    sys_a, sys_b = state.labels[0], state.labels[1]
-    table = np.empty(scenario.shape)
-    for ia, ta in enumerate(angles_a):
-        for ib, tb in enumerate(angles_b):
-            for iA, out_a in enumerate(("up", "down")):
-                for iB, out_b in enumerate(("up", "down")):
-                    table[ia, ib, iA, iB] = born_joint(state, (sys_a, out_a, ta), (sys_b, out_b, tb))
-    return validate(Behavior(scenario, table))
+    return validate(Behavior(scenario, joint_probability_table(state, angles_a, angles_b)))
 
 
 def _plane_directions(angles: Sequence[float]) -> np.ndarray:
@@ -295,18 +339,15 @@ def sign_model(
         settings_b=tuple(angle_label(t) for t in angles_b),
         context={"source": "sign-model", "n_samples": str(n_samples), "seed": str(seed)},
     )
-    lambdas = []
-    for key in sorted(pattern_counts):
-        bits = [(key >> i) & 1 for i in range(ka + kb)]
-        idx_a = [0 if bit else 1 for bit in bits[:ka]]  # +1 -> "up" (index 0)
-        idx_b = [0 if bit else 1 for bit in bits[ka:]]
-        table = np.zeros(scenario.shape)
-        for ia in range(ka):
-            for ib in range(kb):
-                table[ia, ib, idx_a[ia], idx_b[ib]] = 1.0
-        lambdas.append((pattern_counts[key] / n_samples, validate(Behavior(scenario, table))))
+    patterns = np.array(sorted(pattern_counts), dtype=np.int64)
+    weights = np.array([pattern_counts[key] for key in patterns.tolist()]) / n_samples
+    bits = (patterns[:, None] >> np.arange(ka + kb)) & 1
+    idx_a, idx_b = 1 - bits[:, :ka], 1 - bits[:, ka:]  # +1 -> "up" (index 0)
+    tables = np.zeros((patterns.size, *scenario.shape))
+    il, ia, ib = np.ix_(range(patterns.size), range(ka), range(kb))
+    tables[il, ia, ib, idx_a[:, :, None], idx_b[:, None, :]] = 1.0
     correlators = prod_sums / float(n_samples)
-    return HiddenVariableModel(scenario, lambdas), correlators
+    return HiddenVariableModel.from_arrays(scenario, weights, tables), correlators
 
 
 # -- JSON interchange ---------------------------------------------------------
@@ -343,13 +384,22 @@ def behavior_to_dict(behavior: Behavior) -> dict:
 
 
 def model_to_dict(model: HiddenVariableModel) -> dict:
+    weights = model.weights()
+    tables = model.stacked_tables().reshape(weights.size, -1)
     return {
         "scenario": scenario_to_dict(model.scenario),
-        "lambdas": [
-            {"weight": float(w), "table": [float(x) for x in b.table.reshape(-1)]}
-            for w, b in model.lambdas
-        ],
+        "lambdas": [{"weight": w, "table": t} for w, t in zip(weights.tolist(), tables.tolist())],
     }
+
+
+def _table_array(raw, what: str) -> np.ndarray:
+    """Flat float array of a JSON table, which must be a list of numbers."""
+    if not isinstance(raw, list):
+        raise BehaviorError(f"{what} must be a list of numbers, got {type(raw).__name__}")
+    try:
+        return np.asarray(raw, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise BehaviorError(f"{what} must be a list of numbers: {exc}") from exc
 
 
 def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
@@ -359,20 +409,26 @@ def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
     scenario = scenario_from_dict(obj["scenario"])
     size = math.prod(scenario.shape)
     if "table" in obj:
-        flat = np.asarray(obj["table"], dtype=np.float64)
+        flat = _table_array(obj["table"], "table")
         if flat.size != size:
             raise BehaviorError(f"table has {flat.size} entries, scenario needs {size}")
         return validate(Behavior(scenario, flat))
     if "lambdas" in obj:
-        lams = []
-        for k, lam in enumerate(obj["lambdas"]):
+        entries = obj["lambdas"]
+        if not isinstance(entries, list):
+            raise BehaviorError(f"'lambdas' must be a list of objects, got {type(entries).__name__}")
+        weights, flats = [], []
+        for k, lam in enumerate(entries):
             try:
-                weight = float(lam["weight"])
-                flat = np.asarray(lam["table"], dtype=np.float64)
+                weights.append(float(lam["weight"]))
+                raw = lam["table"]
             except (KeyError, TypeError) as exc:
                 raise BehaviorError(f"malformed lambda entry {k}: {exc}") from exc
+            flat = _table_array(raw, f"lambda {k} table")
             if flat.size != size:
                 raise BehaviorError(f"lambda {k} table has {flat.size} entries, needs {size}")
-            lams.append((weight, validate(Behavior(scenario, flat))))
-        return HiddenVariableModel(scenario, lams)
+            flats.append(flat)
+        tables = np.array(flats).reshape(len(flats), *scenario.shape)
+        _check_stack(scenario, tables, ALG_TOL)
+        return HiddenVariableModel.from_arrays(scenario, weights, tables)
     raise BehaviorError("object carries neither 'table' nor 'lambdas'")

@@ -4,6 +4,8 @@ Each checker scans a behaviour or hidden-variable model for the worst
 violation of one condition and reports it quantitatively:
 
   * no-signalling        -- observable marginals ignore the far setting;
+                            checked as parameter independence on a
+                            one-lambda stack holding the behaviour;
   * parameter independence -- lambda-conditional marginals ignore the far
                               setting;
   * outcome independence -- conditioning on the far outcome (given both
@@ -20,6 +22,10 @@ Conditional probabilities are defined only on conditioning events with
 probability above ``zero_cutoff``; skipped cells are counted, never treated
 as vacuous passes. Reports carry the maximal violation and a witness for it
 (ties broken lexicographically), so they can back quantitative tests.
+
+Every checker works on the model's (L, n_a, n_b, k_A, k_B) table stack at
+once; lambda is the leading axis, so the lexicographic order of a witness is
+lambda first, then the cell.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import Behavior, HiddenVariableModel, average
+from .behavior import Behavior, HiddenVariableModel, Scenario, average
 
 DEFAULT_TOL = 1e-9
 DEFAULT_DET_TOL = 1e-6
@@ -84,76 +90,44 @@ def _argmax_cell(arr: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(arr.reshape(-1)[flat]), tuple(int(i) for i in np.unravel_index(flat, arr.shape))
 
 
-def _marginal_shift(marg: np.ndarray) -> np.ndarray:
-    """d[x, y, y', O] = marg[x, y, O] - marg[x, y', O] over the far setting."""
-    return np.abs(marg[:, :, None, :] - marg[:, None, :, :])
+def _marginal_shift(scenario: Scenario, tables: np.ndarray) -> tuple[float, int, dict]:
+    """Largest far-setting shift of a one-sided marginal over a table stack.
 
-
-def check_no_signalling(behavior: Behavior, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Observable-level marginal independence of the far setting."""
-    sc = behavior.scenario
-    d_a = _marginal_shift(behavior.marginal_a())  # (a, b, b', A)
-    d_b = _marginal_shift(np.transpose(behavior.marginal_b(), (1, 0, 2)))  # (b, a, a', B)
-    max_a, cell_a = _argmax_cell(d_a)
-    max_b, cell_b = _argmax_cell(d_b)
+    Returns the shift, the lambda index of its witness and the witness
+    without that index. Side A wins ties with side B.
+    """
+    sc = scenario
+    marg_a = tables.sum(axis=4)  # (l, a, b, A)
+    marg_b = np.transpose(tables.sum(axis=3), (0, 2, 1, 3))  # (l, b, a, B)
+    max_a, (il_a, ia, ib, ibp, iA) = _argmax_cell(np.abs(marg_a[:, :, :, None, :] - marg_a[:, :, None, :, :]))
+    max_b, (il_b, jb, ja, jap, jB) = _argmax_cell(np.abs(marg_b[:, :, :, None, :] - marg_b[:, :, None, :, :]))
     if max_a >= max_b:
-        value = max_a
-        ia, ib, ibp, iA = cell_a
-        witness = {
+        return max_a, il_a, {
             "side": "A",
             "a": sc.settings_a[ia],
             "b": sc.settings_b[ib],
             "b_prime": sc.settings_b[ibp],
             "outcome": sc.outcomes_a[iA],
         }
-    else:
-        value = max_b
-        ib, ia, iap, iB = cell_b
-        witness = {
-            "side": "B",
-            "b": sc.settings_b[ib],
-            "a": sc.settings_a[ia],
-            "a_prime": sc.settings_a[iap],
-            "outcome": sc.outcomes_b[iB],
-        }
+    return max_b, il_b, {
+        "side": "B",
+        "b": sc.settings_b[jb],
+        "a": sc.settings_a[ja],
+        "a_prime": sc.settings_a[jap],
+        "outcome": sc.outcomes_b[jB],
+    }
+
+
+def check_no_signalling(behavior: Behavior, tol: float = DEFAULT_TOL) -> CheckReport:
+    """Observable-level marginal independence of the far setting."""
+    value, _, witness = _marginal_shift(behavior.scenario, behavior.table[None])
     return CheckReport(Condition.NO_SIGNALLING, value <= tol, value, tol, witness)
 
 
 def check_parameter_independence(model: HiddenVariableModel, tol: float = DEFAULT_TOL) -> CheckReport:
     """Lambda-conditional marginal independence of the far setting."""
-    sc = model.scenario
-    tables = model.stacked_tables()
-    d_a = _marginal_shift_l(tables.sum(axis=4))  # (l, a, b, b', A)
-    d_b = _marginal_shift_l(np.transpose(tables.sum(axis=3), (0, 2, 1, 3)))  # (l, b, a, a', B)
-    max_a, cell_a = _argmax_cell(d_a)
-    max_b, cell_b = _argmax_cell(d_b)
-    if max_a >= max_b:
-        value = max_a
-        il, ia, ib, ibp, iA = cell_a
-        witness = {
-            "lambda": il,
-            "side": "A",
-            "a": sc.settings_a[ia],
-            "b": sc.settings_b[ib],
-            "b_prime": sc.settings_b[ibp],
-            "outcome": sc.outcomes_a[iA],
-        }
-    else:
-        value = max_b
-        il, ib, ia, iap, iB = cell_b
-        witness = {
-            "lambda": il,
-            "side": "B",
-            "b": sc.settings_b[ib],
-            "a": sc.settings_a[ia],
-            "a_prime": sc.settings_a[iap],
-            "outcome": sc.outcomes_b[iB],
-        }
-    return CheckReport(Condition.PARAMETER_INDEPENDENCE, value <= tol, value, tol, witness)
-
-
-def _marginal_shift_l(marg: np.ndarray) -> np.ndarray:
-    return np.abs(marg[:, :, :, None, :] - marg[:, :, None, :, :])
+    value, il, witness = _marginal_shift(model.scenario, model.stacked_tables())
+    return CheckReport(Condition.PARAMETER_INDEPENDENCE, value <= tol, value, tol, {"lambda": il, **witness})
 
 
 def check_outcome_independence(
@@ -167,47 +141,33 @@ def check_outcome_independence(
     skipped and counted in the report.
     """
     sc = model.scenario
-    best = -1.0
-    witness: dict | None = None
-    skipped = 0
-    for il, (_, b) in enumerate(model.lambdas):
-        t = b.table
-        marg_a = t.sum(axis=3)  # (a, b, A)
-        marg_b = t.sum(axis=2)  # (a, b, B)
-        for side in ("A", "B"):
-            if side == "A":
-                cond_prob = marg_b[:, :, None, :]  # P(B|a,b) broadcast over A
-                joint = t
-                base = marg_a[:, :, :, None]
-            else:
-                cond_prob = marg_a[:, :, :, None]  # P(A|a,b) broadcast over B
-                joint = t
-                base = marg_b[:, :, None, :]
-            defined = np.broadcast_to(cond_prob, joint.shape) > zero_cutoff
-            skipped += int(joint.size - np.count_nonzero(defined))
-            diff = np.zeros_like(joint)
-            np.divide(joint, cond_prob, out=diff, where=defined)
-            diff = np.abs(diff - base)
-            diff[~defined] = -np.inf
-            value, (ia, ib, iA, iB) = _argmax_cell(diff)
-            if value > best:
-                best = value
-                near, far = ("A", "B") if side == "A" else ("B", "A")
-                witness = {
-                    "lambda": il,
-                    "side": near,
-                    "a": sc.settings_a[ia],
-                    "b": sc.settings_b[ib],
-                    "outcome": (sc.outcomes_a[iA] if near == "A" else sc.outcomes_b[iB]),
-                    "conditioned_on": {
-                        "side": far,
-                        "outcome": (sc.outcomes_b[iB] if far == "B" else sc.outcomes_a[iA]),
-                    },
-                }
-    if best < 0.0:  # every conditioning event was skipped
-        best = 0.0
-        witness = None
-    return CheckReport(Condition.OUTCOME_INDEPENDENCE, best <= tol, best, tol, witness, skipped)
+    tables = model.stacked_tables()
+    marg_a = np.broadcast_to(tables.sum(axis=4, keepdims=True), tables.shape)  # P(A|a,b) over B
+    marg_b = np.broadcast_to(tables.sum(axis=3, keepdims=True), tables.shape)  # P(B|a,b) over A
+    # Axis 1 is the near side (A, then B), ahead of the cell axes, so the
+    # first maximum is lambda-major with side A before side B.
+    cond_prob = np.stack([marg_b, marg_a], axis=1)
+    base = np.stack([marg_a, marg_b], axis=1)
+    defined = cond_prob > zero_cutoff
+    skipped = int(defined.size - np.count_nonzero(defined))
+    if skipped == defined.size:  # every conditioning event was skipped
+        return CheckReport(Condition.OUTCOME_INDEPENDENCE, 0.0 <= tol, 0.0, tol, None, skipped)
+    diff = np.zeros(cond_prob.shape)
+    np.divide(tables[:, None], cond_prob, out=diff, where=defined)
+    diff = np.abs(diff - base)
+    diff[~defined] = -np.inf
+    value, (il, side, ia, ib, iA, iB) = _argmax_cell(diff)
+    a_out, b_out = sc.outcomes_a[iA], sc.outcomes_b[iB]
+    near, far = (("A", a_out), ("B", b_out)) if side == 0 else (("B", b_out), ("A", a_out))
+    witness = {
+        "lambda": il,
+        "side": near[0],
+        "a": sc.settings_a[ia],
+        "b": sc.settings_b[ib],
+        "outcome": near[1],
+        "conditioned_on": {"side": far[0], "outcome": far[1]},
+    }
+    return CheckReport(Condition.OUTCOME_INDEPENDENCE, value <= tol, value, tol, witness, skipped)
 
 
 def check_factorizability(model: HiddenVariableModel, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -232,11 +192,11 @@ def check_factorizability(model: HiddenVariableModel, tol: float = DEFAULT_TOL) 
         "B": sc.outcomes_b[iB],
     }
     notes: tuple[str, ...] = ()
-    pi = check_parameter_independence(model, tol)
-    if not pi.passed:
+    pi_shift, _, _ = _marginal_shift(sc, tables)
+    if not pi_shift <= tol:
         notes = (
             "parameter independence fails "
-            f"(max shift {pi.max_violation:.6g}); pair-specific marginals used",
+            f"(max shift {pi_shift:.6g}); pair-specific marginals used",
         )
     return CheckReport(Condition.FACTORIZABILITY, value <= tol, value, tol, witness, 0, notes)
 
@@ -248,15 +208,16 @@ def jarrett_equivalence(model: HiddenVariableModel, tol: float = DEFAULT_TOL) ->
     such tables the equivalence is an algebraic identity.
     """
     sc = model.scenario
-    for il, (_, b) in enumerate(model.lambdas):
-        if np.min(b.table) <= 0.0:
-            cell = np.unravel_index(int(np.argmin(b.table)), b.table.shape)
-            ia, ib, iA, iB = (int(i) for i in cell)
-            raise PositivityError(
-                f"lambda {il} has a non-positive entry at "
-                f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}, "
-                f"A={sc.outcomes_a[iA]!r}, B={sc.outcomes_b[iB]!r})"
-            )
+    tables = model.stacked_tables()
+    nonpositive = (tables <= 0.0).any(axis=(1, 2, 3, 4))
+    if nonpositive.any():
+        il = int(np.argmax(nonpositive))
+        ia, ib, iA, iB = np.unravel_index(np.argmin(tables[il]), sc.shape)
+        raise PositivityError(
+            f"lambda {il} has a non-positive entry at "
+            f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}, "
+            f"A={sc.outcomes_a[iA]!r}, B={sc.outcomes_b[iB]!r})"
+        )
     fact = check_factorizability(model, tol).passed
     pi = check_parameter_independence(model, tol).passed
     oi = check_outcome_independence(model, tol).passed
@@ -312,23 +273,18 @@ def suppes_zanotti_reduction(
         slack = max(fact.max_violation if not fact.passed else 0.0, deficit if deficit > tol else 0.0)
         return CheckReport(Condition.DETERMINISM, None, slack, det_tol, None, 0, notes)
 
-    worst = 0.0
-    witness: dict | None = None
-    for il, (_, b) in enumerate(model.lambdas):
-        marg_a = b.marginal_a()
-        marg_b = b.marginal_b()
-        for ia, ib in pairs:
-            for side, marg, outcomes in (("A", marg_a[ia, ib], sc.outcomes_a),
-                                         ("B", marg_b[ia, ib], sc.outcomes_b)):
-                for io, p in enumerate(marg):
-                    dist = min(abs(p), abs(1.0 - p))
-                    if dist > worst:
-                        worst = dist
-                        witness = {
-                            "lambda": il,
-                            "side": side,
-                            "setting": sc.settings_a[ia],
-                            "outcome": outcomes[io],
-                            "marginal": float(p),
-                        }
+    tables = model.stacked_tables()
+    ia, ib = np.array(pairs).T
+    # (l, pair, side, outcome), scanned in that order
+    marg = np.stack([tables.sum(axis=4)[:, ia, ib], tables.sum(axis=3)[:, ia, ib]], axis=2)
+    worst, (il, ip, side, io) = _argmax_cell(np.minimum(np.abs(marg), np.abs(1.0 - marg)))
+    if not worst > 0.0:
+        return CheckReport(Condition.DETERMINISM, 0.0 <= det_tol, 0.0, det_tol, None)
+    witness = {
+        "lambda": il,
+        "side": "AB"[side],
+        "setting": sc.settings_a[ia[ip]],
+        "outcome": (sc.outcomes_a, sc.outcomes_b)[side][io],
+        "marginal": float(marg[il, ip, side, io]),
+    }
     return CheckReport(Condition.DETERMINISM, worst <= det_tol, worst, det_tol, witness)

@@ -82,14 +82,9 @@ def _parse_conditions(raw: str | None, is_model: bool) -> list[str]:
     return names
 
 
-def _single_lambda(b: bh.Behavior) -> bh.HiddenVariableModel:
-    return bh.HiddenVariableModel(b.scenario, [(1.0, b)])
-
-
-def _run_condition(name: str, obj, tol: float) -> ca.CheckReport:
-    is_model = isinstance(obj, bh.HiddenVariableModel)
-    model = obj if is_model else _single_lambda(obj)
-    observable = bh.average(model) if is_model else obj
+def _run_condition(
+    name: str, model: bh.HiddenVariableModel, observable: bh.Behavior | None, tol: float
+) -> ca.CheckReport:
     if name == "no-signalling":
         return ca.check_no_signalling(observable, tol)
     if name == "parameter-independence":
@@ -129,10 +124,16 @@ def cmd_check(args) -> int:
     obj = bh.from_dict(_load_json(args.file))
     is_model = isinstance(obj, bh.HiddenVariableModel)
     tol = args.tol if args.tol is not None else _default_tol()
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance (--tol or LOCALITY_LAB_TOL) must be finite and >= 0, got {tol!r}")
     names = _parse_conditions(args.conditions, is_model)
     if not is_model and any(n not in ("no-signalling",) for n in names):
         print("input is a behaviour; lambda-level checks use the empty hidden variable")
-    reports = [_run_condition(name, obj, tol) for name in names]
+    if is_model:
+        model, observable = obj, (bh.average(obj) if "no-signalling" in names else None)
+    else:
+        model, observable = bh.HiddenVariableModel(obj.scenario, [(1.0, obj)]), obj
+    reports = [_run_condition(name, model, observable, tol) for name in names]
     if args.format == "json":
         _print_json(
             {
@@ -367,7 +368,7 @@ def cmd_signmodel(args) -> int:
                 "n_samples": args.n,
                 "seed": args.seed,
                 "settings": angles,
-                "n_lambdas": len(model.lambdas),
+                "n_lambdas": len(model.weights()),
                 "correlators": [[float(x) for x in row] for row in correlators],
             }
         )
@@ -382,7 +383,7 @@ def cmd_signmodel(args) -> int:
                     f"{format(_closed_form_sign_correlator(a, b), '.17g')}"
                 )
         return 0
-    print(f"sampled {args.n} hidden directions (seed {args.seed}); {len(model.lambdas)} distinct strategies")
+    print(f"sampled {args.n} hidden directions (seed {args.seed}); {len(model.weights())} distinct strategies")
     header = ["a", "b", "E", "expected", "|diff|"]
     rows = []
     for ia, a in enumerate(angles):
@@ -468,7 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--grid", action="store_true")
     mode.add_argument("--classical", action="store_true")
     p.add_argument("--step", type=float, default=0.1, help="grid step in radians (with --grid)")
-    p.add_argument("--state", choices=("singlet",), default="singlet")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_chsh)
 

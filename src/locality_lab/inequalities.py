@@ -307,23 +307,3 @@ def correlators_to_csv(corr: CorrelatorSet) -> str:
             lines.append(f"{a},{b},{format(float(corr.values[ia, ib]), '.17g')}")
     return "\n".join(lines) + "\n"
 
-
-def landscape_slice_to_csv(
-    state: StateVector,
-    base: Sequence[float],
-    vary: int,
-    angles: Sequence[float],
-) -> str:
-    """CHSH values along one angle axis, for plotting; columns angle, S.
-
-    ``base`` is the (a, a', b, b') quadruple and ``vary`` the index swept.
-    """
-    if not 0 <= vary < 4:
-        raise ValueError("vary must index one of the four angles")
-    lines = ["angle,S"]
-    work = [float(x) for x in base]
-    for t in angles:
-        work[vary] = float(t)
-        em = correlator_matrix(state, work[:2], work[2:])
-        lines.append(f"{format(float(t), '.17g')},{format(_chsh_from_grid(em, 0, 1, 0, 1), '.17g')}")
-    return "\n".join(lines) + "\n"

@@ -10,6 +10,11 @@ Claims covered:
   - the sign-strategy ensemble anticorrelates equal settings exactly, tracks
     the closed-form correlator (validated against an independent spherical
     quadrature), and each sampled strategy is a deterministic product;
+  - validate names the same first bad cell, with the same message, as a
+    per-cell loop over a table (non-finite, then out of [0, 1], then
+    normalisation), and a model file reports its first bad lambda;
+  - a model stores one read-only table stack and weight vector, and rejects
+    non-finite weights;
   - JSON round-trips preserve behaviours and models, malformed objects are
     rejected with diagnostics.
 """
@@ -64,6 +69,28 @@ def quadrature_sign_correlator(a: float, b: float, n: int = 400) -> float:
     return float(np.mean(da * db))
 
 
+def loop_validate(sc, t, tol=1e-12):
+    """Per-cell reference for validate: (error type, message) of the first bad cell, or None."""
+    if not np.all(np.isfinite(t)):
+        return (BehaviorError, "table contains non-finite entries")
+    for (ia, ib, iA, iB), value in np.ndenumerate(t):
+        if value < -tol or value > 1.0 + tol:
+            return (
+                NegativeEntryError,
+                "entry out of [0, 1] at cell "
+                f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}, "
+                f"A={sc.outcomes_a[iA]!r}, B={sc.outcomes_b[iB]!r}): {value!r}",
+            )
+    for (ia, ib), total in np.ndenumerate(t.sum(axis=(2, 3))):
+        if abs(total - 1.0) > tol:
+            return (
+                TableNormalizationError,
+                f"P(.,.|a,b) sums to {total!r} at "
+                f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}); deficit {total - 1.0!r}",
+            )
+    return None
+
+
 class TestValidate:
     def test_uniform_table_valid(self):
         table = np.full(BINARY.shape, 0.25)
@@ -81,6 +108,20 @@ class TestValidate:
         table[0, 1] *= 0.9
         with pytest.raises(TableNormalizationError, match=r"a='a0'.*b='b1'"):
             validate(Behavior(BINARY, table))
+
+    def test_first_bad_cell_matches_loop_oracle(self):
+        rng = np.random.default_rng(31)
+        sc = Scenario(("a0", "a1", "a2"), ("b0", "b1"), ("u", "d"), ("x", "y", "z"))
+        for _ in range(300):
+            table = rng.integers(0, 3, size=sc.shape) / 4.0
+            table[tuple(rng.integers(0, n) for n in sc.shape)] = rng.choice([-0.25, 1.5, np.nan, 0.0])
+            try:
+                validate(Behavior(sc, table))
+            except BehaviorError as exc:
+                got = (type(exc), str(exc))
+            else:
+                got = None
+            assert got == loop_validate(sc, table)
 
     def test_quantum_behaviour_revalidates(self):
         b = from_quantum(singlet(), [0.0, math.pi / 2], [math.pi / 4, 3 * math.pi / 4])
@@ -218,6 +259,25 @@ class TestModelInvariants:
         with pytest.raises(ModelError):
             HiddenVariableModel(BINARY, [(-0.5, b), (1.5, b)])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        b = validate(Behavior(BINARY, np.full(BINARY.shape, 0.25)))
+        with pytest.raises(ModelError, match="weight"):
+            HiddenVariableModel(BINARY, [(bad, b), (1.0, b)])
+        with pytest.raises(ModelError, match="weight"):
+            HiddenVariableModel.from_arrays(BINARY, [1.0, bad], np.stack([b.table, b.table]))
+
+    def test_stores_one_read_only_stack(self):
+        model, _ = sign_model([0.0, 1.0], [0.5], 400, seed=4)
+        tables, weights = model.stacked_tables(), model.weights()
+        assert model.stacked_tables() is tables and model.weights() is weights
+        assert not tables.flags.writeable and not weights.flags.writeable
+        assert tables.shape == (weights.size, *model.scenario.shape)
+        pairs = model.lambdas
+        assert [w for w, _ in pairs] == weights.tolist()
+        assert all(type(w) is float and isinstance(b, Behavior) for w, b in pairs)
+        assert np.array_equal(np.stack([b.table for _, b in pairs]), tables)
+
     def test_scenario_mismatch_rejected(self):
         b = validate(Behavior(BINARY, np.full(BINARY.shape, 0.25)))
         other = Scenario(("x0", "x1"), ("b0", "b1"))
@@ -246,6 +306,29 @@ class TestJson:
         payload["table"] = payload["table"][:-1]
         with pytest.raises(BehaviorError, match="entries"):
             from_dict(payload)
+
+    def test_first_bad_lambda_reported(self):
+        # lambda 0 is unnormalised at (a0, b1); lambda 1 has a negative entry
+        good = np.full(BINARY.shape, 0.25)
+        first = good.copy()
+        first[0, 1] *= 0.9
+        second = good.copy()
+        second[1, 0, 0, 1], second[1, 0, 0, 0] = -0.01, 0.51
+        payload = {
+            "scenario": {"settings_a": ["a0", "a1"], "settings_b": ["b0", "b1"]},
+            "lambdas": [{"weight": 0.5, "table": t.reshape(-1).tolist()} for t in (first, second)],
+        }
+        with pytest.raises(TableNormalizationError, match=r"a='a0', b='b1'"):
+            from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"table": {"x": 1}}, {"table": "0.25"}, {"lambdas": 5}, {"lambdas": {"weight": 1.0}}],
+        ids=["table-object", "table-string", "lambdas-int", "lambdas-object"],
+    )
+    def test_wrong_json_types_rejected(self, body):
+        with pytest.raises(BehaviorError):
+            from_dict({"scenario": {"settings_a": ["a0"], "settings_b": ["b0"]}, **body})
 
     def test_missing_scenario_rejected(self):
         with pytest.raises(BehaviorError):

@@ -18,11 +18,16 @@ Claims covered:
     average;
   - the reduction to determinism validates its hypotheses, exhibits the
     anticorrelation deficit of the uniform-lambda counterexample family, and
-    certifies 0/1 marginals when the hypotheses hold.
+    certifies 0/1 marginals when the hypotheses hold;
+  - on tie-heavy models (coarse rational entries, exact zeros) every
+    vectorised checker report, and the positivity error of the Jarrett
+    check, equals an explicit loop in lexicographic cell order, including
+    one-lambda models, unequal outcome counts and all-skipped OI cells.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -359,3 +364,183 @@ class TestReportSerialization:
         assert set(payload) >= {"condition", "passed", "max_violation", "witness", "skipped_cells"}
         assert payload["condition"] == "outcome-independence"
         assert payload["passed"] is False
+
+
+# -- loop oracles for the vectorised checkers ---------------------------------
+
+SHARED = Scenario(("s0", "s1", "xa"), ("s0", "s1", "xb"))
+UNEVEN = Scenario(("a0", "a1"), ("b0", "b1", "b2"), ("u", "d"), ("x", "y", "z"))
+
+
+def tie_heavy_model(rng, sc, n_lambda):
+    """Entries are multiples of 1/4 or coarser with many exact zeros; weights are multiples of 1/8.
+
+    Every sum and product the checkers form is then exact, so the loop
+    oracles below must agree with them bit for bit, ties included.
+    """
+    n_a, n_b, k_a, k_b = sc.shape
+    tables = np.zeros((n_lambda, *sc.shape))
+    for il, ia, ib in np.ndindex(n_lambda, n_a, n_b):
+        quanta = int(rng.choice([1, 2, 4]))
+        counts = rng.multinomial(quanta, np.full(k_a * k_b, 1.0 / (k_a * k_b)))
+        tables[il, ia, ib] = counts.reshape(k_a, k_b) / quanta
+    weights = rng.multinomial(8, np.full(n_lambda, 1.0 / n_lambda)) / 8.0
+    return HiddenVariableModel.from_arrays(sc, weights, tables)
+
+
+def _marg_a(t, il, ia, ib, iA):
+    return math.fsum(t[il, ia, ib, iA, :])
+
+
+def _marg_b(t, il, ia, ib, iB):
+    return math.fsum(t[il, ia, ib, :, iB])
+
+
+def loop_shift(sc, t):
+    """Worst far-setting marginal shift, lexicographically first witness, side A winning ties."""
+    n_l, n_a, n_b, k_a, k_b = t.shape
+    best_a, wit_a = -1.0, None
+    for il, ia, ib, ibp, iA in itertools.product(range(n_l), range(n_a), range(n_b), range(n_b), range(k_a)):
+        v = abs(_marg_a(t, il, ia, ib, iA) - _marg_a(t, il, ia, ibp, iA))
+        if v > best_a:
+            best_a = v
+            wit_a = {"lambda": il, "side": "A", "a": sc.settings_a[ia], "b": sc.settings_b[ib],
+                     "b_prime": sc.settings_b[ibp], "outcome": sc.outcomes_a[iA]}
+    best_b, wit_b = -1.0, None
+    for il, ib, ia, iap, iB in itertools.product(range(n_l), range(n_b), range(n_a), range(n_a), range(k_b)):
+        v = abs(_marg_b(t, il, ia, ib, iB) - _marg_b(t, il, iap, ib, iB))
+        if v > best_b:
+            best_b = v
+            wit_b = {"lambda": il, "side": "B", "b": sc.settings_b[ib], "a": sc.settings_a[ia],
+                     "a_prime": sc.settings_a[iap], "outcome": sc.outcomes_b[iB]}
+    return (best_a, wit_a) if best_a >= best_b else (best_b, wit_b)
+
+
+def _report(condition, passed, value, tol, witness=None, skipped=0, notes=()):
+    return {"condition": condition.value, "passed": passed, "max_violation": value, "witness": witness,
+            "skipped_cells": skipped, "tol": tol, "notes": list(notes)}
+
+
+def loop_ns(behavior, tol):
+    value, witness = loop_shift(behavior.scenario, behavior.table[None])
+    del witness["lambda"]
+    return _report(Condition.NO_SIGNALLING, value <= tol, value, tol, witness)
+
+
+def loop_pi(model, tol):
+    value, witness = loop_shift(model.scenario, model.stacked_tables())
+    return _report(Condition.PARAMETER_INDEPENDENCE, value <= tol, value, tol, witness)
+
+
+def loop_oi(model, tol, zero_cutoff):
+    sc, t = model.scenario, model.stacked_tables()
+    n_l, n_a, n_b, k_a, k_b = t.shape
+    best, witness, skipped = -1.0, None, 0
+    for il in range(n_l):
+        for near in ("A", "B"):
+            for ia, ib, iA, iB in itertools.product(range(n_a), range(n_b), range(k_a), range(k_b)):
+                if near == "A":
+                    cond, base = _marg_b(t, il, ia, ib, iB), _marg_a(t, il, ia, ib, iA)
+                else:
+                    cond, base = _marg_a(t, il, ia, ib, iA), _marg_b(t, il, ia, ib, iB)
+                if cond <= zero_cutoff:
+                    skipped += 1
+                    continue
+                v = abs(t[il, ia, ib, iA, iB] / cond - base)
+                if v > best:
+                    best = v
+                    far = "B" if near == "A" else "A"
+                    outcome = {"A": sc.outcomes_a[iA], "B": sc.outcomes_b[iB]}
+                    witness = {"lambda": il, "side": near, "a": sc.settings_a[ia], "b": sc.settings_b[ib],
+                               "outcome": outcome[near],
+                               "conditioned_on": {"side": far, "outcome": outcome[far]}}
+    if best < 0.0:
+        best = 0.0
+    return _report(Condition.OUTCOME_INDEPENDENCE, best <= tol, best, tol, witness, skipped)
+
+
+def loop_fact(model, tol):
+    sc, t = model.scenario, model.stacked_tables()
+    best, witness = -1.0, None
+    for il, ia, ib, iA, iB in np.ndindex(*t.shape):
+        v = abs(t[il, ia, ib, iA, iB] - _marg_a(t, il, ia, ib, iA) * _marg_b(t, il, ia, ib, iB))
+        if v > best:
+            best = v
+            witness = {"lambda": il, "a": sc.settings_a[ia], "b": sc.settings_b[ib],
+                       "A": sc.outcomes_a[iA], "B": sc.outcomes_b[iB]}
+    shift = loop_pi(model, tol)["max_violation"]
+    notes = () if shift <= tol else (
+        f"parameter independence fails (max shift {shift:.6g}); pair-specific marginals used",)
+    return _report(Condition.FACTORIZABILITY, best <= tol, best, tol, witness, 0, notes)
+
+
+def loop_sz(model, tol, det_tol):
+    sc, t = model.scenario, model.stacked_tables()
+    pairs = [(ia, sc.settings_b.index(s)) for ia, s in enumerate(sc.settings_a) if s in sc.settings_b]
+    fact = loop_fact(model, tol)["max_violation"]
+    avg = np.zeros(sc.shape)
+    for w, table in zip(model.weights(), t):
+        avg += w * table
+    deficit = max(math.fsum(avg[ia, ib, i, i] for i in range(len(sc.outcomes_a))) for ia, ib in pairs)
+    if fact > tol or deficit > tol:
+        notes = (
+            "hypotheses-unsatisfied: "
+            f"factorizability max violation {fact:.6g} (tol {tol:g}), "
+            f"anticorrelation deficit {deficit:.6g} (tol {tol:g})",
+        )
+        slack = max(fact if fact > tol else 0.0, deficit if deficit > tol else 0.0)
+        return _report(Condition.DETERMINISM, None, slack, det_tol, None, 0, notes)
+    worst, witness = 0.0, None
+    for il, (ia, ib), side, io in itertools.product(range(len(t)), pairs, "AB", range(len(sc.outcomes_a))):
+        p = _marg_a(t, il, ia, ib, io) if side == "A" else _marg_b(t, il, ia, ib, io)
+        dist = min(abs(p), abs(1.0 - p))
+        if dist > worst:
+            worst = dist
+            witness = {"lambda": il, "side": side, "setting": sc.settings_a[ia],
+                       "outcome": (sc.outcomes_a if side == "A" else sc.outcomes_b)[io], "marginal": p}
+    return _report(Condition.DETERMINISM, worst <= det_tol, worst, det_tol, witness)
+
+
+def loop_positivity_error(model):
+    sc = model.scenario
+    for il, t in enumerate(model.stacked_tables()):
+        if t.min() <= 0.0:
+            ia, ib, iA, iB = np.unravel_index(np.argmin(t), t.shape)
+            return (f"lambda {il} has a non-positive entry at "
+                    f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}, "
+                    f"A={sc.outcomes_a[iA]!r}, B={sc.outcomes_b[iB]!r})")
+    return None
+
+
+class TestVectorisedCheckersAgainstLoops:
+    @pytest.mark.parametrize(
+        "sc, n_lambda, zero_cutoff",
+        [(SHARED, 3, 1e-12), (SHARED, 1, 1e-12), (UNEVEN, 4, 1e-12), (UNEVEN, 1, 1e-12), (SHARED, 2, 1.0)],
+        ids=["shared-L3", "shared-L1", "uneven-outcomes-L4", "uneven-outcomes-L1", "all-oi-cells-skipped"],
+    )
+    def test_reports_equal_loop_oracles(self, sc, n_lambda, zero_cutoff):
+        rng = np.random.default_rng([n_lambda, len(sc.outcomes_b), int(zero_cutoff)])
+        tol = 0.0
+        for _ in range(25):
+            model = tie_heavy_model(rng, sc, n_lambda)
+            avg = average(model)
+            assert check_no_signalling(avg, tol).to_dict() == loop_ns(avg, tol)
+            assert check_parameter_independence(model, tol).to_dict() == loop_pi(model, tol)
+            oi = check_outcome_independence(model, tol, zero_cutoff=zero_cutoff)
+            assert oi.to_dict() == loop_oi(model, tol, zero_cutoff)
+            if zero_cutoff >= 1.0:
+                assert oi.witness is None and oi.max_violation == 0.0
+                assert oi.skipped_cells == 2 * model.stacked_tables().size
+            assert check_factorizability(model, tol).to_dict() == loop_fact(model, tol)
+            if len(sc.outcomes_a) == len(sc.outcomes_b):
+                # tol 1 always meets the hypotheses, so the determinism scan runs
+                for sz_tol in (1e-9, 1.0):
+                    got = suppes_zanotti_reduction(model, sz_tol, det_tol=0.3).to_dict()
+                    assert got == loop_sz(model, sz_tol, 0.3)
+            want = loop_positivity_error(model)
+            if want is None:
+                jarrett_equivalence(model)
+            else:
+                with pytest.raises(PositivityError) as excinfo:
+                    jarrett_equivalence(model)
+                assert str(excinfo.value) == want

@@ -3,7 +3,9 @@
 Claims covered:
   - check exits 0 when the requested conditions pass, 1 on a failed check
     (with the 1/2 outcome-independence violation of the parallel singlet),
-    and 2 on malformed input;
+    and 2 with one "error:" line on malformed input: a table or lambda list
+    of the wrong JSON type, a non-finite weight, or a non-finite or negative
+    tolerance from --tol or LOCALITY_LAB_TOL;
   - chsh emits the 16-strategy table, the (ceil(2 pi / step) + 1)^2-row
     correlator grid, and the optimisation summary;
   - bell1964 reports the canonical negative slack;
@@ -94,6 +96,15 @@ class TestCheck:
             "factorizability",
         }
 
+    def test_determinism_json_when_hypotheses_hold(self, tmp_path, capsys):
+        # uniform lambda table: factorizable, anticorrelation deficit 1/2 <= tol 1
+        path = tmp_path / "uniform.json"
+        path.write_text(json.dumps({"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": [0.25] * 4}]}))
+        code = main(["check", "--conditions", "determinism", "--tol", "1", "--format", "json", str(path)])
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        assert code == 1
+        assert report["passed"] is False and report["max_violation"] == 0.5
+
     def test_tolerance_flag_respected(self, parallel_model_file, capsys):
         code = main(["check", "--conditions", "outcome-independence", "--tol", "0.6", parallel_model_file])
         capsys.readouterr()
@@ -104,6 +115,53 @@ class TestCheck:
         code = main(["check", "--conditions", "outcome-independence", parallel_model_file])
         capsys.readouterr()
         assert code == 0
+
+
+PARALLEL = {"settings_a": ["0"], "settings_b": ["0"]}
+ANTI = [0.0, 0.5, 0.5, 0.0]
+
+
+def _model(*weights):
+    return {"scenario": PARALLEL, "lambdas": [{"weight": w, "table": ANTI} for w in weights]}
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "payload, argv, env",
+        [
+            ({"scenario": PARALLEL, "table": {"x": 1}}, [], {}),
+            ({"scenario": PARALLEL, "table": ["x", 0.5, 0.5, 0.0]}, [], {}),
+            ({"scenario": PARALLEL, "lambdas": 5}, [], {}),
+            ({"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": 0.25}]}, [], {}),
+            (_model(float("nan"), 1.0), ["--conditions", "parameter-independence"], {}),
+            (_model(float("inf"), 1.0), [], {}),
+            (_model(1.0, float("-inf")), [], {}),
+            (_model(1.0), [], {"LOCALITY_LAB_TOL": "nan"}),
+            (_model(1.0), ["--tol", "-1"], {}),
+            (_model(1.0), ["--tol", "inf"], {}),
+        ],
+        ids=[
+            "table-object",
+            "table-strings",
+            "lambdas-int",
+            "lambda-table-number",
+            "nan-weight",
+            "inf-weight",
+            "minus-inf-weight",
+            "env-tol-nan",
+            "tol-negative",
+            "tol-inf",
+        ],
+    )
+    def test_exits_two_with_one_error_line(self, payload, argv, env, tmp_path, capsys, monkeypatch):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code = main(["check", *argv, str(path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestChsh:

@@ -31,7 +31,6 @@ from locality_lab.inequalities import (
     chsh,
     classical_bound,
     correlators_to_csv,
-    landscape_slice_to_csv,
     quantum_max,
 )
 from locality_lab.qstate import StateVector, singlet, tensor, up
@@ -211,10 +210,3 @@ class TestCsvEmission:
         assert lines[0] == "a,b,E"
         assert len(lines) == 3
 
-    def test_landscape_slice(self):
-        text = landscape_slice_to_csv(singlet(), CANONICAL, 0, [0.0, 0.5, 1.0])
-        lines = text.strip().split("\n")
-        assert lines[0] == "angle,S"
-        assert len(lines) == 4
-        with pytest.raises(ValueError):
-            landscape_slice_to_csv(singlet(), CANONICAL, 7, [0.0])
