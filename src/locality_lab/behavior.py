@@ -98,13 +98,6 @@ class Scenario:
             len(self.outcomes_b),
         )
 
-    def setting_index(self, side: str, label: str) -> int:
-        labels = self.settings_a if side == "a" else self.settings_b
-        try:
-            return labels.index(str(label))
-        except ValueError:
-            raise KeyError(f"unknown setting {label!r} on side {side!r}; have {labels}") from None
-
 
 class Behavior:
     """Dense conditional probability table P(A, B | a, b) over a scenario.
@@ -256,14 +249,9 @@ def average(model: HiddenVariableModel) -> Behavior:
     return validate(Behavior(model.scenario, acc))
 
 
-def from_quantum(
-    state: StateVector,
-    settings_a: Sequence[float],
-    settings_b: Sequence[float],
-    context: Mapping[str, str] | None = None,
-) -> Behavior:
+def from_quantum(state: StateVector, settings_a: Sequence[float], settings_b: Sequence[float]) -> Behavior:
     """Behaviour induced by the Born rule on a two-qubit state over angle grids."""
-    if len(state.dims) != 2 or any(d != 2 for _, d in state.dims):
+    if state.sizes != (2, 2):
         raise ValueError(
             "from_quantum needs a bare two-qubit state (factor out apparatus "
             f"subsystems first); got dims {state.dims}"
@@ -273,7 +261,7 @@ def from_quantum(
     scenario = Scenario(
         settings_a=tuple(angle_label(t) for t in angles_a),
         settings_b=tuple(angle_label(t) for t in angles_b),
-        context=dict(context) if context is not None else {"source": "born-rule"},
+        context={"source": "born-rule"},
     )
     return validate(Behavior(scenario, joint_probability_table(state, angles_a, angles_b)))
 
@@ -307,6 +295,8 @@ def sign_model(
         raise ValueError("n_samples must be >= 1")
     angles_a = [float(t) for t in settings_a]
     angles_b = [float(t) for t in settings_b]
+    if not all(map(math.isfinite, angles_a + angles_b)):
+        raise ValueError(f"setting angles must be finite, got {angles_a} and {angles_b}")
     dirs_a = _plane_directions(angles_a)
     dirs_b = _plane_directions(angles_b)
     ka, kb = len(angles_a), len(angles_b)
@@ -398,7 +388,7 @@ def _table_array(raw, what: str) -> np.ndarray:
         raise BehaviorError(f"{what} must be a list of numbers, got {type(raw).__name__}")
     try:
         return np.asarray(raw, dtype=np.float64).reshape(-1)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BehaviorError(f"{what} must be a list of numbers: {exc}") from exc
 
 
@@ -417,18 +407,19 @@ def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
         entries = obj["lambdas"]
         if not isinstance(entries, list):
             raise BehaviorError(f"'lambdas' must be a list of objects, got {type(entries).__name__}")
-        weights, flats = [], []
+        weights = np.empty(len(entries))
+        tables = np.empty((len(entries), size))  # filled row by row: no second copy of the input
         for k, lam in enumerate(entries):
             try:
-                weights.append(float(lam["weight"]))
+                weights[k] = float(lam["weight"])
                 raw = lam["table"]
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, OverflowError) as exc:
                 raise BehaviorError(f"malformed lambda entry {k}: {exc}") from exc
             flat = _table_array(raw, f"lambda {k} table")
             if flat.size != size:
                 raise BehaviorError(f"lambda {k} table has {flat.size} entries, needs {size}")
-            flats.append(flat)
-        tables = np.array(flats).reshape(len(flats), *scenario.shape)
+            tables[k] = flat
+        tables = tables.reshape(len(entries), *scenario.shape)
         _check_stack(scenario, tables, ALG_TOL)
         return HiddenVariableModel.from_arrays(scenario, weights, tables)
     raise BehaviorError("object carries neither 'table' nor 'lambdas'")

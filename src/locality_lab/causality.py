@@ -224,18 +224,12 @@ def jarrett_equivalence(model: HiddenVariableModel, tol: float = DEFAULT_TOL) ->
     return fact == (pi and oi)
 
 
-def _parallel_pairs(model: HiddenVariableModel, parallel) -> list[tuple[int, int]]:
+def _parallel_pairs(model: HiddenVariableModel) -> list[tuple[int, int]]:
+    """(a, b) index pairs of the setting labels shared by both wings."""
     sc = model.scenario
-    if parallel is None:
-        pairs = [
-            (ia, sc.settings_b.index(label))
-            for ia, label in enumerate(sc.settings_a)
-            if label in sc.settings_b
-        ]
-    else:
-        pairs = [(sc.setting_index("a", a), sc.setting_index("b", b)) for a, b in parallel]
+    pairs = [(ia, sc.settings_b.index(label)) for ia, label in enumerate(sc.settings_a) if label in sc.settings_b]
     if not pairs:
-        raise ValueError("no parallel setting pair (no shared labels and none declared)")
+        raise ValueError("no parallel setting pair (no setting label shared by both wings)")
     return pairs
 
 
@@ -243,7 +237,6 @@ def suppes_zanotti_reduction(
     model: HiddenVariableModel,
     tol: float = DEFAULT_TOL,
     det_tol: float = DEFAULT_DET_TOL,
-    parallel: list[tuple[str, str]] | None = None,
 ) -> CheckReport:
     """Reduction to determinism at the parallel settings.
 
@@ -258,7 +251,7 @@ def suppes_zanotti_reduction(
     sc = model.scenario
     if len(sc.outcomes_a) != len(sc.outcomes_b):
         raise ValueError("anticorrelation needs index-matched outcome lists of equal length")
-    pairs = _parallel_pairs(model, parallel)
+    pairs = _parallel_pairs(model)
 
     fact = check_factorizability(model, tol)
     avg = average(model)

@@ -34,6 +34,7 @@ from . import spacetime as st
 from .qstate import singlet
 
 _FALLBACK_TOL = 1e-9
+MAX_GRID_ANGLES = 1000  # per axis of `chsh --grid`, so at most 10**6 CSV rows
 
 
 def _default_tol() -> float:
@@ -184,7 +185,10 @@ def cmd_chsh(args) -> int:
         step = args.step
         if not math.isfinite(step) or step <= 0.0:
             raise ValueError(f"--step must be a positive angle, got {step!r}")
-        n = int(math.ceil(2.0 * math.pi / step)) + 1
+        turns = 2.0 * math.pi / step
+        if turns + 1.0 > MAX_GRID_ANGLES:
+            raise ValueError(f"--step {step!r} needs more than {MAX_GRID_ANGLES} angles per axis")
+        n = math.ceil(turns) + 1
         angles = [i * step for i in range(n)]
         corr = ineq.CorrelatorSet.from_state(state, angles, angles)
         sys.stdout.write(ineq.correlators_to_csv(corr))
@@ -422,7 +426,7 @@ def _parse_role(raw: str) -> st.Role:
 
 def cmd_timeline(args) -> int:
     data = _load_json(args.file)
-    if not isinstance(data, dict) or "timeline" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("timeline"), list):
         raise ValueError("timeline file must be an object with a 'timeline' list")
     events = []
     for k, entry in enumerate(data["timeline"]):
@@ -435,7 +439,7 @@ def cmd_timeline(args) -> int:
                     str(entry.get("label", "")),
                 )
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed timeline entry {k}: {exc}") from exc
     report = st.validate_protocol(events)
     if args.format == "json":

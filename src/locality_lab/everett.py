@@ -129,7 +129,6 @@ def _resolve_bases(
 
 def _pointer_tensor(state: StateVector, bases: Sequence[PointerBasis]) -> np.ndarray:
     t = state.as_tensor()
-    n = t.ndim
     for axis, basis in enumerate(bases):
         t = np.moveaxis(np.tensordot(basis.matrix.conj().T, t, axes=([1], [axis])), 0, axis)
     return t
@@ -190,13 +189,12 @@ def is_definite_relative(
     region: Iterable[str],
     conditioning: Mapping[str, str],
     pointer_bases: Mapping[str, PointerBasis] | None = None,
-    tol: float = DEFINITE_TOL,
 ) -> bool:
     """True iff the region has a single pointer configuration in the branch.
 
     The relative state is expanded in the declared pointer bases and the
     region subsystems' label patterns are collected over components with
-    |amplitude| > tol; definiteness means exactly one pattern survives,
+    |amplitude| > DEFINITE_TOL; definiteness means exactly one pattern survives,
     i.e. the relative state factors as |region pattern> (x) |rest>.
     """
     region = tuple(region)
@@ -204,7 +202,7 @@ def is_definite_relative(
     for sub in region:
         rel.axis(sub)  # raises SubsystemError for unknown/conditioned-away labels
     patterns = set()
-    for branch in decompose(rel, pointer_bases, cutoff=tol):
+    for branch in decompose(rel, pointer_bases, cutoff=DEFINITE_TOL):
         patterns.add(tuple(branch.labels[sub] for sub in region))
     return len(patterns) == 1
 
@@ -276,33 +274,28 @@ def run_parallel_epr() -> ProtocolTrace:
     )
 
 
-def comparison_measurement(
-    state: StateVector,
-    apparatus_a: str = "m_A",
-    apparatus_b: str = "m_B",
-    comparer: str = "C",
-) -> StateVector:
-    """Unitarily copy the two apparatus readings into a four-state pointer.
+def comparison_measurement(state: StateVector) -> StateVector:
+    """Unitarily copy the apparatus readings ``m_A`` and ``m_B`` into the four-state pointer ``C``.
 
     The comparer must be present, four-dimensional, and entirely in its
     ready (first) indicator state; the interaction is the permutation
     c -> c XOR (reading pair), a two-bit generalisation of a CNOT.
     """
-    ax_c = state.axis(comparer)
+    ax_c = state.axis("C")
     if state.dims[ax_c][1] != 4:
-        raise ComparerStateError(f"comparer {comparer!r} must have dimension 4")
+        raise ComparerStateError("comparer 'C' must have dimension 4")
     probe = np.moveaxis(state.as_tensor(), ax_c, 0)
     stray = float(np.sqrt(np.sum(np.abs(probe[1:]) ** 2)))
     if stray > BRANCH_CUTOFF:
         raise ComparerStateError(
-            f"comparer {comparer!r} is not in its ready state (stray amplitude {stray:.3g})"
+            f"comparer 'C' is not in its ready state (stray amplitude {stray:.3g})"
         )
     block = np.zeros((16, 16))
     for x in range(2):
         for y in range(2):
             for c in range(4):
                 block[x * 8 + y * 4 + (c ^ (2 * x + y)), x * 8 + y * 4 + c] = 1.0
-    full = embed_block(state.dims, block, [apparatus_a, apparatus_b, comparer])
+    full = embed_block(state.dims, block, ["m_A", "m_B", "C"])
     return StateVector(state.dims, full @ state.amps)
 
 

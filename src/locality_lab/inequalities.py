@@ -7,8 +7,9 @@ maps to +1, the second to -1. The CHSH combination is
 
 whose local bound |S| <= 2 is recovered here by exhaustive enumeration of
 the 16 deterministic strategies of the 2x2x2 scenario, and whose quantum
-maximum is located by a deterministic coarse grid scan plus derivative-free
-compass refinement over the four measurement angles.
+maximum over measurement directions in the x-z plane is located by a
+deterministic coarse grid scan plus derivative-free compass refinement over
+the four measurement angles.
 
 `bell_1964` evaluates the original-form slack 1 + E(b,c) - |E(a,b) - E(a,c)|,
 which presupposes perfect anticorrelation at equal settings; the slack is
@@ -29,6 +30,7 @@ from .qstate import StateVector, correlator_matrix
 
 CORRELATOR_TOL = 1e-12
 ANTICORRELATION_TOL = 1e-9
+MAX_SCAN_ANGLES = 64  # per axis of the quantum_max grid: the scan's float64 temporaries have m**4 <= 64**4 cells
 
 
 class ScenarioShapeError(ValueError):
@@ -184,16 +186,22 @@ def quantum_max(
     grid_step: float = math.pi / 24,
     refine_iters: int = 60,
 ) -> ChshResult:
-    """Best |S| over measurement angles for a two-qubit state.
+    """Best |S| found over measurement directions in the x-z plane for a two-qubit state.
 
-    Deterministic: a coarse scan of all angle quadruples on a uniform grid
-    over [0, 2pi), then compass (pattern) search with a shrinking step from
-    the best grid point. The returned value is the maximum over everything
-    evaluated, so refinement can only improve on the scan.
+    Only real directions (sin theta, 0, cos theta) are searched, so for
+    states whose optimal directions leave that plane the result falls short
+    of the full two-qubit maximum. Deterministic: a coarse scan of all angle
+    quadruples on a uniform grid over [0, 2pi), then compass (pattern)
+    search with a shrinking step from the best grid point. The returned
+    value is the maximum over everything evaluated, so refinement can only
+    improve on the scan; it may still stop short of the in-plane optimum.
     """
-    if grid_step <= 0.0:
+    if not grid_step > 0.0:
         raise ValueError("grid_step must be positive")
-    m = int(math.ceil(2.0 * math.pi / grid_step))
+    turns = 2.0 * math.pi / grid_step
+    if turns > MAX_SCAN_ANGLES:
+        raise ValueError(f"grid_step {grid_step!r} needs more than {MAX_SCAN_ANGLES} angles per axis")
+    m = math.ceil(turns)
     grid = np.arange(m) * grid_step
     e = correlator_matrix(state, grid, grid)
     s = (
@@ -268,7 +276,6 @@ def bell_1964(
     a: str | int,
     b: str | int,
     c_setting: str | int,
-    anticorrelation_tol: float = ANTICORRELATION_TOL,
 ) -> Bell1964Result:
     """Original-form three-setting inequality slack.
 
@@ -291,7 +298,7 @@ def bell_1964(
         slack,
         names,
         {"E(b,c)": e_bc, "E(a,b)": e_ab, "E(a,c)": e_ac},
-        deviation <= anticorrelation_tol,
+        deviation <= ANTICORRELATION_TOL,
         deviation,
     )
 

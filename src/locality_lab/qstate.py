@@ -100,9 +100,6 @@ class StateVector:
                 return k
         raise SubsystemError(f"unknown subsystem {label!r}; have {self.labels}")
 
-    def size_of(self, label: str) -> int:
-        return self.dims[self.axis(label)][1]
-
     def as_tensor(self) -> np.ndarray:
         return self.amps.reshape(self.sizes)
 
@@ -119,11 +116,10 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense linear map on a labelled joint space; ``unitary`` is checked."""
+    """Dense unitary map on a labelled joint space; unitarity is checked."""
 
     dims: DimSpec
     matrix: np.ndarray
-    unitary: bool = False
 
     def __post_init__(self):
         dims = _as_dims(self.dims)
@@ -132,10 +128,9 @@ class Operator:
         dim = math.prod(d for _, d in dims)
         if mat.shape != (dim, dim):
             raise ValueError(f"operator shape {mat.shape} does not match joint dimension {dim}")
-        if self.unitary:
-            dev = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-            if dev > ALG_TOL:
-                raise ValueError(f"operator flagged unitary but max |U^H U - I| = {dev!r}")
+        dev = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
+        if dev > ALG_TOL:
+            raise ValueError(f"operator is not unitary: max |U^H U - I| = {dev!r}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -145,10 +140,10 @@ class Operator:
         return StateVector(self.dims, self.matrix @ state.amps)
 
 
-def ket(label: str, amps: Sequence[complex], dim: int | None = None) -> StateVector:
-    """Single-subsystem state; ``dim`` defaults to ``len(amps)``."""
+def ket(label: str, amps: Sequence[complex]) -> StateVector:
+    """Single-subsystem state of dimension ``len(amps)``."""
     arr = np.asarray(amps, dtype=np.complex128)
-    return StateVector(((label, dim if dim is not None else arr.size),), arr)
+    return StateVector(((label, arr.size),), arr)
 
 
 def up(label: str) -> StateVector:
@@ -249,7 +244,7 @@ def measurement_unitary(
     p_down = np.outer(w[:, 1], w[:, 1])
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     block = np.kron(p_up, np.eye(2)) + np.kron(p_down, flip)
-    return Operator(dims, embed_block(dims, block, [system, apparatus]), unitary=True)
+    return Operator(dims, embed_block(dims, block, [system, apparatus]))
 
 
 _EIGENVALUE_COLUMN = {"up": 0, "down": 1}
@@ -289,37 +284,20 @@ def born_joint(state: StateVector, outcome_a: Outcome, outcome_b: Outcome) -> fl
     return float(np.sum(np.abs(t) ** 2))
 
 
-def _two_qubit_matrix(state: StateVector, system_a: str | None, system_b: str | None) -> np.ndarray:
-    if system_a is None or system_b is None:
-        if len(state.dims) != 2:
-            raise SubsystemError(
-                "state must have exactly two subsystems unless systems are named explicitly"
-            )
-        system_a, system_b = state.labels
-    ax_a, ax_b = state.axis(system_a), state.axis(system_b)
-    if state.dims[ax_a][1] != 2 or state.dims[ax_b][1] != 2 or len(state.dims) != 2:
-        raise SubsystemError("joint probability tables require a two-qubit state")
-    m = state.as_tensor()
-    return m if (ax_a, ax_b) == (0, 1) else m.T
-
-
 def joint_probability_table(
-    state: StateVector,
-    angles_a: Sequence[float],
-    angles_b: Sequence[float],
-    system_a: str | None = None,
-    system_b: str | None = None,
+    state: StateVector, angles_a: Sequence[float], angles_b: Sequence[float]
 ) -> np.ndarray:
-    """All Born probabilities over an angle grid, shape (n_a, n_b, 2, 2).
+    """Born probabilities of a two-qubit state over an angle grid, shape (n_a, n_b, 2, 2).
 
     Entry ``[i, j, p, q]`` equals ``born_joint`` at angles ``(angles_a[i],
-    angles_b[j])`` for outcomes (up, down)[p] and (up, down)[q]; the two
-    routes agree to rounding.
+    angles_b[j])`` on the first and second subsystem for outcomes (up,
+    down)[p] and (up, down)[q]; the two routes agree to rounding.
     """
-    m = _two_qubit_matrix(state, system_a, system_b)
+    if state.sizes != (2, 2):
+        raise SubsystemError("joint probability tables require a two-qubit state")
     wa = np.stack([rotated_basis_matrix(t) for t in angles_a])  # (na, 2, cols)
     wb = np.stack([rotated_basis_matrix(t) for t in angles_b])
-    amp = np.einsum("akp,kl,blq->abpq", wa, m, wb)
+    amp = np.einsum("akp,kl,blq->abpq", wa, state.as_tensor(), wb)
     return np.abs(amp) ** 2
 
 

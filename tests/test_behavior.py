@@ -15,13 +15,15 @@ Claims covered:
     normalisation), and a model file reports its first bad lambda;
   - a model stores one read-only table stack and weight vector, and rejects
     non-finite weights;
-  - JSON round-trips preserve behaviours and models, malformed objects are
-    rejected with diagnostics.
+  - JSON round-trips preserve behaviours and models, malformed objects
+    (numbers too large for a float among them) are rejected with
+    diagnostics, and parsing a model holds at most two copies of its stack.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +303,22 @@ class TestJson:
         assert np.array_equal(again.stacked_tables(), model.stacked_tables())
         assert np.array_equal(again.weights(), model.weights())
 
+    def test_model_parse_holds_two_stack_copies_at_most(self):
+        # The parsed stack and the model's own copy; the JSON rows are not copied again.
+        labels = [str(i) for i in range(8)]
+        table = from_quantum(singlet(), range(8), range(8)).table.reshape(-1).tolist()
+        payload = {
+            "scenario": {"settings_a": labels, "settings_b": labels},
+            "lambdas": [{"weight": 1.0 / 2048, "table": table}] * 2048,
+        }
+        tracemalloc.start()
+        try:
+            model = from_dict(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * model.stacked_tables().nbytes
+
     def test_table_length_checked(self):
         payload = behavior_to_dict(from_quantum(singlet(), [0.0], [0.0]))
         payload["table"] = payload["table"][:-1]
@@ -323,8 +341,15 @@ class TestJson:
 
     @pytest.mark.parametrize(
         "body",
-        [{"table": {"x": 1}}, {"table": "0.25"}, {"lambdas": 5}, {"lambdas": {"weight": 1.0}}],
-        ids=["table-object", "table-string", "lambdas-int", "lambdas-object"],
+        [
+            {"table": {"x": 1}},
+            {"table": "0.25"},
+            {"table": [10**400, 0.0, 0.0, 0.0]},
+            {"lambdas": 5},
+            {"lambdas": {"weight": 1.0}},
+            {"lambdas": [{"weight": 10**400, "table": [1.0, 0.0, 0.0, 0.0]}]},
+        ],
+        ids=["table-object", "table-string", "table-huge-int", "lambdas-int", "lambdas-object", "weight-huge-int"],
     )
     def test_wrong_json_types_rejected(self, body):
         with pytest.raises(BehaviorError):

@@ -5,7 +5,9 @@ Claims covered:
     (with the 1/2 outcome-independence violation of the parallel singlet),
     and 2 with one "error:" line on malformed input: a table or lambda list
     of the wrong JSON type, a non-finite weight, or a non-finite or negative
-    tolerance from --tol or LOCALITY_LAB_TOL;
+    tolerance from --tol or LOCALITY_LAB_TOL; timeline, signmodel and
+    chsh --grid hold the same contract on a non-list timeline, non-finite
+    angles and a step past the grid-size cap;
   - chsh emits the 16-strategy table, the (ceil(2 pi / step) + 1)^2-row
     correlator grid, and the optimisation summary;
   - bell1964 reports the canonical negative slack;
@@ -127,18 +129,23 @@ def _model(*weights):
 
 class TestInputContract:
     @pytest.mark.parametrize(
-        "payload, argv, env",
+        "argv, payload, env",
         [
-            ({"scenario": PARALLEL, "table": {"x": 1}}, [], {}),
-            ({"scenario": PARALLEL, "table": ["x", 0.5, 0.5, 0.0]}, [], {}),
-            ({"scenario": PARALLEL, "lambdas": 5}, [], {}),
-            ({"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": 0.25}]}, [], {}),
-            (_model(float("nan"), 1.0), ["--conditions", "parameter-independence"], {}),
-            (_model(float("inf"), 1.0), [], {}),
-            (_model(1.0, float("-inf")), [], {}),
-            (_model(1.0), [], {"LOCALITY_LAB_TOL": "nan"}),
-            (_model(1.0), ["--tol", "-1"], {}),
-            (_model(1.0), ["--tol", "inf"], {}),
+            (["check"], {"scenario": PARALLEL, "table": {"x": 1}}, {}),
+            (["check"], {"scenario": PARALLEL, "table": ["x", 0.5, 0.5, 0.0]}, {}),
+            (["check"], {"scenario": PARALLEL, "lambdas": 5}, {}),
+            (["check"], {"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": 0.25}]}, {}),
+            (["check", "--conditions", "parameter-independence"], _model(float("nan"), 1.0), {}),
+            (["check"], _model(float("inf"), 1.0), {}),
+            (["check"], _model(1.0, float("-inf")), {}),
+            (["check"], _model(1.0), {"LOCALITY_LAB_TOL": "nan"}),
+            (["check", "--tol", "-1"], _model(1.0), {}),
+            (["check", "--tol", "inf"], _model(1.0), {}),
+            (["timeline"], {"timeline": 5}, {}),
+            (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,nan"], None, {}),
+            (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,inf"], None, {}),
+            (["chsh", "--grid", "--step", "0.006"], None, {}),
+            (["chsh", "--grid", "--step", "5e-324"], None, {}),
         ],
         ids=[
             "table-object",
@@ -151,14 +158,21 @@ class TestInputContract:
             "env-tol-nan",
             "tol-negative",
             "tol-inf",
+            "timeline-int",
+            "signmodel-nan-angle",
+            "signmodel-inf-angle",
+            "grid-over-row-cap",
+            "grid-step-subnormal",
         ],
     )
-    def test_exits_two_with_one_error_line(self, payload, argv, env, tmp_path, capsys, monkeypatch):
+    def test_exits_two_with_one_error_line(self, argv, payload, env, tmp_path, capsys, monkeypatch):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(payload))
-        code = main(["check", *argv, str(path)])
+        if payload is not None:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(payload))
+            argv = [*argv, str(path)]
+        code = main(argv)
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")

@@ -7,8 +7,9 @@ Claims covered:
     stays within the enumerated bound of 2;
   - the exhaustive enumeration lists exactly 16 strategies with max |S| = 2;
   - the deterministic grid-plus-compass search recovers 2 sqrt(2) on the
-    singlet, stays below 2 on product states, and never exceeds the quantum
-    ceiling on random states;
+    singlet, stays below 2 on product states, and on random states lies
+    between the maximum of its own grid and the x-z plane Horodecki closed
+    form; it refuses a grid finer than its size cap;
   - the original-form slack is -1/2 at the canonical violating triple, zero
     on the a = b boundary, and nonnegative for the sign ensemble up to
     sampling error;
@@ -38,6 +39,35 @@ from locality_lab.qstate import StateVector, singlet, tensor, up
 SQRT8 = 2.0 * math.sqrt(2.0)
 CANONICAL = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
 BINARY = Scenario(("a0", "a1"), ("b0", "b1"))
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def xz_correlation_block(amps):
+    """T_ij = <psi| sigma_i (x) sigma_j |psi> for i, j in (x, z)."""
+    ops = (PAULI_X, PAULI_Z)
+    return np.array([[np.vdot(amps, np.kron(si, sj) @ amps).real for sj in ops] for si in ops])
+
+
+def plane_closed_form(t):
+    """Horodecki maximum 2 sqrt(t1^2 + t2^2) over the singular values of ``t``."""
+    t1, t2 = np.linalg.svd(t, compute_uv=False)
+    return 2.0 * math.sqrt(t1**2 + t2**2)
+
+
+def separable_grid_max(t, grid_step):
+    """Largest |S| over all angle quadruples of quantum_max's grid.
+
+    Direction theta has Bloch vector (sin theta, 0, cos theta), so E(a, b) =
+    n_a . T n_b. For fixed (a, a'), S splits into E(a,b) + E(a',b) maximised
+    over b plus E(a',b') - E(a,b') maximised over b'.
+    """
+    grid = np.arange(math.ceil(2.0 * math.pi / grid_step)) * grid_step
+    n = np.stack([np.sin(grid), np.cos(grid)], axis=1)
+    e = n @ t @ n.T
+    plus = e[:, None, :] + e[None, :, :]  # (a, a', b)
+    minus = e[None, :, :] - e[:, None, :]  # (a, a', b')
+    return max((plus.max(axis=2) + minus.max(axis=2)).max(), -(plus.min(axis=2) + minus.min(axis=2)).min())
 
 
 def behavior_from_tables(tables):
@@ -140,12 +170,24 @@ class TestQuantumMax:
         assert r1 == r2
 
     def test_random_states_respect_quantum_ceiling(self):
+        # Upper oracle: the Horodecki maximum of the x-z block. Lower oracle:
+        # the search's own grid, recomputed separably. The search is not
+        # asserted to reach the closed form: its compass refinement can stop
+        # about 1e-5 short.
+        step = math.pi / 8
         rng = np.random.default_rng(4)
         for _ in range(50):
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-            psi = StateVector((("s1", 2), ("s2", 2)), amps / np.linalg.norm(amps))
-            result = quantum_max(psi, grid_step=math.pi / 8, refine_iters=40)
-            assert result.magnitude <= SQRT8 + 1e-6
+            amps = amps / np.linalg.norm(amps)
+            result = quantum_max(StateVector((("s1", 2), ("s2", 2)), amps), grid_step=step, refine_iters=40)
+            t = xz_correlation_block(amps)
+            assert result.magnitude <= plane_closed_form(t) + 1e-9
+            assert result.magnitude >= separable_grid_max(t, step) - 1e-12
+
+    @pytest.mark.parametrize("step", [math.pi / 40, 1e-300, 5e-324, float("nan")])
+    def test_oversize_or_invalid_grid_refused(self, step):
+        with pytest.raises(ValueError):
+            quantum_max(singlet(), grid_step=step)
 
 
 class TestBell1964:

@@ -245,9 +245,9 @@ class TestCorrelator:
 class TestOperator:
     def test_non_unitary_flag_rejected(self):
         with pytest.raises(ValueError):
-            Operator((("q", 2),), np.array([[1.0, 0.0], [0.0, 2.0]]), unitary=True)
+            Operator((("q", 2),), np.array([[1.0, 0.0], [0.0, 2.0]]))
 
     def test_apply_checks_dims(self):
-        op = Operator((("q", 2),), np.eye(2), unitary=True)
+        op = Operator((("q", 2),), np.eye(2))
         with pytest.raises(SubsystemError):
             op.apply(ket("other", [1.0, 0.0]))
