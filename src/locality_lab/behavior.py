@@ -34,7 +34,8 @@ import numpy as np
 
 from .qstate import ALG_TOL, StateVector, joint_probability_table
 
-_CHUNK = 1 << 17  # Monte Carlo draw size; fixed so any worker split resamples identically
+_CHUNK = 1 << 17  # draws per child seed: it fixes the random stream, so changing it changes every sampled output
+MAX_MODEL_CELLS = 1 << 24  # lambdas x table cells a model file may declare: one 128 MiB float64 stack
 
 
 class BehaviorError(ValueError):
@@ -155,10 +156,10 @@ def _check_stack(scenario: Scenario, tables: np.ndarray, tol: float) -> None:
         raise NegativeEntryError(
             "entry out of [0, 1] at cell "
             f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}, "
-            f"A={sc.outcomes_a[iA]!r}, B={sc.outcomes_b[iB]!r}): {tables[il, ia, ib, iA, iB]!r}"
+            f"A={sc.outcomes_a[iA]!r}, B={sc.outcomes_b[iB]!r}): {float(tables[il, ia, ib, iA, iB])!r}"
         )
     ia, ib = np.unravel_index(np.argmax(unnormalised[il]), sc.shape[:2])
-    total = sums[il, ia, ib]
+    total = float(sums[il, ia, ib])
     raise TableNormalizationError(
         f"P(.,.|a,b) sums to {total!r} at "
         f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}); deficit {total - 1.0!r}"
@@ -407,6 +408,8 @@ def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
         entries = obj["lambdas"]
         if not isinstance(entries, list):
             raise BehaviorError(f"'lambdas' must be a list of objects, got {type(entries).__name__}")
+        if len(entries) * size > MAX_MODEL_CELLS:
+            raise BehaviorError(f"{len(entries)} lambdas of {size} cells exceed the limit of {MAX_MODEL_CELLS} cells")
         weights = np.empty(len(entries))
         tables = np.empty((len(entries), size))  # filled row by row: no second copy of the input
         for k, lam in enumerate(entries):

@@ -33,14 +33,13 @@ from . import inequalities as ineq
 from . import spacetime as st
 from .qstate import singlet
 
-_FALLBACK_TOL = 1e-9
 MAX_GRID_ANGLES = 1000  # per axis of `chsh --grid`, so at most 10**6 CSV rows
 
 
 def _default_tol() -> float:
     raw = os.environ.get("LOCALITY_LAB_TOL")
     if raw is None:
-        return _FALLBACK_TOL
+        return ca.DEFAULT_TOL
     try:
         return float(raw)
     except ValueError as exc:
@@ -57,6 +56,8 @@ def _load_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def _print_json(obj) -> None:
@@ -408,13 +409,7 @@ def cmd_signmodel(args) -> int:
 
 # -- timeline -----------------------------------------------------------------------
 
-_ROLE_ALIASES = {
-    "measurementa": st.Role.MEASUREMENT_A,
-    "measurementb": st.Role.MEASUREMENT_B,
-    "comparison": st.Role.COMPARISON,
-    "preparation": st.Role.PREPARATION,
-    "other": st.Role.OTHER,
-}
+_ROLE_ALIASES = {r.value.replace("-", ""): r for r in st.Role}
 
 
 def _parse_role(raw: str) -> st.Role:

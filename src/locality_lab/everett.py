@@ -17,9 +17,13 @@ light cones; see the stage events). `einstein_boxes` runs the one-particle,
 two-detector splitting protocol whose induced behaviour is no-signalling
 yet violates outcome independence with an empty hidden variable.
 
-Definiteness is operationalised by amplitude support: a region is definite
-relative to a conditioning branch iff the relative state restricted to the
-region occupies a single pointer-basis label combination.
+Branches and definiteness are both read off one pointer expansion: the
+state's amplitude tensor after each subsystem is rewritten in its declared
+pointer basis. Branches are the cells of that tensor with |amplitude| above
+a cutoff. A region is definite relative to a conditioning branch iff the
+support of the relative state's expansion (cells with |amplitude| >
+DEFINITE_TOL), projected onto the region's subsystems, is a single
+pointer-label combination.
 """
 
 from __future__ import annotations
@@ -110,28 +114,24 @@ class Branch:
     def weight(self) -> float:
         return abs(self.amplitude) ** 2
 
-    def label_text(self) -> str:
-        return " ".join(f"{k}={v}" for k, v in self.labels.items())
+
+def _pointer(label: str, dim: int, pointer_bases: Mapping[str, PointerBasis] | None) -> PointerBasis:
+    """The declared pointer basis of a subsystem, or `default_pointer` when none is declared."""
+    basis = pointer_bases[label] if pointer_bases and label in pointer_bases else default_pointer(dim)
+    if len(basis.labels) != dim:
+        raise ValueError(f"pointer basis for {label!r} has wrong dimension")
+    return basis
 
 
-def _resolve_bases(
+def _expand(
     state: StateVector, pointer_bases: Mapping[str, PointerBasis] | None
-) -> list[PointerBasis]:
-    given = dict(pointer_bases) if pointer_bases else {}
-    out = []
-    for label, dim in state.dims:
-        basis = given.get(label, default_pointer(dim))
-        if len(basis.labels) != dim:
-            raise ValueError(f"pointer basis for {label!r} has wrong dimension")
-        out.append(basis)
-    return out
-
-
-def _pointer_tensor(state: StateVector, bases: Sequence[PointerBasis]) -> np.ndarray:
+) -> tuple[np.ndarray, list[PointerBasis]]:
+    """Amplitude tensor of the state in its pointer bases, and those bases in axis order."""
+    bases = [_pointer(label, dim, pointer_bases) for label, dim in state.dims]
     t = state.as_tensor()
     for axis, basis in enumerate(bases):
         t = np.moveaxis(np.tensordot(basis.matrix.conj().T, t, axes=([1], [axis])), 0, axis)
-    return t
+    return t, bases
 
 
 def decompose(
@@ -144,17 +144,14 @@ def decompose(
     Components with |amplitude| <= cutoff are dropped; the surviving weights
     sum to 1 up to the discarded mass.
     """
-    bases = _resolve_bases(state, pointer_bases)
-    t = _pointer_tensor(state, bases)
-    labels = state.labels
-    branches = []
-    for idx in np.ndindex(*t.shape):
-        amp = complex(t[idx])
-        if abs(amp) > cutoff:
-            branches.append(
-                Branch({labels[k]: bases[k].labels[i] for k, i in enumerate(idx)}, amp)
-            )
-    return tuple(branches)
+    t, bases = _expand(state, pointer_bases)
+    return tuple(
+        Branch(
+            {label: basis.labels[i] for label, basis, i in zip(state.labels, bases, idx)},
+            complex(t[tuple(idx)]),
+        )
+        for idx in np.argwhere(np.abs(t) > cutoff).tolist()
+    )
 
 
 def relative_state(
@@ -169,12 +166,12 @@ def relative_state(
     """
     if not conditioning:
         raise ValueError("conditioning must name at least one subsystem")
-    bases = _resolve_bases(state, pointer_bases)
     t = state.as_tensor()
-    pairs = sorted(
-        ((state.axis(sub), bases[state.axis(sub)].column(lab)) for sub, lab in conditioning.items()),
-        key=lambda p: -p[0],
-    )
+    pairs = []
+    for sub, lab in conditioning.items():
+        axis = state.axis(sub)
+        pairs.append((axis, _pointer(sub, state.dims[axis][1], pointer_bases).column(lab)))
+    pairs.sort(key=lambda p: -p[0])
     for axis, vec in pairs:
         t = np.tensordot(np.conjugate(vec), t, axes=([0], [axis]))
     norm = float(np.sqrt(np.sum(np.abs(t) ** 2)))
@@ -192,19 +189,16 @@ def is_definite_relative(
 ) -> bool:
     """True iff the region has a single pointer configuration in the branch.
 
-    The relative state is expanded in the declared pointer bases and the
-    region subsystems' label patterns are collected over components with
-    |amplitude| > DEFINITE_TOL; definiteness means exactly one pattern survives,
-    i.e. the relative state factors as |region pattern> (x) |rest>.
+    The relative state is expanded in the declared pointer bases; its support
+    is the set of cells with |amplitude| > DEFINITE_TOL. Definiteness means
+    that the support, projected onto the region's axes, is one cell, i.e. the
+    relative state factors as |region pattern> (x) |rest>.
     """
-    region = tuple(region)
     rel = relative_state(state, conditioning, pointer_bases)
-    for sub in region:
-        rel.axis(sub)  # raises SubsystemError for unknown/conditioned-away labels
-    patterns = set()
-    for branch in decompose(rel, pointer_bases, cutoff=DEFINITE_TOL):
-        patterns.add(tuple(branch.labels[sub] for sub in region))
-    return len(patterns) == 1
+    keep = {rel.axis(sub) for sub in region}  # SubsystemError for unknown/conditioned-away labels
+    t, _ = _expand(rel, pointer_bases)
+    rest = tuple(axis for axis in range(t.ndim) if axis not in keep)
+    return int(np.count_nonzero((np.abs(t) > DEFINITE_TOL).any(axis=rest))) == 1
 
 
 @dataclass(frozen=True)

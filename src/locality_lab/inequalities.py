@@ -77,17 +77,9 @@ class CorrelatorSet:
             correlator_matrix(state, [float(t) for t in angles_a], [float(t) for t in angles_b]),
         )
 
-    def _index(self, side: str, key: str | int) -> int:
-        labels = self.settings_a if side == "a" else self.settings_b
-        if isinstance(key, int):
-            return key
-        try:
-            return labels.index(str(key))
-        except ValueError:
-            raise KeyError(f"unknown setting {key!r} on side {side!r}; have {labels}") from None
-
-    def value(self, a: str | int, b: str | int) -> float:
-        return float(self.values[self._index("a", a), self._index("b", b)])
+    def value(self, a: int, b: int) -> float:
+        """E at the a-th setting of wing A and the b-th setting of wing B."""
+        return float(self.values[a, b])
 
 
 def _as_correlators(source: Behavior | CorrelatorSet) -> CorrelatorSet:
@@ -121,23 +113,18 @@ class ChshResult:
 
 def chsh(
     source: Behavior | CorrelatorSet,
-    a: str | int,
-    a_prime: str | int,
-    b: str | int,
-    b_prime: str | int,
+    a: int,
+    a_prime: int,
+    b: int,
+    b_prime: int,
 ) -> ChshResult:
-    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') for the named settings."""
+    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') for the settings at these positions."""
     corr = _as_correlators(source)
     e_ab = corr.value(a, b)
     e_abp = corr.value(a, b_prime)
     e_apb = corr.value(a_prime, b)
     e_apbp = corr.value(a_prime, b_prime)
-    names = (
-        corr.settings_a[corr._index("a", a)],
-        corr.settings_a[corr._index("a", a_prime)],
-        corr.settings_b[corr._index("b", b)],
-        corr.settings_b[corr._index("b", b_prime)],
-    )
+    names = (corr.settings_a[a], corr.settings_a[a_prime], corr.settings_b[b], corr.settings_b[b_prime])
     return ChshResult(e_ab - e_abp + e_apb + e_apbp, names, (e_ab, e_abp, e_apb, e_apbp))
 
 
@@ -273,27 +260,23 @@ class Bell1964Result:
 
 def bell_1964(
     corr: CorrelatorSet,
-    a: str | int,
-    b: str | int,
-    c_setting: str | int,
+    a: int,
+    b: int,
+    c_setting: int,
 ) -> Bell1964Result:
-    """Original-form three-setting inequality slack.
+    """Original-form three-setting slack at positions ``a`` (wing A), ``b`` and ``c_setting`` (wing B).
 
-    The derivation presupposes E(s, s) = -1 at every setting present on both
-    sides; the worst deviation from that is reported, and a violation of the
-    precondition flags (but does not suppress) the computed slack.
+    The derivation presupposes E(s, s) = -1 at every setting label present on
+    both sides; the worst deviation from that is reported, and a violation of
+    the precondition flags (but does not suppress) the computed slack.
     """
-    shared = [s for s in corr.settings_a if s in corr.settings_b]
-    deviation = max((abs(corr.value(s, s) + 1.0) for s in shared), default=math.inf)
+    shared = [(corr.settings_a.index(s), corr.settings_b.index(s)) for s in corr.settings_a if s in corr.settings_b]
+    deviation = max((abs(corr.value(ia, ib) + 1.0) for ia, ib in shared), default=math.inf)
     e_bc = corr.value(b, c_setting)
     e_ab = corr.value(a, b)
     e_ac = corr.value(a, c_setting)
     slack = 1.0 + e_bc - abs(e_ab - e_ac)
-    names = (
-        corr.settings_a[corr._index("a", a)],
-        corr.settings_b[corr._index("b", b)],
-        corr.settings_b[corr._index("b", c_setting)],
-    )
+    names = (corr.settings_a[a], corr.settings_b[b], corr.settings_b[c_setting])
     return Bell1964Result(
         slack,
         names,

@@ -89,10 +89,6 @@ class StateVector:
     def sizes(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.dims)
 
-    @property
-    def dim(self) -> int:
-        return self.amps.size
-
     def axis(self, label: str) -> int:
         """Position of a subsystem in the tensor order."""
         for k, (name, _) in enumerate(self.dims):

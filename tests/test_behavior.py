@@ -81,14 +81,14 @@ def loop_validate(sc, t, tol=1e-12):
                 NegativeEntryError,
                 "entry out of [0, 1] at cell "
                 f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}, "
-                f"A={sc.outcomes_a[iA]!r}, B={sc.outcomes_b[iB]!r}): {value!r}",
+                f"A={sc.outcomes_a[iA]!r}, B={sc.outcomes_b[iB]!r}): {float(value)!r}",
             )
     for (ia, ib), total in np.ndenumerate(t.sum(axis=(2, 3))):
         if abs(total - 1.0) > tol:
             return (
                 TableNormalizationError,
-                f"P(.,.|a,b) sums to {total!r} at "
-                f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}); deficit {total - 1.0!r}",
+                f"P(.,.|a,b) sums to {float(total)!r} at "
+                f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}); deficit {float(total - 1.0)!r}",
             )
     return None
 

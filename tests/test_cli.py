@@ -5,9 +5,11 @@ Claims covered:
     (with the 1/2 outcome-independence violation of the parallel singlet),
     and 2 with one "error:" line on malformed input: a table or lambda list
     of the wrong JSON type, a non-finite weight, or a non-finite or negative
-    tolerance from --tol or LOCALITY_LAB_TOL; timeline, signmodel and
-    chsh --grid hold the same contract on a non-list timeline, non-finite
-    angles and a step past the grid-size cap;
+    tolerance from --tol or LOCALITY_LAB_TOL, a model past the cell cap
+    (refused before its stack is allocated), or JSON nested past the
+    parser's depth; timeline, signmodel and chsh --grid hold the same
+    contract on deep JSON, a non-list timeline, non-finite angles and a
+    step past the grid-size cap; the error line prints plain floats;
   - chsh emits the 16-strategy table, the (ceil(2 pi / step) + 1)^2-row
     correlator grid, and the optimisation summary;
   - bell1964 reports the canonical negative slack;
@@ -120,6 +122,7 @@ class TestCheck:
 
 
 PARALLEL = {"settings_a": ["0"], "settings_b": ["0"]}
+WIDE = {"settings_a": [str(k) for k in range(1000)], "settings_b": [str(k) for k in range(1000)]}
 ANTI = [0.0, 0.5, 0.5, 0.0]
 
 
@@ -131,21 +134,25 @@ class TestInputContract:
     @pytest.mark.parametrize(
         "argv, payload, env",
         [
-            (["check"], {"scenario": PARALLEL, "table": {"x": 1}}, {}),
-            (["check"], {"scenario": PARALLEL, "table": ["x", 0.5, 0.5, 0.0]}, {}),
-            (["check"], {"scenario": PARALLEL, "lambdas": 5}, {}),
-            (["check"], {"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": 0.25}]}, {}),
-            (["check", "--conditions", "parameter-independence"], _model(float("nan"), 1.0), {}),
-            (["check"], _model(float("inf"), 1.0), {}),
-            (["check"], _model(1.0, float("-inf")), {}),
-            (["check"], _model(1.0), {"LOCALITY_LAB_TOL": "nan"}),
-            (["check", "--tol", "-1"], _model(1.0), {}),
-            (["check", "--tol", "inf"], _model(1.0), {}),
-            (["timeline"], {"timeline": 5}, {}),
+            (["check"], json.dumps({"scenario": PARALLEL, "table": {"x": 1}}), {}),
+            (["check"], json.dumps({"scenario": PARALLEL, "table": ["x", 0.5, 0.5, 0.0]}), {}),
+            (["check"], json.dumps({"scenario": PARALLEL, "lambdas": 5}), {}),
+            (["check"], json.dumps({"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": 0.25}]}), {}),
+            (["check", "--conditions", "parameter-independence"], json.dumps(_model(float("nan"), 1.0)), {}),
+            (["check"], json.dumps(_model(float("inf"), 1.0)), {}),
+            (["check"], json.dumps(_model(1.0, float("-inf"))), {}),
+            (["check"], json.dumps(_model(1.0)), {"LOCALITY_LAB_TOL": "nan"}),
+            (["check", "--tol", "-1"], json.dumps(_model(1.0)), {}),
+            (["check", "--tol", "inf"], json.dumps(_model(1.0)), {}),
+            (["timeline"], json.dumps({"timeline": 5}), {}),
             (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,nan"], None, {}),
             (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,inf"], None, {}),
             (["chsh", "--grid", "--step", "0.006"], None, {}),
             (["chsh", "--grid", "--step", "5e-324"], None, {}),
+            # 10,000 lambdas of 1,000 x 1,000 settings: a 298 GiB stack, refused before allocation
+            (["check"], json.dumps({"scenario": WIDE, "lambdas": [{}] * 10_000}), {}),
+            (["check"], "[" * 100_000, {}),
+            (["timeline"], "[" * 100_000, {}),
         ],
         ids=[
             "table-object",
@@ -163,6 +170,9 @@ class TestInputContract:
             "signmodel-inf-angle",
             "grid-over-row-cap",
             "grid-step-subnormal",
+            "model-over-cell-cap",
+            "check-deep-json",
+            "timeline-deep-json",
         ],
     )
     def test_exits_two_with_one_error_line(self, argv, payload, env, tmp_path, capsys, monkeypatch):
@@ -170,12 +180,24 @@ class TestInputContract:
             monkeypatch.setenv(key, value)
         if payload is not None:
             path = tmp_path / "input.json"
-            path.write_text(json.dumps(payload))
+            path.write_text(payload)
             argv = [*argv, str(path)]
         code = main(argv)
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "table, text",
+        [([0.25, 0.5, 0.5, 0.5], "sums to 1.75 at (a='0', b='0'); deficit 0.75"), ([-0.01, 0.5, 0.5, 0.01], "): -0.01")],
+        ids=["unnormalised", "negative"],
+    )
+    def test_error_line_prints_plain_numbers(self, table, text, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": table}]}))
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(text + "\n") and "np." not in err
 
 
 class TestChsh:

@@ -17,18 +17,29 @@ Claims covered:
     anticorrelated branches and its induced behaviour violates outcome
     independence by exactly 1/2;
   - traces are bitwise deterministic and their stage events form a valid
-    causal layout.
+    causal layout;
+  - branches and definiteness agree with oracles built independently of
+    the package's pointer expansion: the Kronecker product of the
+    conjugate-transposed basis matrices applied to the amplitudes, branches
+    listed cell by cell, and region patterns counted in the normalised
+    conditioned slice; on every protocol stage and on seeded random states
+    in rotated bases;
+  - one `everett` invocation builds at most two pointer bases.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from locality_lab.behavior import Behavior
+from locality_lab.cli import main
 from locality_lab.everett import (
+    BRANCH_CUTOFF,
+    DEFINITE_TOL,
     ComparerStateError,
     EmptyBranchError,
     PointerBasis,
@@ -40,7 +51,7 @@ from locality_lab.everett import (
     run_nonparallel,
     run_parallel_epr,
 )
-from locality_lab.qstate import born_joint, ket, rotated_basis_matrix, singlet, tensor, up
+from locality_lab.qstate import StateVector, SubsystemError, born_joint, ket, rotated_basis_matrix, singlet, tensor, up
 from locality_lab.spacetime import validate_protocol
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -208,6 +219,15 @@ class TestDefinitenessTransition:
         stage = run_parallel_epr().stages[-1]
         with pytest.raises(KeyError):
             is_definite_relative(stage.state, ["nope"], {"m_A": "up"}, stage.pointer_bases)
+        with pytest.raises(SubsystemError):
+            is_definite_relative(stage.state, ["m_A"], {"m_A": "up"}, stage.pointer_bases)
+
+    def test_unknown_pointer_label_rejected(self):
+        stage = run_parallel_epr().stages[-1]
+        with pytest.raises(KeyError, match="unknown pointer label 'sideways'"):
+            relative_state(stage.state, {"m_A": "sideways"}, stage.pointer_bases)
+        with pytest.raises(KeyError, match="unknown pointer label 'sideways'"):
+            is_definite_relative(stage.state, ["s2"], {"m_A": "sideways"}, stage.pointer_bases)
 
 
 class TestComparisonMeasurement:
@@ -249,3 +269,121 @@ class TestEinsteinBoxes:
             assert {branch.labels["d_L"], branch.labels["d_R"]} == {"empty", "found"}
             side = "L" if branch.labels["d_L"] == "found" else "R"
             assert branch.labels["particle"] == side
+
+
+def oracle_labels(bases, label, dim):
+    if label in bases:
+        return bases[label].labels
+    return ("up", "down") if dim == 2 else tuple(str(i) for i in range(dim))
+
+
+def oracle_expansion(state, bases):
+    """Amplitude tensor in the pointer bases: one Kronecker product of B^H applied to the amplitudes."""
+    big = np.ones((1, 1))
+    for label, dim in state.dims:
+        big = np.kron(big, bases[label].matrix.conj().T if label in bases else np.eye(dim))
+    return (big @ state.amps).reshape([dim for _, dim in state.dims])
+
+
+def oracle_branches(state, bases, cutoff=BRANCH_CUTOFF):
+    t = oracle_expansion(state, bases)
+    names = [oracle_labels(bases, label, dim) for label, dim in state.dims]
+    return [
+        ({label: names[k][i] for k, (label, i) in enumerate(zip(state.labels, idx))}, complex(t[idx]))
+        for idx in np.ndindex(*t.shape)
+        if abs(t[idx]) > cutoff
+    ]
+
+
+def oracle_definite(state, region, conditioning, bases):
+    """None for an empty branch, else whether one region pattern carries the normalised slice."""
+    t = oracle_expansion(state, bases)
+    index = tuple(
+        oracle_labels(bases, label, dim).index(conditioning[label]) if label in conditioning else slice(None)
+        for label, dim in state.dims
+    )
+    rest = [label for label in state.labels if label not in conditioning]
+    part = t[index]
+    norm = np.linalg.norm(part)
+    if norm <= BRANCH_CUTOFF:
+        return None
+    part = part / norm
+    patterns = {
+        tuple(idx[rest.index(sub)] for sub in region)
+        for idx in np.ndindex(*part.shape)
+        if abs(part[idx]) > DEFINITE_TOL
+    }
+    return len(patterns) == 1
+
+
+def assert_matches_oracles(state, bases, conditioning_sizes=(1,)):
+    got = decompose(state, bases)
+    want = oracle_branches(state, bases)
+    assert [dict(b.labels) for b in got] == [labels for labels, _ in want]
+    for branch, (_, amp) in zip(got, want):
+        assert abs(branch.amplitude - amp) <= 1e-12
+    labels = state.labels
+    for n in conditioning_sizes:
+        for conditioned in itertools.combinations(labels, n):
+            rest = [label for label in labels if label not in conditioned]
+            names = [oracle_labels(bases, sub, state.dims[state.axis(sub)][1]) for sub in conditioned]
+            for picks in itertools.product(*names):
+                conditioning = dict(zip(conditioned, picks))
+                for size in range(1, len(rest) + 1):
+                    for region in itertools.combinations(rest, size):
+                        want = oracle_definite(state, region, conditioning, bases)
+                        if want is None:
+                            with pytest.raises(EmptyBranchError):
+                                is_definite_relative(state, region, conditioning, bases)
+                        else:
+                            assert is_definite_relative(state, region, conditioning, bases) is want
+
+
+ORACLE_THETAS = [0.0, math.pi / 2, math.pi] + [float(t) for t in np.random.default_rng(7).uniform(0.0, math.pi, 6)]
+
+
+class TestExpansionOracles:
+    def test_parallel_protocol(self):
+        for stage in run_parallel_epr().stages:
+            assert_matches_oracles(stage.state, stage.pointer_bases, conditioning_sizes=(1, 2))
+
+    @pytest.mark.parametrize("theta", ORACLE_THETAS)
+    def test_nonparallel_protocol(self, theta):
+        for stage in run_nonparallel(theta).stages:
+            assert_matches_oracles(stage.state, stage.pointer_bases)
+
+    def test_einstein_boxes(self):
+        trace, _, _ = einstein_boxes()
+        for stage in trace.stages:
+            assert_matches_oracles(stage.state, stage.pointer_bases, conditioning_sizes=(1, 2))
+
+    def test_random_states_in_rotated_bases(self):
+        rng = np.random.default_rng(11)
+        labels = ("q0", "q1", "q2", "q3")
+        for _ in range(12):
+            amps = rng.normal(size=16)
+            state = StateVector([(label, 2) for label in labels], amps / np.linalg.norm(amps))
+            # q3 is left undeclared, so it is read in the default up/down basis
+            bases = {label: PointerBasis.spin(float(rng.uniform(-math.pi, math.pi))) for label in labels[:3]}
+            assert_matches_oracles(state, bases, conditioning_sizes=(1, 2))
+
+    def test_entangled_pairs_in_rotated_bases(self):
+        # two singlets in rotated bases: supports with exact zeros, so definiteness can hold
+        state = tensor(singlet("q0", "q1"), singlet("q2", "q3"))
+        for theta in (0.0, 0.4):
+            bases = {label: PointerBasis.spin(theta) for label in ("q0", "q1", "q2", "q3")}
+            assert_matches_oracles(state, bases, conditioning_sizes=(1, 2))
+
+
+def test_everett_builds_at_most_two_pointer_bases(monkeypatch, capsys):
+    built = []
+    check = PointerBasis.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(PointerBasis, "__post_init__", counting)
+    assert main(["everett", "--theta", "1.0472"]) == 0
+    capsys.readouterr()
+    assert len(built) <= 2
