@@ -133,17 +133,17 @@ class Behavior:
         return f"Behavior(shape={self.scenario.shape})"
 
 
-def _check_stack(scenario: Scenario, tables: np.ndarray, tol: float) -> None:
-    """Raise naming the first bad cell of a (L, n_a, n_b, k_A, k_B) table stack.
+def _check_stack(scenario: Scenario, tables: np.ndarray) -> None:
+    """Raise naming the first bad cell, at ALG_TOL, of a (L, n_a, n_b, k_A, k_B) table stack.
 
     Tables are searched in lambda order. Within a table, non-finite entries
     are reported first, then the first entry outside [0, 1], then the first
     setting pair whose probabilities do not sum to 1.
     """
     nonfinite = ~np.isfinite(tables)
-    out_of_range = (tables < -tol) | (tables > 1.0 + tol)
+    out_of_range = (tables < -ALG_TOL) | (tables > 1.0 + ALG_TOL)
     sums = tables.sum(axis=(3, 4))
-    unnormalised = np.abs(sums - 1.0) > tol
+    unnormalised = np.abs(sums - 1.0) > ALG_TOL
     bad = (nonfinite | out_of_range).any(axis=(1, 2, 3, 4)) | unnormalised.any(axis=(1, 2))
     if not bad.any():
         return
@@ -166,9 +166,9 @@ def _check_stack(scenario: Scenario, tables: np.ndarray, tol: float) -> None:
     )
 
 
-def validate(behavior: Behavior, tol: float = ALG_TOL) -> Behavior:
-    """Return the behaviour iff its invariants hold; raise naming the first bad cell."""
-    _check_stack(behavior.scenario, behavior.table[None], tol)
+def validate(behavior: Behavior) -> Behavior:
+    """Return the behaviour iff its invariants hold at ALG_TOL; raise naming the first bad cell."""
+    _check_stack(behavior.scenario, behavior.table[None])
     return behavior
 
 
@@ -307,12 +307,12 @@ def sign_model(
     pattern_counts: dict[int, int] = {}
     prod_sums = np.zeros((ka, kb), dtype=np.int64)
     weights_pow = 1 << np.arange(ka + kb, dtype=np.int64)
-    children = np.random.SeedSequence(seed).spawn(-(-n_samples // _CHUNK))
+    root = np.random.SeedSequence(seed)  # one child per chunk, spawned when needed (as spawn(n_chunks) would)
     remaining = n_samples
-    for child in children:
+    while remaining:
         m = min(_CHUNK, remaining)
         remaining -= m
-        rng = np.random.default_rng(child)
+        rng = np.random.default_rng(root.spawn(1)[0])
         # Signs depend only on the draw's direction, so the isotropic
         # gaussian can be used unnormalised.
         draws = rng.standard_normal((m, 3))
@@ -423,6 +423,6 @@ def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
                 raise BehaviorError(f"lambda {k} table has {flat.size} entries, needs {size}")
             tables[k] = flat
         tables = tables.reshape(len(entries), *scenario.shape)
-        _check_stack(scenario, tables, ALG_TOL)
+        _check_stack(scenario, tables)
         return HiddenVariableModel.from_arrays(scenario, weights, tables)
     raise BehaviorError("object carries neither 'table' nor 'lambdas'")

@@ -172,6 +172,8 @@ def _chsh_table(result: ineq.ChshResult) -> None:
 
 
 def cmd_chsh(args) -> int:
+    if args.format == "json" and not args.optimize:
+        raise ValueError("--format applies to --optimize only")
     state = singlet()
     if args.classical:
         scenario = bh.Scenario(("a", "a'"), ("b", "b'"))
@@ -468,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--grid", action="store_true")
     mode.add_argument("--classical", action="store_true")
     p.add_argument("--step", type=float, default=0.1, help="grid step in radians (with --grid)")
-    p.add_argument("--format", choices=("table", "json"), default="table")
+    p.add_argument("--format", choices=("table", "json"), default="table", help="output format (with --optimize)")
     p.set_defaults(func=cmd_chsh)
 
     p = sub.add_parser("bell1964", help="original three-setting inequality slack on the singlet")

@@ -38,8 +38,8 @@ from . import spacetime
 from .behavior import Behavior, HiddenVariableModel, Scenario, validate
 from .causality import CheckReport, check_outcome_independence
 from .qstate import (
+    Operator,
     StateVector,
-    embed_block,
     ket,
     measurement_unitary,
     rotated_basis_matrix,
@@ -137,12 +137,11 @@ def _expand(
 def decompose(
     state: StateVector,
     pointer_bases: Mapping[str, PointerBasis] | None = None,
-    cutoff: float = BRANCH_CUTOFF,
 ) -> tuple[Branch, ...]:
     """Branches of the state in the declared pointer bases, in basis order.
 
-    Components with |amplitude| <= cutoff are dropped; the surviving weights
-    sum to 1 up to the discarded mass.
+    Components with |amplitude| <= BRANCH_CUTOFF are dropped; the surviving
+    weights sum to 1 up to the discarded mass.
     """
     t, bases = _expand(state, pointer_bases)
     return tuple(
@@ -150,7 +149,7 @@ def decompose(
             {label: basis.labels[i] for label, basis, i in zip(state.labels, bases, idx)},
             complex(t[tuple(idx)]),
         )
-        for idx in np.argwhere(np.abs(t) > cutoff).tolist()
+        for idx in np.argwhere(np.abs(t) > BRANCH_CUTOFF).tolist()
     )
 
 
@@ -284,13 +283,10 @@ def comparison_measurement(state: StateVector) -> StateVector:
         raise ComparerStateError(
             f"comparer 'C' is not in its ready state (stray amplitude {stray:.3g})"
         )
+    j = np.arange(16)  # basis index 8x + 4y + c: reading pair (x, y), comparer c
     block = np.zeros((16, 16))
-    for x in range(2):
-        for y in range(2):
-            for c in range(4):
-                block[x * 8 + y * 4 + (c ^ (2 * x + y)), x * 8 + y * 4 + c] = 1.0
-    full = embed_block(state.dims, block, ["m_A", "m_B", "C"])
-    return StateVector(state.dims, full @ state.amps)
+    block[(j & 12) | ((j & 3) ^ (j >> 2)), j] = 1.0
+    return Operator((("m_A", 2), ("m_B", 2), ("C", 4)), block).apply(state)
 
 
 def run_nonparallel(theta: float) -> ProtocolTrace:
@@ -349,18 +345,12 @@ def einstein_boxes() -> tuple[ProtocolTrace, Behavior, CheckReport]:
         ket("particle", [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)]),
         ket("d_R", [1.0, 0.0]),
     )
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    eye = np.eye(2)
-    p_left = np.diag([1.0, 0.0])
-    p_right = np.diag([0.0, 1.0])
-    open_left = embed_block(
-        psi0.dims, np.kron(p_left, flip) + np.kron(p_right, eye), ["particle", "d_L"]
-    )
-    open_right = embed_block(
-        psi0.dims, np.kron(p_right, flip) + np.kron(p_left, eye), ["particle", "d_R"]
-    )
-    after_left = StateVector(psi0.dims, open_left @ psi0.amps)
-    final = StateVector(psi0.dims, open_right @ after_left.amps)
+    flip, eye = np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+    p_left, p_right = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    open_left = Operator((("particle", 2), ("d_L", 2)), np.kron(p_left, flip) + np.kron(p_right, eye))
+    open_right = Operator((("particle", 2), ("d_R", 2)), np.kron(p_right, flip) + np.kron(p_left, eye))
+    after_left = open_left.apply(psi0)
+    final = open_right.apply(after_left)
 
     bases = {"d_L": box_pointer, "particle": particle_pointer, "d_R": box_pointer}
     trace = ProtocolTrace(

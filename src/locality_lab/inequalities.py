@@ -30,7 +30,7 @@ from .qstate import StateVector, correlator_matrix
 
 CORRELATOR_TOL = 1e-12
 ANTICORRELATION_TOL = 1e-9
-MAX_SCAN_ANGLES = 64  # per axis of the quantum_max grid: the scan's float64 temporaries have m**4 <= 64**4 cells
+MAX_SCAN_ANGLES = 64  # per axis of the quantum_max grid: at most 64**4 evaluations, in float64 slabs of m**3 cells
 
 
 class ScenarioShapeError(ValueError):
@@ -191,14 +191,15 @@ def quantum_max(
     m = math.ceil(turns)
     grid = np.arange(m) * grid_step
     e = correlator_matrix(state, grid, grid)
-    s = (
-        e[:, None, :, None]
-        - e[:, None, None, :]
-        + e[None, :, :, None]
-        + e[None, :, None, :]
-    )
-    flat = int(np.argmax(np.abs(s)))
-    ia, iap, ib, ibp = np.unravel_index(flat, s.shape)
+    # One (a', b, b') slab of |S| per a; a slab's first maximum replaces the best
+    # only when strictly larger, so the scan keeps the first maximum in C order.
+    best_abs = -1.0
+    for a in range(m):
+        slab = np.abs(e[a, None, :, None] - e[a, None, None, :] + e[:, :, None] + e[:, None, :])
+        k = int(np.argmax(slab))
+        if slab.flat[k] > best_abs:
+            best_abs = slab.flat[k]
+            ia, (iap, ib, ibp) = a, np.unravel_index(k, slab.shape)
     best = np.array([grid[ia], grid[iap], grid[ib], grid[ibp]])
     best_val = _chsh_from_grid(e, ia, iap, ib, ibp)
 

@@ -4,7 +4,7 @@ Everything in this module is exact to floating-point rounding: states and
 operators are dense ``complex128`` arrays over a handful of labelled
 subsystems (a few dozen joint dimensions at most), basis order is
 lexicographic with the first subsystem most significant, and norms/unitarity
-are enforced at ``ALG_TOL``.
+are enforced at ``ALG_TOL``; an operator acts only on the subsystems it names.
 
 The Born-rule entry points (`born_joint`, `joint_probability_table`,
 `correlator`) compute joint outcome probabilities for two spin-1/2
@@ -91,10 +91,7 @@ class StateVector:
 
     def axis(self, label: str) -> int:
         """Position of a subsystem in the tensor order."""
-        for k, (name, _) in enumerate(self.dims):
-            if name == label:
-                return k
-        raise SubsystemError(f"unknown subsystem {label!r}; have {self.labels}")
+        return _positions(self.dims, [label])[0]
 
     def as_tensor(self) -> np.ndarray:
         return self.amps.reshape(self.sizes)
@@ -102,9 +99,9 @@ class StateVector:
     def norm(self) -> float:
         return float(np.sqrt(np.vdot(self.amps, self.amps).real))
 
-    def allclose(self, other: "StateVector", tol: float = ALG_TOL) -> bool:
-        """Amplitude-by-amplitude agreement (no global-phase forgiveness)."""
-        return self.dims == other.dims and bool(np.max(np.abs(self.amps - other.amps)) <= tol)
+    def allclose(self, other: "StateVector") -> bool:
+        """Amplitude-by-amplitude agreement to ALG_TOL (no global-phase forgiveness)."""
+        return self.dims == other.dims and bool(np.max(np.abs(self.amps - other.amps)) <= ALG_TOL)
 
     def __repr__(self) -> str:
         return f"StateVector(dims={self.dims})"
@@ -112,7 +109,11 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense unitary map on a labelled joint space; unitarity is checked."""
+    """Dense unitary on the labelled subsystems named in ``dims``; unitarity is checked.
+
+    ``apply`` acts on the subsystems it names, wherever they sit in a state,
+    and leaves every other subsystem alone.
+    """
 
     dims: DimSpec
     matrix: np.ndarray
@@ -131,9 +132,14 @@ class Operator:
         object.__setattr__(self, "matrix", mat)
 
     def apply(self, state: StateVector) -> StateVector:
-        if state.dims != self.dims:
-            raise SubsystemError(f"operator dims {self.dims} do not match state dims {state.dims}")
-        return StateVector(self.dims, self.matrix @ state.amps)
+        pos = _positions(state.dims, [label for label, _ in self.dims])
+        for (label, d), k in zip(self.dims, pos):
+            if state.dims[k][1] != d:
+                raise SubsystemError(f"subsystem {label!r} has dimension {state.dims[k][1]}, operator expects {d}")
+        n = len(pos)
+        block = self.matrix.reshape([d for _, d in self.dims] * 2)
+        t = np.tensordot(block, state.as_tensor(), axes=(list(range(n, 2 * n)), pos))
+        return StateVector(state.dims, np.moveaxis(t, range(n), pos))
 
 
 def ket(label: str, amps: Sequence[complex]) -> StateVector:
@@ -196,29 +202,6 @@ def _positions(dims: DimSpec, labels: Sequence[str]) -> list[int]:
     return pos
 
 
-def embed_block(dims: Iterable[tuple[str, int]], block: np.ndarray, labels: Sequence[str]) -> np.ndarray:
-    """Extend a matrix acting on the listed subsystems (in the listed order,
-    first label most significant) by the identity on all other subsystems.
-    """
-    dims = _as_dims(dims)
-    sizes = [d for _, d in dims]
-    n = len(sizes)
-    pos = _positions(dims, labels)
-    block = np.asarray(block, dtype=np.complex128)
-    block_dim = math.prod(sizes[k] for k in pos)
-    if block.shape != (block_dim, block_dim):
-        raise ValueError(f"block shape {block.shape} does not match subsystems {labels}")
-    order = pos + [k for k in range(n) if k not in pos]
-    rest = math.prod(sizes[k] for k in order[len(pos):]) if len(order) > len(pos) else 1
-    big = np.kron(block, np.eye(rest, dtype=np.complex128))
-    perm_sizes = [sizes[k] for k in order]
-    t = big.reshape(perm_sizes + perm_sizes)
-    inv = np.argsort(order)
-    t = np.transpose(t, list(inv) + [n + int(i) for i in inv])
-    full = math.prod(sizes)
-    return np.ascontiguousarray(t.reshape(full, full))
-
-
 def measurement_unitary(
     dims: Iterable[tuple[str, int]], theta: float, system: str, apparatus: str
 ) -> Operator:
@@ -227,20 +210,19 @@ def measurement_unitary(
     On the (system, apparatus) pair it keeps the apparatus in its first
     indicator state when the system is in the rotated up state and flips it
     when the system is in the rotated down state; the apparatus-down sector
-    is exchanged consistently (a CNOT in the rotated product basis). All
-    other subsystems are untouched.
+    is exchanged consistently (a CNOT in the rotated product basis). The
+    operator names only the pair, which must be qubits of ``dims``.
     """
     dims = _as_dims(dims)
-    for label in (system, apparatus):
-        pos = _positions(dims, [label])[0]
-        if dims[pos][1] != 2:
-            raise SubsystemError(f"subsystem {label!r} must be a qubit, has dimension {dims[pos][1]}")
+    for k in _positions(dims, [system, apparatus]):
+        if dims[k][1] != 2:
+            raise SubsystemError(f"subsystem {dims[k][0]!r} must be a qubit, has dimension {dims[k][1]}")
     w = rotated_basis_matrix(theta)
     p_up = np.outer(w[:, 0], w[:, 0])
     p_down = np.outer(w[:, 1], w[:, 1])
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     block = np.kron(p_up, np.eye(2)) + np.kron(p_down, flip)
-    return Operator(dims, embed_block(dims, block, [system, apparatus]))
+    return Operator(((system, 2), (apparatus, 2)), block)
 
 
 _EIGENVALUE_COLUMN = {"up": 0, "down": 1}

@@ -9,7 +9,8 @@ Claims covered:
     always valid;
   - the sign-strategy ensemble anticorrelates equal settings exactly, tracks
     the closed-form correlator (validated against an independent spherical
-    quadrature), and each sampled strategy is a deterministic product;
+    quadrature), each sampled strategy is a deterministic product, and a
+    three-chunk sample equals a recomputation from three spawned child seeds;
   - validate names the same first bad cell, with the same message, as a
     per-cell loop over a table (non-finite, then out of [0, 1], then
     normalisation), and a model file reports its first bad lambda;
@@ -244,6 +245,32 @@ class TestSignModel:
         _, corr1 = sign_model([0.2], [1.0], n, seed=9)
         _, corr2 = sign_model([0.2], [1.0], n, seed=9)
         assert np.array_equal(corr1, corr2)
+
+    def test_three_chunks_equal_spawned_children(self):
+        # The sampler draws 2**17 directions per child of SeedSequence(seed).
+        chunk, seed = 1 << 17, 2718
+        n = 2 * chunk + 1234
+        angles_a, angles_b = [0.0, 0.7, 2.1], [0.3, 1.9]
+        model, corr = sign_model(angles_a, angles_b, n, seed=seed)
+        dirs_a = np.array([[math.sin(t), 0.0, math.cos(t)] for t in angles_a])
+        dirs_b = np.array([[math.sin(t), 0.0, math.cos(t)] for t in angles_b])
+        prod = np.zeros((3, 2), dtype=np.int64)
+        rows = []
+        for child, m in zip(np.random.SeedSequence(seed).spawn(3), (chunk, chunk, 1234)):
+            draws = np.random.default_rng(child).standard_normal((m, 3))
+            resp_a = np.where(draws @ dirs_a.T >= 0.0, 1, -1)
+            resp_b = -np.where(draws @ dirs_b.T >= 0.0, 1, -1)
+            prod += resp_a.T @ resp_b
+            rows.append(np.concatenate([resp_a, resp_b], axis=1))
+        assert np.array_equal(corr, prod / float(n))
+        patterns, counts = np.unique(np.concatenate(rows), axis=0, return_counts=True)
+        got = {}
+        for w, b in model.lambdas:
+            # Outcome index 0 ("up") is +1; each table is deterministic.
+            row = [1 - 2 * int(np.argmax(b.marginal_a()[ia, 0])) for ia in range(3)]
+            row += [1 - 2 * int(np.argmax(b.marginal_b()[0, ib])) for ib in range(2)]
+            got[tuple(row)] = w
+        assert got == {tuple(row): c / n for row, c in zip(patterns.tolist(), counts.tolist())}
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):

@@ -149,6 +149,8 @@ class TestInputContract:
             (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,inf"], None, {}),
             (["chsh", "--grid", "--step", "0.006"], None, {}),
             (["chsh", "--grid", "--step", "5e-324"], None, {}),
+            (["chsh", "--classical", "--format", "json"], None, {}),
+            (["chsh", "--grid", "--format", "json"], None, {}),
             # 10,000 lambdas of 1,000 x 1,000 settings: a 298 GiB stack, refused before allocation
             (["check"], json.dumps({"scenario": WIDE, "lambdas": [{}] * 10_000}), {}),
             (["check"], "[" * 100_000, {}),
@@ -170,6 +172,8 @@ class TestInputContract:
             "signmodel-inf-angle",
             "grid-over-row-cap",
             "grid-step-subnormal",
+            "classical-format-json",
+            "grid-format-json",
             "model-over-cell-cap",
             "check-deep-json",
             "timeline-deep-json",

@@ -11,8 +11,9 @@ Claims covered:
     the definiteness transition: cross-wing definiteness holds at the
     aligned protocol's final stage, fails after non-aligned local
     measurements, and holds for every branch after the comparison;
-  - the comparison interaction requires a ready four-state pointer and
-    labels single branches consistently;
+  - the comparison interaction requires a ready four-state pointer, labels
+    single branches consistently, and on random states equals the index
+    permutation C <- 2 m_A + m_B of the ready slice;
   - the one-particle box protocol yields equal-weight strictly
     anticorrelated branches and its induced behaviour violates outcome
     independence by exactly 1/2;
@@ -248,6 +249,35 @@ class TestComparisonMeasurement:
         (branch,) = decompose(out, bases)
         assert branch.labels["C"] == "ud"
         assert branch.amplitude == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            (("m_A", 2), ("m_B", 2)),
+            (("m_B", 2), ("x", 3), ("m_A", 2)),
+            (("s1", 2), ("m_A", 2), ("s2", 2), ("m_B", 2)),
+        ],
+        ids=["mA-mB", "mB-x-mA", "s1-mA-s2-mB"],
+    )
+    @pytest.mark.parametrize("comparer_first", [False, True], ids=["C-last", "C-first"])
+    def test_random_states_equal_index_permutation(self, dims, comparer_first):
+        rng = np.random.default_rng([len(dims), comparer_first])
+        for _ in range(5):
+            n = math.prod(d for _, d in dims)
+            amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+            rest = StateVector(dims, amps / np.linalg.norm(amps))
+            ready = ket("C", [1.0, 0.0, 0.0, 0.0])
+            psi = tensor(ready, rest) if comparer_first else tensor(rest, ready)
+            got = comparison_measurement(psi)
+            # Oracle: in (m_A, m_B, C, others) axis order, copy the ready slice to C = 2x + y.
+            labels = list(psi.labels)
+            order = [labels.index(s) for s in ("m_A", "m_B", "C")] + [k for k, s in enumerate(labels) if s not in ("m_A", "m_B", "C")]
+            t = psi.as_tensor().transpose(order)
+            want = np.zeros_like(t)
+            for x in range(2):
+                for y in range(2):
+                    want[x, y, 2 * x + y] = t[x, y, 0]
+            assert np.array_equal(got.as_tensor(), want.transpose(np.argsort(order)))
 
 
 class TestEinsteinBoxes:

@@ -9,7 +9,8 @@ Claims covered:
   - the deterministic grid-plus-compass search recovers 2 sqrt(2) on the
     singlet, stays below 2 on product states, and on random states lies
     between the maximum of its own grid and the x-z plane Horodecki closed
-    form; it refuses a grid finer than its size cap;
+    form; it refuses a grid finer than its size cap, and its default scan
+    peaks below 8 MiB of temporaries;
   - the original-form slack is -1/2 at the canonical violating triple, zero
     on the a = b boundary, and nonnegative for the sign ensemble up to
     sampling error;
@@ -19,6 +20,7 @@ Claims covered:
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +185,17 @@ class TestQuantumMax:
             t = xz_correlation_block(amps)
             assert result.magnitude <= plane_closed_form(t) + 1e-9
             assert result.magnitude >= separable_grid_max(t, step) - 1e-12
+
+    def test_default_scan_peak_memory_is_cubic(self):
+        # The m**4 scan over the default 48-angle grid would hold 81 MiB of temporaries at once.
+        quantum_max(singlet())
+        tracemalloc.start()
+        try:
+            quantum_max(singlet())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("step", [math.pi / 40, 1e-300, 5e-324, float("nan")])
     def test_oversize_or_invalid_grid_refused(self, step):

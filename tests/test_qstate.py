@@ -11,6 +11,9 @@ Claims covered:
   - born_joint agrees with an independent dense projector-matrix computation
     and with the closed singlet form (1/2)sin^2(theta/2);
   - measurement order on distinct wings is immaterial;
+  - an operator acts on the subsystems it names, in its own label order and
+    wherever they sit in the state, like the full-space matrix built from
+    its kron with the identity and an explicit axis permutation;
   - singlet correlators depend only on the angle difference.
 """
 
@@ -124,7 +127,7 @@ class TestMeasurementUnitary:
         su, sd = spin_basis(theta, label="s")
         for sys_state, expected_pointer in ((su, up("m")), (sd, down("m"))):
             image = u_meas.apply(tensor(sys_state, up("m")))
-            assert image.allclose(tensor(sys_state, expected_pointer), tol=ALG_TOL)
+            assert image.allclose(tensor(sys_state, expected_pointer))
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, math.pi / 2, 2.0])
     def test_unitary(self, theta):
@@ -242,6 +245,35 @@ class TestCorrelator:
         assert np.max(np.abs(e - expected)) < ALG_TOL
 
 
+def random_unitary(rng, d):
+    """Haar-like unitary: QR of a complex Gaussian matrix with the phases of R removed."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_state(rng, dims):
+    n = math.prod(d for _, d in dims)
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return StateVector(dims, amps / np.linalg.norm(amps))
+
+
+def full_space_matrix(state_dims, op_labels, matrix):
+    """The operator over the whole joint space, built without the package's contraction.
+
+    kron(matrix, I) acts in the basis ordered (named subsystems in operator
+    order, then the others in state order); the permutation matrix P maps
+    state-order amplitudes to that order, so the full matrix is P^T kron P.
+    """
+    labels = [label for label, _ in state_dims]
+    sizes = [d for _, d in state_dims]
+    order = [labels.index(label) for label in op_labels] + [k for k, label in enumerate(labels) if label not in op_labels]
+    rest = math.prod(sizes[k] for k in order[len(op_labels):])
+    big = np.kron(matrix, np.eye(rest))
+    n = math.prod(sizes)
+    perm = np.eye(n).reshape(sizes + [n]).transpose(order + [len(sizes)]).reshape(n, n)
+    return perm.T @ big @ perm
+
+
 class TestOperator:
     def test_non_unitary_flag_rejected(self):
         with pytest.raises(ValueError):
@@ -251,3 +283,47 @@ class TestOperator:
         op = Operator((("q", 2),), np.eye(2))
         with pytest.raises(SubsystemError):
             op.apply(ket("other", [1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "state_dims, op_labels",
+        [
+            ((("a", 2), ("b", 3), ("c", 4)), ("a",)),
+            ((("a", 2), ("b", 3), ("c", 4)), ("c",)),
+            ((("a", 2), ("b", 3), ("c", 4)), ("c", "a")),
+            ((("a", 2), ("b", 3), ("c", 4)), ("b", "c")),
+            ((("a", 2), ("b", 3), ("c", 4)), ("c", "b", "a")),
+            ((("a", 3), ("b", 2), ("c", 2), ("d", 4)), ("d", "b")),
+            ((("a", 3), ("b", 2), ("c", 2), ("d", 4)), ("a", "c")),
+            ((("a", 3), ("b", 2), ("c", 2), ("d", 4)), ("c", "b")),
+            ((("a", 3), ("b", 2), ("c", 2), ("d", 4)), ("b", "d", "a")),
+            ((("a", 3), ("b", 2), ("c", 2), ("d", 4)), ("d", "c", "b", "a")),
+        ],
+        ids=lambda v: "".join(v) if isinstance(v[0], str) else "".join(f"{s}{d}" for s, d in v),
+    )
+    def test_apply_equals_full_space_matrix(self, state_dims, op_labels):
+        rng = np.random.default_rng([len(state_dims), *map(ord, "".join(op_labels))])
+        sizes = dict(state_dims)
+        op_dims = tuple((label, sizes[label]) for label in op_labels)
+        for _ in range(5):
+            u = random_unitary(rng, math.prod(d for _, d in op_dims))
+            psi = random_state(rng, state_dims)
+            got = Operator(op_dims, u).apply(psi)
+            assert got.dims == psi.dims
+            assert np.max(np.abs(got.amps - full_space_matrix(state_dims, op_labels, u) @ psi.amps)) < ALG_TOL
+
+    def test_unknown_label_rejected(self):
+        psi = random_state(np.random.default_rng(1), (("a", 2), ("b", 3)))
+        with pytest.raises(SubsystemError, match="unknown subsystem 'z'"):
+            Operator((("a", 2), ("z", 2)), np.eye(4)).apply(psi)
+
+    def test_size_mismatch_rejected(self):
+        psi = random_state(np.random.default_rng(2), (("a", 2), ("b", 3)))
+        with pytest.raises(SubsystemError, match="'b' has dimension 3"):
+            Operator((("b", 2),), np.eye(2)).apply(psi)
+
+    def test_non_unitary_on_named_subsystems_rejected(self):
+        rng = np.random.default_rng(3)
+        m = random_unitary(rng, 6)
+        m[0, 0] += 1e-6
+        with pytest.raises(ValueError, match="not unitary"):
+            Operator((("b", 3), ("a", 2)), m)
