@@ -7,9 +7,10 @@ maps to +1, the second to -1. The CHSH combination is
 
 whose local bound |S| <= 2 is recovered here by exhaustive enumeration of
 the 16 deterministic strategies of the 2x2x2 scenario, and whose quantum
-maximum over measurement directions in the x-z plane is located by a
-deterministic coarse grid scan plus derivative-free compass refinement over
-the four measurement angles.
+maximum over measurement directions in the x-z plane is located by an exact
+grid scan of the four measurement angles, pruned by a separable bound on
+each (a, a') pair, plus see-saw refinement that reaches the in-plane
+closed form 2 ||T||_F.
 
 `bell_1964` evaluates the original-form slack 1 + E(b,c) - |E(a,b) - E(a,c)|,
 which presupposes perfect anticorrelation at equal settings; the slack is
@@ -30,7 +31,7 @@ from .qstate import StateVector, correlator_matrix
 
 CORRELATOR_TOL = 1e-12
 ANTICORRELATION_TOL = 1e-9
-MAX_SCAN_ANGLES = 64  # per axis of the quantum_max grid: at most 64**4 evaluations, in float64 slabs of m**3 cells
+MAX_SCAN_ANGLES = 64  # per axis of the quantum_max grid; its bound pass and candidate blocks hold m**3 cells
 
 
 class ScenarioShapeError(ValueError):
@@ -142,10 +143,6 @@ class ClassicalBound:
     bound: float
     strategies: tuple[StrategyRow, ...]
 
-    @property
-    def maximizers(self) -> tuple[StrategyRow, ...]:
-        return tuple(r for r in self.strategies if abs(r.s) == self.bound)
-
 
 def classical_bound(scenario: Scenario) -> ClassicalBound:
     """Exhaustive enumeration of the 16 deterministic local strategies.
@@ -173,15 +170,16 @@ def quantum_max(
     grid_step: float = math.pi / 24,
     refine_iters: int = 60,
 ) -> ChshResult:
-    """Best |S| found over measurement directions in the x-z plane for a two-qubit state.
+    """Largest |S| over measurement directions in the x-z plane for a two-qubit state.
 
-    Only real directions (sin theta, 0, cos theta) are searched, so for
-    states whose optimal directions leave that plane the result falls short
-    of the full two-qubit maximum. Deterministic: a coarse scan of all angle
-    quadruples on a uniform grid over [0, 2pi), then compass (pattern)
-    search with a shrinking step from the best grid point. The returned
-    value is the maximum over everything evaluated, so refinement can only
-    improve on the scan; it may still stop short of the in-plane optimum.
+    Only real directions (sin theta, 0, cos theta) are searched, so states
+    whose optimal directions leave that plane fall short of the full
+    two-qubit maximum. Deterministic: an exact scan of the angle quadruples
+    of a uniform grid over [0, 2pi) takes the first maximum of |S| in C
+    order over (a, a', b, b'); then up to ``refine_iters`` see-saw rounds
+    (Werner & Wolf 2001) each set one pair of directions to its optimum given
+    the other. A round is kept only when it raises |S|; from the grid's best
+    quadruple the rounds reach the in-plane optimum 2 ||T||_F (Horodecki 1995).
     """
     if not grid_step > 0.0:
         raise ValueError("grid_step must be positive")
@@ -191,46 +189,48 @@ def quantum_max(
     m = math.ceil(turns)
     grid = np.arange(m) * grid_step
     e = correlator_matrix(state, grid, grid)
-    # One (a', b, b') slab of |S| per a; a slab's first maximum replaces the best
-    # only when strictly larger, so the scan keeps the first maximum in C order.
+    # For fixed (a, a'), S = plus[b] + minus[b'], so the largest |S| over (b, b')
+    # is a separable bound. A four-term sum rounds by under 3e-15, so a pair
+    # whose bound falls 1e-12 below the best bound cannot hold the maximum.
+    plus = e[:, None, :] + e[None, :, :]  # E(a,b) + E(a',b) over (a, a', b)
+    top, bottom = plus.max(axis=2), plus.min(axis=2)
+    del plus
+    minus = e[None, :, :] - e[:, None, :]  # E(a',b') - E(a,b') over (a, a', b')
+    bound = np.maximum(top + minus.max(axis=2), -(bottom + minus.min(axis=2)))
+    del minus
+    candidates = bound >= bound.max() - 1e-12
+    # Candidates are summed as in the full scan, one (a', b, b') block of at most m**3
+    # cells per a; a block's first maximum replaces the best only when strictly larger.
     best_abs = -1.0
-    for a in range(m):
-        slab = np.abs(e[a, None, :, None] - e[a, None, None, :] + e[:, :, None] + e[:, None, :])
-        k = int(np.argmax(slab))
-        if slab.flat[k] > best_abs:
-            best_abs = slab.flat[k]
-            ia, (iap, ib, ibp) = a, np.unravel_index(k, slab.shape)
-    best = np.array([grid[ia], grid[iap], grid[ib], grid[ibp]])
+    for i in np.flatnonzero(candidates.any(axis=1)):
+        rows = np.flatnonzero(candidates[i])
+        block = np.abs(e[i, None, :, None] - e[i, None, None, :] + e[rows, :, None] + e[rows, None, :])
+        k = int(np.argmax(block))
+        if block.flat[k] > best_abs:
+            best_abs = block.flat[k]
+            j, ib, ibp = np.unravel_index(k, block.shape)
+            ia, iap = int(i), int(rows[j])
+    best = [grid[ia], grid[iap], grid[ib], grid[ibp]]
     best_val = _chsh_from_grid(e, ia, iap, ib, ibp)
 
-    def evaluate(angles: np.ndarray) -> float:
-        em = correlator_matrix(state, angles[:2], angles[2:])
-        return _chsh_from_grid(em, 0, 1, 0, 1)
-
-    step = grid_step / 2.0
+    # S = a . T(b - b') + a' . T(b + b') = b . T^t(a + a') + b' . T^t(a' - a)
+    # for unit vectors n(theta) = (sin theta, cos theta); rows and columns of T are (x, z).
+    t = correlator_matrix(state, [math.pi / 2, 0.0], [math.pi / 2, 0.0])
+    sign = 1.0 if best_val >= 0.0 else -1.0
+    unit = lambda theta: np.array([math.sin(theta), math.cos(theta)])
+    angle = lambda v: math.atan2(sign * v[0], sign * v[1]) % (2.0 * math.pi)
     for _ in range(refine_iters):
-        improved = False
-        candidate = best
-        candidate_val = best_val
-        for k in range(4):
-            for delta in (step, -step):
-                trial = best.copy()
-                trial[k] += delta
-                val = evaluate(trial)
-                if abs(val) > abs(candidate_val):
-                    candidate, candidate_val = trial, val
-                    improved = True
-        if improved:
-            best, best_val = candidate, candidate_val
-        else:
-            step /= 2.0
-    a, ap, b, bp = (float(x) for x in best)
-    em = correlator_matrix(state, [a, ap], [b, bp])
-    return ChshResult(
-        best_val,
-        (angle_label(a), angle_label(ap), angle_label(b), angle_label(bp)),
-        (float(em[0, 0]), float(em[0, 1]), float(em[1, 0]), float(em[1, 1])),
-    )
+        nb, nbp = unit(best[2]), unit(best[3])
+        a, ap = angle(t @ (nb - nbp)), angle(t @ (nb + nbp))
+        na, nap = unit(a), unit(ap)
+        trial = [a, ap, angle(t.T @ (na + nap)), angle(t.T @ (nap - na))]
+        val = _chsh_from_grid(correlator_matrix(state, trial[:2], trial[2:]), 0, 1, 0, 1)
+        if not abs(val) > abs(best_val):
+            break  # a round that does not raise |S| would repeat itself from the same angles
+        best, best_val = trial, val
+    angles = [float(x) for x in best]
+    em = correlator_matrix(state, angles[:2], angles[2:])
+    return ChshResult(best_val, tuple(map(angle_label, angles)), tuple(map(float, em.flat)))
 
 
 @dataclass(frozen=True)
