@@ -121,14 +121,6 @@ class Behavior:
     def __setattr__(self, name, value):
         raise AttributeError("Behavior is immutable")
 
-    def marginal_a(self) -> np.ndarray:
-        """P(A | a, b), shape (n_a, n_b, k_A)."""
-        return self.table.sum(axis=3)
-
-    def marginal_b(self) -> np.ndarray:
-        """P(B | a, b), shape (n_a, n_b, k_B)."""
-        return self.table.sum(axis=2)
-
     def __repr__(self) -> str:
         return f"Behavior(shape={self.scenario.shape})"
 

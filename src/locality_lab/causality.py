@@ -25,7 +25,12 @@ as vacuous passes. Reports carry the maximal violation and a witness for it
 
 Every checker works on the model's (L, n_a, n_b, k_A, k_B) table stack at
 once; lambda is the leading axis, so the lexicographic order of a witness is
-lambda first, then the cell.
+lambda first, then the cell. Each check takes the one-sided marginals once.
+The far-setting shift of no-signalling and parameter independence is the
+largest spread max - min over the far setting of a (lambda, near setting,
+outcome) group, O(L n_a n_b k) work, with the exact first witness cell.
+Witnesses are defined on finite tables only: a NaN entry still yields
+``passed=False``, but the cell its witness names is not specified.
 """
 
 from __future__ import annotations
@@ -90,26 +95,58 @@ def _argmax_cell(arr: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(arr.reshape(-1)[flat]), tuple(int(i) for i in np.unravel_index(flat, arr.shape))
 
 
-def _marginal_shift(scenario: Scenario, tables: np.ndarray) -> tuple[float, int, dict]:
-    """Largest far-setting shift of a one-sided marginal over a table stack.
+def _marginals(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided marginals of a table stack: (L, n_a, n_b, k_A) and (L, n_a, n_b, k_B).
 
-    Returns the shift, the lambda index of its witness and the witness
-    without that index. Side A wins ties with side B.
+    Bit for bit ``tables.sum(axis=4)`` and ``tables.sum(axis=3)``. Numpy adds
+    fewer than eight terms in order from +0.0, so adding the outcome slices
+    to 0.0 repeats its sums without its slow reduction over a short axis;
+    from eight terms on it may add them pairwise, so those sums stay its own.
+    """
+    k_a, k_b = tables.shape[3:]
+    marg_a = tables.sum(axis=4) if k_b >= 8 else sum((tables[..., ib] for ib in range(k_b)), 0.0)
+    marg_b = tables.sum(axis=3) if k_a >= 8 else sum((tables[..., ia, :] for ia in range(k_a)), 0.0)
+    return marg_a, marg_b
+
+
+def _spread(far_major: np.ndarray) -> np.ndarray:
+    """max - min over the leading axis; numpy reduces a contiguous leading axis fastest."""
+    far_major = np.ascontiguousarray(far_major)
+    return far_major.max(axis=0) - far_major.min(axis=0)
+
+
+def _marginal_shift(scenario: Scenario, marg_a: np.ndarray, marg_b: np.ndarray) -> tuple[float, int, dict]:
+    """Largest far-setting shift of a one-sided marginal, from `_marginals`.
+
+    A group (lambda, near setting, outcome) shifts by at most its spread
+    max - min over the far setting, and as rounding is monotone the largest
+    spread is the largest pair difference bit for bit. The first maximal
+    cell (lambda, near, far, far', outcome) lies in the first (lambda, near)
+    holding a maximal group, so only that pair block is built. Side A wins
+    ties with side B. Returns the shift, the lambda index of its witness and
+    the witness without that index.
     """
     sc = scenario
-    marg_a = tables.sum(axis=4)  # (l, a, b, A)
-    marg_b = np.transpose(tables.sum(axis=3), (0, 2, 1, 3))  # (l, b, a, B)
-    max_a, (il_a, ia, ib, ibp, iA) = _argmax_cell(np.abs(marg_a[:, :, :, None, :] - marg_a[:, :, None, :, :]))
-    max_b, (il_b, jb, ja, jap, jB) = _argmax_cell(np.abs(marg_b[:, :, :, None, :] - marg_b[:, :, None, :, :]))
+    _, n_a, n_b, k_a = marg_a.shape
+    k_b = marg_b.shape[3]
+    spread_a = _spread(marg_a.transpose(2, 0, 1, 3))  # (l, a, A) over b
+    spread_b = _spread(marg_b.transpose(1, 0, 2, 3))  # (l, b, B) over a
+    max_a, max_b = float(spread_a.max()), float(spread_b.max())
     if max_a >= max_b:
-        return max_a, il_a, {
+        il, ia = divmod(int(np.argmax(spread_a == max_a)) // k_a, n_a)
+        block = marg_a[il, ia]  # (b, A)
+        _, (ib, ibp, iA) = _argmax_cell(np.abs(block[:, None] - block[None]))
+        return max_a, il, {
             "side": "A",
             "a": sc.settings_a[ia],
             "b": sc.settings_b[ib],
             "b_prime": sc.settings_b[ibp],
             "outcome": sc.outcomes_a[iA],
         }
-    return max_b, il_b, {
+    il, jb = divmod(int(np.argmax(spread_b == max_b)) // k_b, n_b)
+    block = marg_b[il, :, jb]  # (a, B)
+    _, (ja, jap, jB) = _argmax_cell(np.abs(block[:, None] - block[None]))
+    return max_b, il, {
         "side": "B",
         "b": sc.settings_b[jb],
         "a": sc.settings_a[ja],
@@ -118,15 +155,20 @@ def _marginal_shift(scenario: Scenario, tables: np.ndarray) -> tuple[float, int,
     }
 
 
+def _product_gap(tables: np.ndarray, marg_a: np.ndarray, marg_b: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Largest |P(A,B|a,b) - P(A|a,b) P(B|a,b)| over a table stack and its first cell."""
+    return _argmax_cell(np.abs(tables - marg_a[..., :, None] * marg_b[..., None, :]))
+
+
 def check_no_signalling(behavior: Behavior, tol: float = DEFAULT_TOL) -> CheckReport:
     """Observable-level marginal independence of the far setting."""
-    value, _, witness = _marginal_shift(behavior.scenario, behavior.table[None])
+    value, _, witness = _marginal_shift(behavior.scenario, *_marginals(behavior.table[None]))
     return CheckReport(Condition.NO_SIGNALLING, value <= tol, value, tol, witness)
 
 
 def check_parameter_independence(model: HiddenVariableModel, tol: float = DEFAULT_TOL) -> CheckReport:
     """Lambda-conditional marginal independence of the far setting."""
-    value, il, witness = _marginal_shift(model.scenario, model.stacked_tables())
+    value, il, witness = _marginal_shift(model.scenario, *_marginals(model.stacked_tables()))
     return CheckReport(Condition.PARAMETER_INDEPENDENCE, value <= tol, value, tol, {"lambda": il, **witness})
 
 
@@ -142,8 +184,9 @@ def check_outcome_independence(
     """
     sc = model.scenario
     tables = model.stacked_tables()
-    marg_a = np.broadcast_to(tables.sum(axis=4, keepdims=True), tables.shape)  # P(A|a,b) over B
-    marg_b = np.broadcast_to(tables.sum(axis=3, keepdims=True), tables.shape)  # P(B|a,b) over A
+    marg_a, marg_b = _marginals(tables)
+    marg_a = np.broadcast_to(marg_a[..., :, None], tables.shape)  # P(A|a,b) over B
+    marg_b = np.broadcast_to(marg_b[..., None, :], tables.shape)  # P(B|a,b) over A
     # Axis 1 is the near side (A, then B), ahead of the cell axes, so the
     # first maximum is lambda-major with side A before side B.
     cond_prob = np.stack([marg_b, marg_a], axis=1)
@@ -180,10 +223,8 @@ def check_factorizability(model: HiddenVariableModel, tol: float = DEFAULT_TOL) 
     """
     sc = model.scenario
     tables = model.stacked_tables()
-    marg_a = tables.sum(axis=4)
-    marg_b = tables.sum(axis=3)
-    product = marg_a[:, :, :, :, None] * marg_b[:, :, :, None, :]
-    value, (il, ia, ib, iA, iB) = _argmax_cell(np.abs(tables - product))
+    marg_a, marg_b = _marginals(tables)
+    value, (il, ia, ib, iA, iB) = _product_gap(tables, marg_a, marg_b)
     witness = {
         "lambda": il,
         "a": sc.settings_a[ia],
@@ -192,7 +233,7 @@ def check_factorizability(model: HiddenVariableModel, tol: float = DEFAULT_TOL) 
         "B": sc.outcomes_b[iB],
     }
     notes: tuple[str, ...] = ()
-    pi_shift, _, _ = _marginal_shift(sc, tables)
+    pi_shift, _, _ = _marginal_shift(sc, marg_a, marg_b)
     if not pi_shift <= tol:
         notes = (
             "parameter independence fails "
@@ -253,23 +294,24 @@ def suppes_zanotti_reduction(
         raise ValueError("anticorrelation needs index-matched outcome lists of equal length")
     pairs = _parallel_pairs(model)
 
-    fact = check_factorizability(model, tol)
+    tables = model.stacked_tables()
+    marg_a, marg_b = _marginals(tables)
+    fact, _ = _product_gap(tables, marg_a, marg_b)
     avg = average(model)
     same = [float(sum(avg.table[ia, ib, i, i] for i in range(len(sc.outcomes_a)))) for ia, ib in pairs]
     deficit = max(same)
-    if not fact.passed or deficit > tol:
+    if not fact <= tol or deficit > tol:
         notes = (
             "hypotheses-unsatisfied: "
-            f"factorizability max violation {fact.max_violation:.6g} (tol {tol:g}), "
+            f"factorizability max violation {fact:.6g} (tol {tol:g}), "
             f"anticorrelation deficit {deficit:.6g} (tol {tol:g})",
         )
-        slack = max(fact.max_violation if not fact.passed else 0.0, deficit if deficit > tol else 0.0)
+        slack = max(fact if not fact <= tol else 0.0, deficit if deficit > tol else 0.0)
         return CheckReport(Condition.DETERMINISM, None, slack, det_tol, None, 0, notes)
 
-    tables = model.stacked_tables()
     ia, ib = np.array(pairs).T
     # (l, pair, side, outcome), scanned in that order
-    marg = np.stack([tables.sum(axis=4)[:, ia, ib], tables.sum(axis=3)[:, ia, ib]], axis=2)
+    marg = np.stack([marg_a[:, ia, ib], marg_b[:, ia, ib]], axis=2)
     worst, (il, ip, side, io) = _argmax_cell(np.minimum(np.abs(marg), np.abs(1.0 - marg)))
     if not worst > 0.0:
         return CheckReport(Condition.DETERMINISM, 0.0 <= det_tol, 0.0, det_tol, None)

@@ -152,7 +152,7 @@ class TestFromQuantum:
 
     def test_product_state_factorizes(self):
         b = from_quantum(tensor(up("s1"), up("s2")), [0.0, 1.1], [0.3, 2.0])
-        marg_a, marg_b = b.marginal_a(), b.marginal_b()
+        marg_a, marg_b = b.table.sum(axis=3), b.table.sum(axis=2)  # P(A|a,b), P(B|a,b)
         prod = marg_a[:, :, :, None] * marg_b[:, :, None, :]
         assert np.max(np.abs(b.table - prod)) < 1e-12
 
@@ -235,7 +235,7 @@ class TestSignModel:
         assert abs(sum(w for w, _ in model.lambdas) - 1.0) < 1e-12
         for _, b in model.lambdas:
             assert set(np.unique(b.table)) <= {0.0, 1.0}
-            marg_a, marg_b = b.marginal_a(), b.marginal_b()
+            marg_a, marg_b = b.table.sum(axis=3), b.table.sum(axis=2)  # P(A|a,b), P(B|a,b)
             prod = marg_a[:, :, :, None] * marg_b[:, :, None, :]
             assert np.array_equal(b.table, prod)
 
@@ -267,8 +267,8 @@ class TestSignModel:
         got = {}
         for w, b in model.lambdas:
             # Outcome index 0 ("up") is +1; each table is deterministic.
-            row = [1 - 2 * int(np.argmax(b.marginal_a()[ia, 0])) for ia in range(3)]
-            row += [1 - 2 * int(np.argmax(b.marginal_b()[0, ib])) for ib in range(2)]
+            row = [1 - 2 * int(np.argmax(b.table.sum(axis=3)[ia, 0])) for ia in range(3)]
+            row += [1 - 2 * int(np.argmax(b.table.sum(axis=2)[0, ib])) for ib in range(2)]
             got[tuple(row)] = w
         assert got == {tuple(row): c / n for row, c in zip(patterns.tolist(), counts.tolist())}
 

@@ -22,13 +22,19 @@ Claims covered:
   - on tie-heavy models (coarse rational entries, exact zeros) every
     vectorised checker report, and the positivity error of the Jarrett
     check, equals an explicit loop in lexicographic cell order, including
-    one-lambda models, unequal outcome counts and all-skipped OI cells.
+    one-lambda models, unequal outcome counts, all-skipped OI cells and a
+    4x5-setting scenario where many groups and pairs tie at the maximal
+    shift;
+  - a NaN entry fails every checker with a NaN max_violation;
+  - the parameter-independence and factorizability checks of a 2000-lambda
+    8x8 model stay within a tracemalloc peak far below the pair tensor's.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +137,61 @@ class TestParameterIndependence:
         assert not report.passed
         assert report.max_violation == pytest.approx(1.0, abs=1e-12)
         assert report.witness["side"] == "A"
+
+
+def deterministic_stack_model(n_lambda, n, seed):
+    """Wing B answers the complement of wing A's response at the same setting label."""
+    rng = np.random.default_rng(seed)
+    resp = rng.integers(0, 2, size=(n_lambda, n))
+    il, ia, ib = np.meshgrid(np.arange(n_lambda), np.arange(n), np.arange(n), indexing="ij")
+    tables = np.zeros((n_lambda, n, n, 2, 2))
+    tables[il, ia, ib, resp[il, ia], 1 - resp[il, ib]] = 1.0
+    labels = tuple(f"s{i}" for i in range(n))
+    return HiddenVariableModel.from_arrays(Scenario(labels, labels), np.full(n_lambda, 1.0 / n_lambda), tables)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    # On 2000 lambdas at 8x8 settings the table stack takes 4 MB, and an
+    # (L, n, n, n, k) tensor of far-setting pairs for one side takes 16 MB.
+    @pytest.fixture(scope="class")
+    def model(self):
+        return deterministic_stack_model(2000, 8, seed=31)
+
+    def test_parameter_independence_peak(self, model):
+        report = check_parameter_independence(model)
+        assert report.passed and report.max_violation == 0.0
+        assert traced_peak(lambda: check_parameter_independence(model)) < 8 * 2**20
+
+    def test_factorizability_peak(self, model):
+        report = check_factorizability(model)
+        assert report.passed and report.max_violation == 0.0 and report.notes == ()
+        assert traced_peak(lambda: check_factorizability(model)) < 24 * 2**20
+
+
+class TestNonFiniteTables:
+    @pytest.mark.parametrize("cell", [(0, 0, 0, 0, 0), (1, 2, 1, 1, 0), (2, 1, 0, 0, 1)])
+    def test_nan_entry_fails_and_propagates(self, cell):
+        # Witnesses are unspecified here; the verdict and the value are not.
+        sc = Scenario(("s0", "s1", "s2"), ("s0", "s1"))
+        tables = np.random.default_rng(3).dirichlet(np.ones(4), size=(3, 3, 2)).reshape(3, *sc.shape)
+        tables[cell] = np.nan
+        model = HiddenVariableModel.from_arrays(sc, [0.25, 0.25, 0.5], tables)
+        for report in (
+            check_no_signalling(Behavior(sc, tables[cell[0]])),
+            check_parameter_independence(model),
+            check_outcome_independence(model),
+            check_factorizability(model),
+        ):
+            assert report.passed is False and math.isnan(report.max_violation)
 
 
 class TestOutcomeIndependence:
@@ -370,6 +431,9 @@ class TestReportSerialization:
 
 SHARED = Scenario(("s0", "s1", "xa"), ("s0", "s1", "xb"))
 UNEVEN = Scenario(("a0", "a1"), ("b0", "b1", "b2"), ("u", "d"), ("x", "y", "z"))
+# Many (lambda, near setting) groups and far-setting pairs reach the maximal
+# shift here, so the witness tie-break is tested beyond the first group.
+WIDE = Scenario(("a0", "a1", "a2", "a3"), ("b0", "b1", "b2", "b3", "b4"), ("u", "d", "n"), ("x", "y"))
 
 
 def tie_heavy_model(rng, sc, n_lambda):
@@ -515,8 +579,10 @@ def loop_positivity_error(model):
 class TestVectorisedCheckersAgainstLoops:
     @pytest.mark.parametrize(
         "sc, n_lambda, zero_cutoff",
-        [(SHARED, 3, 1e-12), (SHARED, 1, 1e-12), (UNEVEN, 4, 1e-12), (UNEVEN, 1, 1e-12), (SHARED, 2, 1.0)],
-        ids=["shared-L3", "shared-L1", "uneven-outcomes-L4", "uneven-outcomes-L1", "all-oi-cells-skipped"],
+        [(SHARED, 3, 1e-12), (SHARED, 1, 1e-12), (UNEVEN, 4, 1e-12), (UNEVEN, 1, 1e-12), (SHARED, 2, 1.0),
+         (WIDE, 6, 1e-12)],
+        ids=["shared-L3", "shared-L1", "uneven-outcomes-L4", "uneven-outcomes-L1", "all-oi-cells-skipped",
+             "wide-ties-L6"],
     )
     def test_reports_equal_loop_oracles(self, sc, n_lambda, zero_cutoff):
         rng = np.random.default_rng([n_lambda, len(sc.outcomes_b), int(zero_cutoff)])
