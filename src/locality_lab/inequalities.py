@@ -199,11 +199,10 @@ def quantum_max(
     bound = np.maximum(top + minus.max(axis=2), -(bottom + minus.min(axis=2)))
     del minus
     candidates = bound >= bound.max() - 1e-12
-    # No block's |S| rounds above the ceiling, so once the best reaches it no
-    # later block can replace it (every pair ties when E vanishes).
-    ceiling = bound.max() + 1e-12 * np.abs(e).max()
     # Candidates are summed as in the full scan, one (a', b, b') block of at most m**3
     # cells per a; a block's first maximum replaces the best only when strictly larger.
+    # No |S| rounds above the ceiling, so the scan ends once the best reaches it.
+    ceiling = bound.max() + 1e-12 * np.abs(e).max()
     best_abs = -1.0
     for i in np.flatnonzero(candidates.any(axis=1)):
         if best_abs >= ceiling:

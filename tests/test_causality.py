@@ -25,6 +25,9 @@ Claims covered:
     one-lambda models, unequal outcome counts, all-skipped OI cells and a
     4x5-setting scenario where many groups and pairs tie at the maximal
     shift;
+  - the one-sided marginals equal numpy's outcome sums bit for bit, signed
+    zeros included, at 1, 2, 7, 8 and 9 outcomes per side (numpy adds eight
+    or more terms of a contiguous axis pairwise);
   - a NaN entry fails every checker with a NaN max_violation;
   - the parameter-independence and factorizability checks of a 2000-lambda
     8x8 model stay within a tracemalloc peak far below the pair tensor's.
@@ -53,6 +56,7 @@ from locality_lab.behavior import (
 from locality_lab.causality import (
     Condition,
     PositivityError,
+    _marginals,
     check_factorizability,
     check_no_signalling,
     check_outcome_independence,
@@ -175,6 +179,18 @@ class TestPeakMemory:
         report = check_factorizability(model)
         assert report.passed and report.max_violation == 0.0 and report.notes == ()
         assert traced_peak(lambda: check_factorizability(model)) < 24 * 2**20
+
+
+class TestMarginals:
+    @pytest.mark.parametrize("k_a, k_b", list(itertools.product((1, 2, 7, 8, 9), repeat=2)))
+    def test_equal_numpy_sums_bit_for_bit(self, k_a, k_b):
+        rng = np.random.default_rng([k_a, k_b])
+        tables = rng.dirichlet(np.ones(k_a * k_b), size=(20, 3, 2)).reshape(20, 3, 2, k_a, k_b)
+        tables[0, 0, 0] = -0.0
+        got_a, got_b = _marginals(tables)
+        for got, want in ((got_a, tables.sum(axis=4)), (got_b, tables.sum(axis=3))):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestNonFiniteTables:
