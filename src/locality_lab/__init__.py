@@ -58,7 +58,6 @@ from .qstate import (
     Operator,
     StateVector,
     born_joint,
-    correlator,
     correlator_matrix,
     joint_probability_table,
     measurement_unitary,
@@ -110,7 +109,6 @@ __all__ = [
     "chsh",
     "classical_bound",
     "comparison_measurement",
-    "correlator",
     "correlator_matrix",
     "decompose",
     "einstein_boxes",

@@ -264,11 +264,6 @@ def _plane_directions(angles: Sequence[float]) -> np.ndarray:
     return np.stack([np.sin(a), np.zeros_like(a), np.cos(a)], axis=1)  # (k, 3)
 
 
-def _response_signs(draws: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    # sign convention: sign(0) := +1
-    return np.where(draws @ directions.T >= 0.0, 1, -1).astype(np.int8)
-
-
 def sign_model(
     settings_a: Sequence[float],
     settings_b: Sequence[float],
@@ -282,7 +277,11 @@ def sign_model(
     settings anticorrelate exactly for every sample. Identical sampled
     strategies are merged, so weights are multiples of 1/n_samples; the
     ensemble average and every checker result are unchanged by the merge.
-    Correlators come from integer counts, hence E(a, a) = -1.0 exactly.
+    The directions are planar, so the settings' zero lines cut the plane
+    into at most 2(k_a + k_b) sectors, and (in exact arithmetic) there are
+    at most that many strategies. Correlators are summed in int64 over the
+    merged strategies' counts and divided by n_samples once; the sums equal
+    the per-sample sums exactly, hence E(a, a) = -1.0 exactly.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -297,8 +296,7 @@ def sign_model(
         raise ValueError("too many settings for the packed sampler (ka + kb > 40)")
 
     pattern_counts: dict[int, int] = {}
-    prod_sums = np.zeros((ka, kb), dtype=np.int64)
-    weights_pow = 1 << np.arange(ka + kb, dtype=np.int64)
+    pow2 = 2.0 ** np.arange(ka + kb)
     root = np.random.SeedSequence(seed)  # one child per chunk, spawned when needed (as spawn(n_chunks) would)
     remaining = n_samples
     while remaining:
@@ -306,15 +304,15 @@ def sign_model(
         remaining -= m
         rng = np.random.default_rng(root.spawn(1)[0])
         # Signs depend only on the draw's direction, so the isotropic
-        # gaussian can be used unnormalised.
+        # gaussian can be used unnormalised. Per sample only the strategy
+        # key is formed: bit j is set when the j-th answer (wing A first) is
+        # +1, with sign(0) := +1 and wing B negated. The two partial sums
+        # cover disjoint bits below 2**40, so the float64 key is exact.
+        # Correlators are summed later over the merged strategies' counts.
         draws = rng.standard_normal((m, 3))
-        resp_a = _response_signs(draws, dirs_a)
-        resp_b = -_response_signs(draws, dirs_b)
-        prod_sums += resp_a.astype(np.int64).T @ resp_b.astype(np.int64)
-        bits = np.concatenate([resp_a > 0, resp_b > 0], axis=1)
-        packed = bits @ weights_pow
+        packed = (draws @ dirs_a.T >= 0.0) @ pow2[:ka] + (draws @ dirs_b.T < 0.0) @ pow2[ka:]
         keys, counts = np.unique(packed, return_counts=True)
-        for key, count in zip(keys.tolist(), counts.tolist()):
+        for key, count in zip(keys.astype(np.int64).tolist(), counts.tolist()):
             pattern_counts[key] = pattern_counts.get(key, 0) + count
 
     scenario = Scenario(
@@ -323,13 +321,15 @@ def sign_model(
         context={"source": "sign-model", "n_samples": str(n_samples), "seed": str(seed)},
     )
     patterns = np.array(sorted(pattern_counts), dtype=np.int64)
-    weights = np.array([pattern_counts[key] for key in patterns.tolist()]) / n_samples
+    counts = np.array([pattern_counts[key] for key in patterns.tolist()], dtype=np.int64)
+    weights = counts / n_samples
     bits = (patterns[:, None] >> np.arange(ka + kb)) & 1
     idx_a, idx_b = 1 - bits[:, :ka], 1 - bits[:, ka:]  # +1 -> "up" (index 0)
     tables = np.zeros((patterns.size, *scenario.shape))
     il, ia, ib = np.ix_(range(patterns.size), range(ka), range(kb))
     tables[il, ia, ib, idx_a[:, :, None], idx_b[:, None, :]] = 1.0
-    correlators = prod_sums / float(n_samples)
+    signs = 2 * bits - 1
+    correlators = ((signs[:, :ka] * counts[:, None]).T @ signs[:, ka:]) / float(n_samples)
     return HiddenVariableModel.from_arrays(scenario, weights, tables), correlators
 
 

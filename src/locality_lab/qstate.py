@@ -7,7 +7,7 @@ lexicographic with the first subsystem most significant, and norms/unitarity
 are enforced at ``ALG_TOL``; an operator acts only on the subsystems it names.
 
 The Born-rule entry points (`born_joint`, `joint_probability_table`,
-`correlator`) compute joint outcome probabilities for two spin-1/2
+`correlator_matrix`) compute joint outcome probabilities for two spin-1/2
 subsystems measured along rotated directions. Measurement directions are
 parametrised by a single angle via the real rotation
 
@@ -277,12 +277,6 @@ def joint_probability_table(
     wb = np.stack([rotated_basis_matrix(t) for t in angles_b])
     amp = np.einsum("akp,kl,blq->abpq", wa, state.as_tensor(), wb)
     return np.abs(amp) ** 2
-
-
-def correlator(state: StateVector, angle_a: float, angle_b: float) -> float:
-    """Expectation of the +/-1 outcome product at one angle pair (up -> +1)."""
-    p = joint_probability_table(state, [angle_a], [angle_b])[0, 0]
-    return float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0])
 
 
 def correlator_matrix(

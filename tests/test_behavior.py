@@ -11,6 +11,9 @@ Claims covered:
     the closed-form correlator (validated against an independent spherical
     quadrature), each sampled strategy is a deterministic product, and a
     three-chunk sample equals a recomputation from three spawned child seeds;
+  - two-chunk samples at 20+20 and 9+31 settings (the 40-bit key limit) list
+    their strategies in ascending key order, and their weights, tables and
+    correlators equal a per-sample recomputation from the child seeds;
   - validate names the same first bad cell, with the same message, as a
     per-cell loop over a table (non-finite, then out of [0, 1], then
     normalisation), and a model file reports its first bad lambda;
@@ -271,6 +274,36 @@ class TestSignModel:
             row += [1 - 2 * int(np.argmax(b.table.sum(axis=2)[0, ib])) for ib in range(2)]
             got[tuple(row)] = w
         assert got == {tuple(row): c / n for row, c in zip(patterns.tolist(), counts.tolist())}
+
+    @pytest.mark.parametrize("ka, kb", [(20, 20), (9, 31)], ids=["20+20", "9+31"])
+    def test_strategies_in_key_order_at_40_bits(self, ka, kb):
+        # Two chunks; every answer is recomputed from the spawned child seeds.
+        chunk, seed = 1 << 17, 4040 + ka
+        n = chunk + 500
+        rng = np.random.default_rng(ka)
+        angles_a = rng.uniform(0.0, 2 * math.pi, ka)
+        angles_b = np.concatenate([angles_a[: min(ka, kb) // 2], rng.uniform(0.0, 2 * math.pi, kb)])[:kb]
+        model, corr = sign_model(angles_a.tolist(), angles_b.tolist(), n, seed=seed)
+        dirs_a = np.stack([np.sin(angles_a), np.zeros(ka), np.cos(angles_a)], axis=1)
+        dirs_b = np.stack([np.sin(angles_b), np.zeros(kb), np.cos(angles_b)], axis=1)
+        prod = np.zeros((ka, kb), dtype=np.int64)
+        keys = []
+        for child, m in zip(np.random.SeedSequence(seed).spawn(2), (chunk, n - chunk)):
+            draws = np.random.default_rng(child).standard_normal((m, 3))
+            resp_a = np.where(draws @ dirs_a.T >= 0.0, 1, -1).astype(np.int64)
+            resp_b = -np.where(draws @ dirs_b.T >= 0.0, 1, -1).astype(np.int64)
+            prod += resp_a.T @ resp_b
+            bits = np.concatenate([resp_a, resp_b], axis=1) > 0
+            keys.append(bits.astype(np.int64) @ (np.int64(1) << np.arange(ka + kb, dtype=np.int64)))
+        want_keys, want_counts = np.unique(np.concatenate(keys), return_counts=True)
+        assert np.array_equal(corr, prod / float(n))
+        # lambda l is the l-th strategy in ascending key order, with weight count / n
+        assert np.array_equal(model.weights(), want_counts / n)
+        tables = model.stacked_tables()
+        assert tables.shape[0] == want_keys.size
+        for table, key in zip(tables, want_keys.tolist()):
+            idx = [1 - ((key >> j) & 1) for j in range(ka + kb)]  # bit set: answer +1, outcome index 0
+            assert np.array_equal(table, _deterministic(model.scenario, idx[:ka], idx[ka:]).table)
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):

@@ -15,12 +15,15 @@ Claims covered:
   - bell1964 reports the canonical negative slack;
   - everett prints two branches at theta = 0, the {3/8, 1/8} weight multiset
     near theta = pi/3, and the documented CSV columns;
-  - boxes and signmodel render their reports; timeline exits by predicate;
+  - boxes and signmodel render their reports, and signmodel's JSON and CSV
+    stdout over three sampling chunks is pinned by sha256; timeline exits by
+    predicate;
   - repeated invocations are byte-identical.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -272,6 +275,19 @@ class TestSignModel:
         out = capsys.readouterr().out
         assert code == 0
         assert "E" in out and "expected" in out
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "e27ccb5ad7fdc1e8ad74c9b9b01830902758f4e7842b67e85282b3fdc57fa02b"),
+            ("csv", "3b698168e6a8efb6a47509eefc1c357ec3ecfbb30eaebdf3e6bb8978c9099e76"),
+        ],
+    )
+    def test_stdout_pinned_across_three_chunks(self, fmt, digest, capsys):
+        # 262150 = 2 * 2**17 + 6 samples: two full chunks and a remainder.
+        argv = ["signmodel", "--n", "262150", "--seed", "7", "--settings", "0,0.785398,1.570796,2.4"]
+        assert main(argv + ["--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
