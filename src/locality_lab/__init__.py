@@ -62,7 +62,6 @@ from .qstate import (
     joint_probability_table,
     measurement_unitary,
     singlet,
-    spin_basis,
     tensor,
 )
 from .spacetime import (
@@ -126,7 +125,6 @@ __all__ = [
     "run_parallel_epr",
     "sign_model",
     "singlet",
-    "spin_basis",
     "suppes_zanotti_reduction",
     "tensor",
     "validate",

@@ -347,16 +347,17 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(obj: Mapping) -> Scenario:
+    """Scenario from its JSON object: label fields are lists, ``context`` an object."""
     try:
-        return Scenario(
-            settings_a=tuple(obj["settings_a"]),
-            settings_b=tuple(obj["settings_b"]),
-            outcomes_a=tuple(obj.get("outcomes_a", ("up", "down"))),
-            outcomes_b=tuple(obj.get("outcomes_b", ("up", "down"))),
-            context=obj.get("context", {}),
-        )
+        fields = {key: obj[key] for key in ("settings_a", "settings_b")}
+        fields.update({key: obj[key] for key in ("outcomes_a", "outcomes_b", "context") if key in obj})
     except (KeyError, TypeError) as exc:
         raise BehaviorError(f"malformed scenario object: {exc}") from exc
+    for key, value in fields.items():
+        kind, name = (dict, "object") if key == "context" else (list, "list")
+        if not isinstance(value, kind):
+            raise BehaviorError(f"scenario field {key!r} must be a JSON {name}, got {type(value).__name__}")
+    return Scenario(**{key: value if key == "context" else tuple(value) for key, value in fields.items()})
 
 
 def behavior_to_dict(behavior: Behavior) -> dict:

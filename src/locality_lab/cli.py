@@ -9,7 +9,8 @@ Subcommands:
   everett    stage-by-stage branch tables and the definiteness matrix
   boxes      the one-particle two-box protocol and its condition reports
   signmodel  sampled sign-strategy ensemble and its correlators
-  timeline   causal-structure validation of an event list from JSON
+  timeline   causal-structure validation of an event list from JSON, with an
+             optional early-time slab ("region3") that screens both wings
 
 Angles are radians everywhere. Output is deterministic: identical invocations
 (including seeds) produce byte-identical output. Exit codes: 0 all requested
@@ -421,10 +422,21 @@ def _parse_role(raw: str) -> st.Role:
     return _ROLE_ALIASES[key]
 
 
+def _parse_slab(raw) -> tuple[float, float]:
+    """The optional ``"region3": [t_lo, t_hi]`` slab; `region3_screens` checks finiteness and order."""
+    if isinstance(raw, list) and len(raw) == 2 and all(type(v) in (int, float) for v in raw):
+        try:
+            return float(raw[0]), float(raw[1])
+        except OverflowError:
+            pass
+    raise ValueError("'region3' must be a list of two finite numbers [t_lo, t_hi]")
+
+
 def cmd_timeline(args) -> int:
     data = _load_json(args.file)
     if not isinstance(data, dict) or not isinstance(data.get("timeline"), list):
         raise ValueError("timeline file must be an object with a 'timeline' list")
+    slab = _parse_slab(data["region3"]) if "region3" in data else None
     events = []
     for k, entry in enumerate(data["timeline"]):
         try:
@@ -439,6 +451,8 @@ def cmd_timeline(args) -> int:
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed timeline entry {k}: {exc}") from exc
     report = st.validate_protocol(events)
+    if slab is not None:
+        report = st.ProtocolReport(report.checks + (st.region3_screens(events, slab),))
     if args.format == "json":
         _print_json(report.to_dict())
     else:

@@ -96,13 +96,6 @@ class StateVector:
     def as_tensor(self) -> np.ndarray:
         return self.amps.reshape(self.sizes)
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.amps, self.amps).real))
-
-    def allclose(self, other: "StateVector") -> bool:
-        """Amplitude-by-amplitude agreement to ALG_TOL (no global-phase forgiveness)."""
-        return self.dims == other.dims and bool(np.max(np.abs(self.amps - other.amps)) <= ALG_TOL)
-
     def __repr__(self) -> str:
         return f"StateVector(dims={self.dims})"
 
@@ -152,10 +145,6 @@ def up(label: str) -> StateVector:
     return ket(label, [1.0, 0.0])
 
 
-def down(label: str) -> StateVector:
-    return ket(label, [0.0, 1.0])
-
-
 def tensor(*states: StateVector) -> StateVector:
     """Tensor product of states over disjoint subsystem labels."""
     if not states:
@@ -182,12 +171,6 @@ def rotated_basis_matrix(theta: float) -> np.ndarray:
         raise ValueError(f"angle must be finite, got {theta!r}")
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return np.array([[c, -s], [s, c]], dtype=np.float64)
-
-
-def spin_basis(theta: float, label: str = "spin") -> tuple[StateVector, StateVector]:
-    """Orthonormal eigenstates of spin along the direction at angle ``theta``."""
-    w = rotated_basis_matrix(theta)
-    return ket(label, w[:, 0]), ket(label, w[:, 1])
 
 
 def _positions(dims: DimSpec, labels: Sequence[str]) -> list[int]:

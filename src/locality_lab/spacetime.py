@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 REL_TOL = 1e-12  # relative tolerance for the lightlike boundary
@@ -139,57 +139,18 @@ def validate_protocol(events: Iterable[Event]) -> ProtocolReport:
     return ProtocolReport(tuple(checks))
 
 
-@dataclass(frozen=True)
-class ConeSlice:
-    """Spatial extent of a backward light cone at the slab boundaries."""
-
-    measurement: str
-    at_floor: tuple[float, float]
-    at_ceiling: tuple[float, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "measurement": self.measurement,
-            "at_floor": list(self.at_floor),
-            "at_ceiling": list(self.at_ceiling),
-        }
-
-
-@dataclass(frozen=True)
-class Region3Report:
-    slab: tuple[float, float]
-    cones: tuple[ConeSlice, ConeSlice]
-    disjoint: bool
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "passed", self.disjoint)
-
-    def to_dict(self) -> dict:
-        return {
-            "slab": list(self.slab),
-            "cones": [c.to_dict() for c in self.cones],
-            "disjoint": self.disjoint,
-            "passed": self.passed,
-        }
-
-
-def _cone_interval(ev: Event, t: float) -> tuple[float, float]:
-    radius = ev.t - t
-    return (ev.x - radius, ev.x + radius)
-
-
-def region3_screens(events: Iterable[Event], region3_t: tuple[float, float]) -> Region3Report:
+def region3_screens(events: Iterable[Event], slab: tuple[float, float]) -> PredicateResult:
     """Geometric check for the early-time slab that screens both wings.
 
     The slab must lie strictly before both measurement events. It is the
     "extended" configuration iff the backward light cones of the two
     measurements are spatially disjoint everywhere inside the slab; since
     backward cones widen toward earlier times, it suffices to check the slab
-    floor. Touching (closed) cones count as overlapping.
+    floor. Touching (closed) cones count as overlapping. The result is one
+    "region3-screens" row whose detail gives both intervals at the floor.
     """
     ev_a, ev_b, _ = _pick_roles(list(events))
-    t_lo, t_hi = float(region3_t[0]), float(region3_t[1])
+    t_lo, t_hi = float(slab[0]), float(slab[1])
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)) or t_lo > t_hi:
         raise SlabError(f"malformed slab [{t_lo!r}, {t_hi!r}]")
     if t_hi >= min(ev_a.t, ev_b.t):
@@ -197,10 +158,10 @@ def region3_screens(events: Iterable[Event], region3_t: tuple[float, float]) -> 
             f"slab ceiling {t_hi!r} is not strictly before both measurements "
             f"(at t={ev_a.t!r} and t={ev_b.t!r})"
         )
-    cones = tuple(
-        ConeSlice(ev.label or tag, _cone_interval(ev, t_lo), _cone_interval(ev, t_hi))
-        for ev, tag in ((ev_a, "A"), (ev_b, "B"))
+    (a_lo, a_hi), (b_lo, b_hi) = ((ev.x - (ev.t - t_lo), ev.x + (ev.t - t_lo)) for ev in (ev_a, ev_b))
+    return PredicateResult(
+        "region3-screens",
+        a_hi < b_lo or b_hi < a_lo,
+        f"backward cones at t={t_lo:g}: {ev_a.label or 'A'} [{a_lo:g}, {a_hi:g}], "
+        f"{ev_b.label or 'B'} [{b_lo:g}, {b_hi:g}]",
     )
-    (a_lo, a_hi), (b_lo, b_hi) = cones[0].at_floor, cones[1].at_floor
-    disjoint = a_hi < b_lo or b_hi < a_lo
-    return Region3Report((t_lo, t_hi), cones, disjoint)

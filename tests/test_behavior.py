@@ -14,14 +14,20 @@ Claims covered:
   - two-chunk samples at 20+20 and 9+31 settings (the 40-bit key limit) list
     their strategies in ascending key order, and their weights, tables and
     correlators equal a per-sample recomputation from the child seeds;
+  - against the exact planar ensemble (sectors cut by the answer boundaries
+    theta +/- pi/2, each with probability length / 2 pi), every sampled
+    strategy lies in the support and every support weight is within |z| <= 5
+    on 60 seeded calls; settings 0, 0.785398, 1.570796 give four sectors at
+    1/8 and two at 1/4;
   - validate names the same first bad cell, with the same message, as a
     per-cell loop over a table (non-finite, then out of [0, 1], then
     normalisation), and a model file reports its first bad lambda;
   - a model stores one read-only table stack and weight vector, and rejects
     non-finite weights;
   - JSON round-trips preserve behaviours and models, malformed objects
-    (numbers too large for a float among them) are rejected with
-    diagnostics, and parsing a model holds at most two copies of its stack.
+    (numbers too large for a float among them, and scenario label fields
+    or a context of the wrong JSON type, named in the error) are rejected
+    with diagnostics, and parsing a model holds at most two copies of its stack.
 """
 
 from __future__ import annotations
@@ -73,6 +79,35 @@ def quadrature_sign_correlator(a: float, b: float, n: int = 400) -> float:
     da = np.where(math.sin(a) * x + math.cos(a) * z >= 0, 1, -1)
     db = -np.where(math.sin(b) * x + math.cos(b) * z >= 0, 1, -1)
     return float(np.mean(da * db))
+
+
+def exact_sign_ensemble(angles_a, angles_b):
+    """Exact strategy distribution of the planar sign model, as {key: probability}.
+
+    Only the azimuth phi = atan2(x, z) of a draw matters, and it is uniform;
+    the projection on the setting at angle theta is proportional to
+    cos(phi - theta). The answer boundaries theta +/- pi/2 cut the circle
+    into sectors, each one strategy, with probability its length / 2 pi.
+    Bit j of the key is set when the j-th answer (wing A first) is +1, and
+    wing B answers -sign, as in `sign_model`.
+    """
+    thetas = np.array([*angles_a, *angles_b], dtype=np.float64)
+    cuts = np.unique(np.mod(np.concatenate([thetas + math.pi / 2, thetas - math.pi / 2]), 2 * math.pi))
+    edges = np.append(cuts, cuts[0] + 2 * math.pi)
+    ensemble = {}
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        proj = np.cos((lo + hi) / 2 - thetas)
+        bits = np.concatenate([proj[: len(angles_a)] >= 0.0, proj[len(angles_a):] < 0.0])
+        key = sum(1 << j for j in np.flatnonzero(bits).tolist())
+        ensemble[key] = ensemble.get(key, 0.0) + (hi - lo) / (2 * math.pi)
+    return ensemble
+
+
+def sampled_keys(model):
+    """Strategy key of each lambda, read back from its deterministic table."""
+    tables = model.stacked_tables()  # (L, n_a, n_b, 2, 2); outcome index 0 is +1
+    plus = np.concatenate([tables[:, :, 0, 0, :].sum(axis=-1), tables[:, 0, :, :, 0].sum(axis=-1)], axis=1) == 1.0
+    return (plus.astype(np.int64) @ (np.int64(1) << np.arange(plus.shape[1], dtype=np.int64))).tolist()
 
 
 def loop_validate(sc, t, tol=1e-12):
@@ -309,6 +344,57 @@ class TestSignModel:
         with pytest.raises(ValueError):
             sign_model([0.0], [0.0], 0, seed=1)
 
+    def test_exact_ensemble_of_the_cli_settings(self):
+        # signmodel --settings 0,0.785398,1.570796: cuts near 0, pi/2, 3pi/4, pi, 3pi/2, 7pi/4.
+        angles = [0.0, 0.785398, 1.570796]
+        probs = sorted(exact_sign_ensemble(angles, angles).values())
+        assert probs == pytest.approx([1 / 8] * 4 + [1 / 4] * 2, abs=1e-6)
+        model, _ = sign_model(angles, angles, 50_000, seed=1)
+        assert set(sampled_keys(model)) == set(exact_sign_ensemble(angles, angles))
+
+    def test_weights_match_exact_ensemble(self):
+        # 60 seeded calls: random, shared-between-wings and pi/8-grid angles,
+        # 1-6 distinct settings per side. Settings whose answer lines (theta mod pi)
+        # are distinct floats closer than 1e-6 rad are redrawn: the sector
+        # between them is narrower than what the sampler's rounded
+        # directions resolve, so which side a draw lands on is rounding, not
+        # geometry. Equal angles (exactly shared lines) are kept. The z bound
+        # of 5 covers every support strategy of every call, unsampled ones
+        # (weight 0) included.
+        rng = np.random.default_rng(1964)
+        worst = 0.0
+        for call in range(60):
+            while True:
+                ka, kb = (int(k) for k in rng.integers(1, 7, size=2))
+                kind = call % 3
+                if kind == 0:
+                    angles = rng.uniform(-math.pi, 2 * math.pi, size=ka + kb)
+                elif kind == 1:
+                    angles = rng.uniform(0.0, math.pi, size=ka + kb)
+                    shared = rng.permutation(angles[:ka])[: rng.integers(1, min(ka, kb) + 1)]
+                    angles[ka : ka + shared.size] = shared
+                else:
+                    angles = rng.integers(0, 8, size=ka + kb) * (math.pi / 8)
+                lines = np.mod(angles, math.pi)
+                gaps = np.abs(lines[:, None] - lines[None, :])
+                gaps = np.minimum(gaps, math.pi - gaps)
+                unique = len(set(angles[:ka])) == ka and len(set(angles[ka:])) == kb
+                if unique and not np.any((gaps < 1e-6) & (angles[:, None] != angles[None, :])):
+                    break
+            angles_a, angles_b = angles[:ka].tolist(), angles[ka:].tolist()
+            # The size cycle shifts by one at call 30, so each kind of angles meets two sizes.
+            n = (1_000, 50_000, 200_000)[call % 3 if call < 30 else (call + 1) % 3]
+            model, _ = sign_model(angles_a, angles_b, n, seed=call)
+            exact = exact_sign_ensemble(angles_a, angles_b)
+            keys = sampled_keys(model)
+            assert set(keys) <= set(exact)
+            assert len(exact) <= 2 * (ka + kb)
+            weights = dict(zip(keys, model.weights().tolist()))
+            for key, p in exact.items():
+                z = abs(weights.get(key, 0.0) - p) / math.sqrt(p * (1.0 - p) / n)
+                worst = max(worst, z)
+        assert worst <= 5.0
+
 
 class TestModelInvariants:
     def test_weights_must_sum_to_one(self):
@@ -414,6 +500,15 @@ class TestJson:
     def test_wrong_json_types_rejected(self, body):
         with pytest.raises(BehaviorError):
             from_dict({"scenario": {"settings_a": ["a0"], "settings_b": ["b0"]}, **body})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("settings_a", "ab"), ("settings_b", 7), ("outcomes_a", "ud"), ("outcomes_b", {"u": 1}), ("context", "lab"), ("context", [["k", "v"]])],
+    )
+    def test_scenario_field_types_rejected(self, field, value):
+        scenario = {"settings_a": ["a0"], "settings_b": ["b0"], field: value}
+        with pytest.raises(BehaviorError, match=f"scenario field '{field}' must be a JSON"):
+            from_dict({"scenario": scenario, "table": [0.0, 0.5, 0.5, 0.0]})
 
     def test_missing_scenario_rejected(self):
         with pytest.raises(BehaviorError):

@@ -7,17 +7,22 @@ Claims covered:
     of the wrong JSON type, a non-finite weight, or a non-finite or negative
     tolerance from --tol or LOCALITY_LAB_TOL, a model past the cell cap
     (refused before its stack is allocated), or JSON nested past the
-    parser's depth; timeline, signmodel and chsh --grid hold the same
-    contract on deep JSON, a non-list timeline, non-finite angles and a
-    step past the grid-size cap; the error line prints plain floats;
+    parser's depth, or a scenario label field or context of the wrong JSON
+    type; timeline, signmodel and chsh --grid hold the same contract on deep
+    JSON, a non-list timeline, a "region3" slab that is not two finite
+    numbers, non-finite angles and a step past the grid-size cap; the error
+    line prints plain floats;
   - chsh emits the 16-strategy table, the (ceil(2 pi / step) + 1)^2-row
     correlator grid, and the optimisation summary;
   - bell1964 reports the canonical negative slack;
   - everett prints two branches at theta = 0, the {3/8, 1/8} weight multiset
     near theta = pi/3, and the documented CSV columns;
-  - boxes and signmodel render their reports, and signmodel's JSON and CSV
-    stdout over three sampling chunks is pinned by sha256; timeline exits by
-    predicate;
+  - boxes and signmodel render their reports, signmodel finds the six
+    strategies of settings 0, 0.785398, 1.570796, and signmodel's JSON and
+    CSV stdout over three sampling chunks is pinned by sha256; timeline exits by
+    predicate, and a "region3" slab adds one screening row (exit 1 when the
+    backward cones touch or overlap at the slab floor, exit 2 when the slab
+    is not strictly before both measurements);
   - repeated invocations are byte-identical.
 """
 
@@ -127,6 +132,12 @@ class TestCheck:
 PARALLEL = {"settings_a": ["0"], "settings_b": ["0"]}
 WIDE = {"settings_a": [str(k) for k in range(1000)], "settings_b": [str(k) for k in range(1000)]}
 ANTI = [0.0, 0.5, 0.5, 0.0]
+WINGS = {
+    "timeline": [
+        {"t": 2, "x": -2, "role": "measurement-a", "label": "A"},
+        {"t": 2, "x": 2, "role": "measurement-b", "label": "B"},
+    ]
+}
 
 
 def _model(*weights):
@@ -147,7 +158,14 @@ class TestInputContract:
             (["check"], json.dumps(_model(1.0)), {"LOCALITY_LAB_TOL": "nan"}),
             (["check", "--tol", "-1"], json.dumps(_model(1.0)), {}),
             (["check", "--tol", "inf"], json.dumps(_model(1.0)), {}),
+            (["check"], json.dumps({"scenario": dict(PARALLEL, settings_a="ab"), "table": ANTI * 2}), {}),
+            (["check"], json.dumps({"scenario": dict(PARALLEL, context="lab"), "table": ANTI}), {}),
             (["timeline"], json.dumps({"timeline": 5}), {}),
+            (["timeline"], json.dumps(dict(WINGS, region3="0,1")), {}),
+            (["timeline"], json.dumps(dict(WINGS, region3=[0, 0.5, 1])), {}),
+            (["timeline"], json.dumps(dict(WINGS, region3=[True, 0.5])), {}),
+            (["timeline"], json.dumps(dict(WINGS, region3=[10**400, 0.5])), {}),
+            (["timeline"], json.dumps(dict(WINGS, region3=[float("nan"), 0.5])), {}),
             (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,nan"], None, {}),
             (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,inf"], None, {}),
             (["chsh", "--grid", "--step", "0.006"], None, {}),
@@ -170,7 +188,14 @@ class TestInputContract:
             "env-tol-nan",
             "tol-negative",
             "tol-inf",
+            "settings-string",
+            "context-string",
             "timeline-int",
+            "region3-string",
+            "region3-three-numbers",
+            "region3-bool",
+            "region3-huge-int",
+            "region3-nan",
             "signmodel-nan-angle",
             "signmodel-inf-angle",
             "grid-over-row-cap",
@@ -289,6 +314,11 @@ class TestSignModel:
         assert main(argv + ["--format", fmt]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    def test_six_strategies_at_three_settings(self, capsys):
+        # The exact ensemble (tests/test_behavior.py) is four sectors at 1/8 and two at 1/4.
+        assert main(["signmodel", "--n", "20000", "--seed", "3", "--settings", "0,0.785398,1.570796", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_lambdas"] == 6
+
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["signmodel", "--n", "100", "--settings", "0"])
@@ -313,6 +343,32 @@ class TestTimeline:
         path.write_text(json.dumps(payload))
         assert main(["timeline", str(path)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "slab, code, row",
+        [
+            ([0.5, 1], 0, "region3-screens                  PASS  backward cones at t=0.5: A [-3.5, -0.5], B [0.5, 3.5]"),
+            ([0, 1], 1, "region3-screens                  FAIL  backward cones at t=0: A [-4, 0], B [0, 4]"),
+            ([-0.5, 0.5], 1, "region3-screens                  FAIL  backward cones at t=-0.5: A [-4.5, 0.5], B [-0.5, 4.5]"),
+        ],
+        ids=["screened", "touching", "overlapping"],
+    )
+    def test_region3_row(self, slab, code, row, tmp_path, capsys):
+        path = tmp_path / "region3.json"
+        path.write_text(json.dumps(dict(WINGS, region3=slab)))
+        assert main(["timeline", str(path)]) == code
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("measurements-spacelike") and "PASS" in out[0]
+        assert out[1:] == [row]
+
+    @pytest.mark.parametrize("slab", [[1, 2], [1, 2.5], [2, 3]], ids=["ceiling-at-measurement", "ceiling-after", "slab-after"])
+    def test_region3_slab_not_before_measurements_exits_two(self, slab, tmp_path, capsys):
+        path = tmp_path / "region3.json"
+        path.write_text(json.dumps(dict(WINGS, region3=slab)))
+        assert main(["timeline", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: slab ceiling") and captured.err.count("\n") == 1
 
     def test_bad_role_exits_two(self, tmp_path, capsys):
         path = tmp_path / "roles.json"

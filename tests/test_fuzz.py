@@ -4,7 +4,8 @@ Claims covered:
   - any JSON value given to `check` either parses into a valid behaviour or
     model (exit 0 or 1, nothing on stderr) or ends in exit 2 with one
     "error:" line, never a traceback;
-  - the same holds for any JSON value given to `timeline`.
+  - the same holds for any JSON value given to `timeline`, with or without
+    a "region3" slab of any JSON value.
 
 Examples are drawn near the documented layouts (scenario objects, tables of
 small probabilities, event objects with coordinates and roles) as well as
@@ -73,11 +74,15 @@ def behavior_documents(draw):
 
 @hst.composite
 def timeline_documents(draw):
-    """A timeline file of two to four events with small coordinates, then mutated."""
+    """A timeline file of two to four events with small coordinates, often with a "region3" slab, then mutated."""
     coordinate = hst.integers(-4, 4) | hst.floats(-5.0, 5.0)
     roles = ["measurement-a", "measurement-b"] + draw(hst.lists(hst.sampled_from(ROLES), max_size=2))
     events = [{"t": draw(coordinate), "x": draw(coordinate), "role": role, "label": role[:1]} for role in roles]
-    return mutated(draw, {"timeline": events})
+    document = {"timeline": events}
+    if draw(hst.booleans()):
+        slabs = hst.lists(coordinate, min_size=2, max_size=2).map(sorted) | hst.lists(scalars, max_size=3)
+        document["region3"] = draw(slabs | json_values)
+    return mutated(draw, document)
 
 
 def assert_contract(argv: list[str], document, directory) -> None:

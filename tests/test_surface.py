@@ -1,0 +1,77 @@
+"""The package's public surface: its option count and its export list.
+
+Claims covered:
+  - the package has 24 options: parameters and dataclass fields with a
+    default, counted with `ast` over every module. A `field(init=False)` is
+    derived, not set by a caller, so it is not counted. A new option shows
+    up as a deliberate edit of OPTIONS;
+  - `locality_lab.__all__` has no duplicates and every name in it resolves.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import locality_lab
+
+OPTIONS = 24
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _init_false(value: ast.expr) -> bool:
+    return (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id == "field"
+        and any(kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False for kw in value.keywords)
+    )
+
+
+def count_options(source: str) -> int:
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(
+                isinstance(stmt, ast.AnnAssign) and stmt.value is not None and not _init_false(stmt.value)
+                for stmt in node.body
+            )
+    return count
+
+
+def test_counter_follows_the_rule():
+    source = '''
+from dataclasses import dataclass, field
+
+def f(a, b=1, *, c=2, d): ...
+
+@dataclass(frozen=True)
+class R:
+    x: int
+    y: int = 0
+    z: bool = field(init=False)
+
+class Plain:
+    w: int = 3
+'''
+    assert count_options(source) == 3
+
+
+def test_option_count_pinned():
+    package = Path(locality_lab.__file__).parent
+    assert sum(count_options(path.read_text()) for path in sorted(package.glob("*.py"))) == OPTIONS
+
+
+def test_exports_unique_and_resolvable():
+    names = locality_lab.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(locality_lab, name)] == []
