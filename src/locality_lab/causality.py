@@ -29,6 +29,10 @@ lambda first, then the cell. Each check takes the one-sided marginals once.
 The far-setting shift of no-signalling and parameter independence is the
 largest spread max - min over the far setting of a (lambda, near setting,
 outcome) group, O(L n_a n_b k) work, with the exact first witness cell.
+Outcome independence and the product gap work on whole (L, n_a, n_b) slabs,
+one per outcome pair, never broadcasting over the short outcome axes: each
+side of outcome independence is reduced to per-lambda maxima, and only the
+winning (lambda, side) block is searched for the witness cell.
 Witnesses are defined on finite tables only: a NaN entry still yields
 ``passed=False``, but the cell its witness names is not specified.
 """
@@ -157,7 +161,12 @@ def _marginal_shift(scenario: Scenario, marg_a: np.ndarray, marg_b: np.ndarray) 
 
 def _product_gap(tables: np.ndarray, marg_a: np.ndarray, marg_b: np.ndarray) -> tuple[float, tuple[int, ...]]:
     """Largest |P(A,B|a,b) - P(A|a,b) P(B|a,b)| over a table stack and its first cell."""
-    return _argmax_cell(np.abs(tables - marg_a[..., :, None] * marg_b[..., None, :]))
+    gap = np.empty(tables.shape)
+    for iA in range(gap.shape[3]):
+        for iB in range(gap.shape[4]):
+            np.multiply(marg_a[..., iA], marg_b[..., iB], out=gap[..., iA, iB])
+    np.abs(np.subtract(tables, gap, out=gap), out=gap)
+    return _argmax_cell(gap)
 
 
 def check_no_signalling(behavior: Behavior, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -184,22 +193,22 @@ def check_outcome_independence(
     """
     sc = model.scenario
     tables = model.stacked_tables()
-    marg_a, marg_b = _marginals(tables)
-    marg_a = np.broadcast_to(marg_a[..., :, None], tables.shape)  # P(A|a,b) over B
-    marg_b = np.broadcast_to(marg_b[..., None, :], tables.shape)  # P(B|a,b) over A
-    # Axis 1 is the near side (A, then B), ahead of the cell axes, so the
-    # first maximum is lambda-major with side A before side B.
-    cond_prob = np.stack([marg_b, marg_a], axis=1)
-    base = np.stack([marg_a, marg_b], axis=1)
-    defined = cond_prob > zero_cutoff
-    skipped = int(defined.size - np.count_nonzero(defined))
-    if skipped == defined.size:  # every conditioning event was skipped
+    joint = tables.transpose(3, 4, 0, 1, 2).copy()  # (k_A, k_B, L, n_a, n_b)
+    marg_a, marg_b = (m.transpose(3, 0, 1, 2).copy() for m in _marginals(tables))
+    gaps, skipped = [], 0  # side A |P(A,B)/P(B) - P(A)|, then side B in joint's buffer
+    for cond, base, out in ((marg_b[None], marg_a[:, None], None), (marg_a[:, None], marg_b[None], joint)):
+        skip = ~(cond > zero_cutoff)
+        skipped += int(np.count_nonzero(skip)) * (joint.size // skip.size)
+        # Skipped cells divide by 1, so no warning is raised, then become -inf.
+        gap = np.divide(joint, np.where(skip, 1.0, cond), out=out)
+        np.abs(np.subtract(gap, base, out=gap), out=gap)
+        np.copyto(gap, -np.inf, where=skip)
+        gaps.append(gap)
+    if skipped == 2 * joint.size:  # every conditioning event was skipped
         return CheckReport(Condition.OUTCOME_INDEPENDENCE, 0.0 <= tol, 0.0, tol, None, skipped)
-    diff = np.zeros(cond_prob.shape)
-    np.divide(tables[:, None], cond_prob, out=diff, where=defined)
-    diff = np.abs(diff - base)
-    diff[~defined] = -np.inf
-    value, (il, side, ia, ib, iA, iB) = _argmax_cell(diff)
+    # The first (lambda, side) block maximum, then the first cell in that block.
+    value, (il, side) = _argmax_cell(np.array([g.max(axis=(0, 1, 3, 4)) for g in gaps]).T)
+    _, (ia, ib, iA, iB) = _argmax_cell(gaps[side][:, :, il].transpose(2, 3, 0, 1))
     a_out, b_out = sc.outcomes_a[iA], sc.outcomes_b[iB]
     near, far = (("A", a_out), ("B", b_out)) if side == 0 else (("B", b_out), ("A", a_out))
     witness = {

@@ -422,14 +422,22 @@ def _parse_role(raw: str) -> st.Role:
     return _ROLE_ALIASES[key]
 
 
-def _parse_slab(raw) -> tuple[float, float]:
-    """The optional ``"region3": [t_lo, t_hi]`` slab; `region3_screens` checks finiteness and order."""
-    if isinstance(raw, list) and len(raw) == 2 and all(type(v) in (int, float) for v in raw):
+def _json_number(raw, error: str) -> float:
+    """A JSON number as a float; a string, a boolean or an int too large for a float raises ValueError(error)."""
+    if type(raw) in (int, float):
         try:
-            return float(raw[0]), float(raw[1])
+            return float(raw)
         except OverflowError:
             pass
-    raise ValueError("'region3' must be a list of two finite numbers [t_lo, t_hi]")
+    raise ValueError(error)
+
+
+def _parse_slab(raw) -> tuple[float, float]:
+    """The optional ``"region3": [t_lo, t_hi]`` slab; `region3_screens` checks finiteness and order."""
+    error = "'region3' must be a list of two finite numbers [t_lo, t_hi]"
+    if isinstance(raw, list) and len(raw) == 2:
+        return _json_number(raw[0], error), _json_number(raw[1], error)
+    raise ValueError(error)
 
 
 def cmd_timeline(args) -> int:
@@ -442,13 +450,13 @@ def cmd_timeline(args) -> int:
         try:
             events.append(
                 st.Event(
-                    float(entry["t"]),
-                    float(entry["x"]),
+                    _json_number(entry["t"], f"malformed timeline entry {k}: 't' must be a number"),
+                    _json_number(entry["x"], f"malformed timeline entry {k}: 'x' must be a number"),
                     _parse_role(str(entry.get("role", "other"))),
                     str(entry.get("label", "")),
                 )
             )
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed timeline entry {k}: {exc}") from exc
     report = st.validate_protocol(events)
     if slab is not None:

@@ -58,9 +58,17 @@ class Event:
 
 
 def interval_class(e1: Event, e2: Event) -> IntervalClass:
-    """Sign of (dt)^2 - (dx)^2, with a relative band for the light cone."""
-    dt2 = (e1.t - e2.t) ** 2
-    dx2 = (e1.x - e2.x) ** 2
+    """Sign of (dt)^2 - (dx)^2, with a relative band for the light cone.
+
+    A difference of 2^512 or more would square past the float range; the
+    coordinates are then scaled by 2^-600 first, which moves neither the
+    sign nor the band.
+    """
+    dt, dx = e1.t - e2.t, e1.x - e2.x
+    if max(abs(dt), abs(dx)) >= 2.0**512:
+        dt = math.ldexp(e1.t, -600) - math.ldexp(e2.t, -600)
+        dx = math.ldexp(e1.x, -600) - math.ldexp(e2.x, -600)
+    dt2, dx2 = dt**2, dx**2
     scale = max(dt2, dx2)
     if abs(dt2 - dx2) <= REL_TOL * scale or scale == 0.0:
         return IntervalClass.LIGHTLIKE

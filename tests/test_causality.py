@@ -28,9 +28,14 @@ Claims covered:
   - the one-sided marginals equal numpy's outcome sums bit for bit, signed
     zeros included, at 1, 2, 7, 8 and 9 outcomes per side (numpy adds eight
     or more terms of a contiguous axis pairwise);
-  - a NaN entry fails every checker with a NaN max_violation;
-  - the parameter-independence and factorizability checks of a 2000-lambda
-    8x8 model stay within a tracemalloc peak far below the pair tensor's.
+  - a NaN entry fails every checker with a NaN max_violation, and outcome
+    independence counts the cells conditioned on a NaN marginal as skipped;
+  - the parameter-independence, factorizability and outcome-independence
+    checks of a 2000-lambda 8x8 model stay within tracemalloc peaks of 8, 10
+    and 20 MiB, below the pair tensor's and the stacked conditionals' sizes;
+  - with a zero cutoff of 0.5, wholly skipped (lambda, side) blocks sit next
+    to partly skipped ones, and the outcome-independence report still
+    equals the loop's.
 """
 
 from __future__ import annotations
@@ -178,7 +183,13 @@ class TestPeakMemory:
     def test_factorizability_peak(self, model):
         report = check_factorizability(model)
         assert report.passed and report.max_violation == 0.0 and report.notes == ()
-        assert traced_peak(lambda: check_factorizability(model)) < 24 * 2**20
+        assert traced_peak(lambda: check_factorizability(model)) < 10 * 2**20
+
+    def test_outcome_independence_peak(self, model):
+        # Two (L, n, n, 2, 2) arrays of 4 MB, never the doubled stacks of both sides.
+        report = check_outcome_independence(model)
+        assert report.passed and report.max_violation == 0.0 and report.skipped_cells == 2 * 2000 * 64 * 2
+        assert traced_peak(lambda: check_outcome_independence(model)) < 20 * 2**20
 
 
 class TestMarginals:
@@ -208,6 +219,20 @@ class TestNonFiniteTables:
             check_factorizability(model),
         ):
             assert report.passed is False and math.isnan(report.max_violation)
+
+    def test_nan_conditioning_events_are_skipped(self):
+        # A NaN marginal is not above the cutoff: every cell conditioned on it is skipped.
+        sc = Scenario(("s0", "s1", "s2"), ("s0", "s1"))
+        tables = np.random.default_rng(3).dirichlet(np.ones(4), size=(3, 3, 2)).reshape(3, *sc.shape)
+        tables[1, 2, 1, 1, 0] = np.nan
+        model = HiddenVariableModel.from_arrays(sc, [0.25, 0.25, 0.5], tables)
+        conds = [
+            (math.fsum(tables[il, ia, ib, :, iB]), math.fsum(tables[il, ia, ib, iA, :]))
+            for il, ia, ib, iA, iB in np.ndindex(*tables.shape)
+        ]
+        want = sum(not c > 1e-12 for pair in conds for c in pair)
+        assert want == 4
+        assert check_outcome_independence(model).skipped_cells == want
 
 
 class TestOutcomeIndependence:
@@ -596,9 +621,9 @@ class TestVectorisedCheckersAgainstLoops:
     @pytest.mark.parametrize(
         "sc, n_lambda, zero_cutoff",
         [(SHARED, 3, 1e-12), (SHARED, 1, 1e-12), (UNEVEN, 4, 1e-12), (UNEVEN, 1, 1e-12), (SHARED, 2, 1.0),
-         (WIDE, 6, 1e-12)],
+         (WIDE, 6, 1e-12), (UNEVEN, 4, 0.5), (WIDE, 6, 0.5)],
         ids=["shared-L3", "shared-L1", "uneven-outcomes-L4", "uneven-outcomes-L1", "all-oi-cells-skipped",
-             "wide-ties-L6"],
+             "wide-ties-L6", "uneven-partial-skip-L4", "wide-partial-skip-L6"],
     )
     def test_reports_equal_loop_oracles(self, sc, n_lambda, zero_cutoff):
         rng = np.random.default_rng([n_lambda, len(sc.outcomes_b), int(zero_cutoff)])

@@ -9,9 +9,10 @@ Claims covered:
     (refused before its stack is allocated), or JSON nested past the
     parser's depth, or a scenario label field or context of the wrong JSON
     type; timeline, signmodel and chsh --grid hold the same contract on deep
-    JSON, a non-list timeline, a "region3" slab that is not two finite
-    numbers, non-finite angles and a step past the grid-size cap; the error
-    line prints plain floats;
+    JSON, a non-list timeline, an event coordinate that is a string or a
+    boolean, a "region3" slab that is not two finite numbers, non-finite
+    angles and a step past the grid-size cap; the error line prints plain
+    floats;
   - chsh emits the 16-strategy table, the (ceil(2 pi / step) + 1)^2-row
     correlator grid, and the optimisation summary;
   - bell1964 reports the canonical negative slack;
@@ -22,7 +23,8 @@ Claims covered:
     CSV stdout over three sampling chunks is pinned by sha256; timeline exits by
     predicate, and a "region3" slab adds one screening row (exit 1 when the
     backward cones touch or overlap at the slab floor, exit 2 when the slab
-    is not strictly before both measurements);
+    is not strictly before both measurements), and classifies measurement
+    events 1e200 apart in t or in x;
   - repeated invocations are byte-identical.
 """
 
@@ -166,6 +168,8 @@ class TestInputContract:
             (["timeline"], json.dumps(dict(WINGS, region3=[True, 0.5])), {}),
             (["timeline"], json.dumps(dict(WINGS, region3=[10**400, 0.5])), {}),
             (["timeline"], json.dumps(dict(WINGS, region3=[float("nan"), 0.5])), {}),
+            (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], t="1"), WINGS["timeline"][1]]}), {}),
+            (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], x=True), WINGS["timeline"][1]]}), {}),
             (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,nan"], None, {}),
             (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,inf"], None, {}),
             (["chsh", "--grid", "--step", "0.006"], None, {}),
@@ -196,6 +200,8 @@ class TestInputContract:
             "region3-bool",
             "region3-huge-int",
             "region3-nan",
+            "coordinate-string",
+            "coordinate-bool",
             "signmodel-nan-angle",
             "signmodel-inf-angle",
             "grid-over-row-cap",
@@ -369,6 +375,19 @@ class TestTimeline:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: slab ceiling") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "a_event, code, verdict",
+        [({"t": 1e200, "x": -2}, 1, "FAIL  interval(A, B) = timelike"),
+         ({"t": 2, "x": -1e200}, 0, "PASS  interval(A, B) = spacelike")],
+        ids=["t-1e200", "x-1e200"],
+    )
+    def test_coordinates_past_square_range(self, a_event, code, verdict, tmp_path, capsys):
+        # (dt)^2 or (dx)^2 exceeds the float range; the class must still be right.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"timeline": [dict(WINGS["timeline"][0], **a_event), WINGS["timeline"][1]]}))
+        assert main(["timeline", str(path)]) == code
+        assert capsys.readouterr().out == f"{'measurements-spacelike':<32} {verdict}\n"
 
     def test_bad_role_exits_two(self, tmp_path, capsys):
         path = tmp_path / "roles.json"

@@ -74,8 +74,12 @@ def behavior_documents(draw):
 
 @hst.composite
 def timeline_documents(draw):
-    """A timeline file of two to four events with small coordinates, often with a "region3" slab, then mutated."""
-    coordinate = hst.integers(-4, 4) | hst.floats(-5.0, 5.0)
+    """A timeline file of two to four events, often with a "region3" slab, then mutated.
+
+    Coordinates are small, or large enough that their squares overflow a float.
+    """
+    # Magnitudes past 1.3e154 square beyond the float range.
+    coordinate = hst.integers(-4, 4) | hst.floats(-5.0, 5.0) | hst.sampled_from([2e154, -1e200, 1.7e308])
     roles = ["measurement-a", "measurement-b"] + draw(hst.lists(hst.sampled_from(ROLES), max_size=2))
     events = [{"t": draw(coordinate), "x": draw(coordinate), "role": role, "label": role[:1]} for role in roles]
     document = {"timeline": events}

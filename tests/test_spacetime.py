@@ -2,7 +2,10 @@
 
 Claims covered:
   - interval classification matches the sign of (dt)^2 - (dx)^2 with the
-    lightlike boundary included, and is symmetric in its arguments;
+    lightlike boundary included, and is symmetric in its arguments; it holds
+    for differences whose squares exceed the float range (t = 1e200 against
+    x = 5 is timelike), where 600 seeded pairs scaled by 2^513 to 2^1020
+    keep the class of the unscaled pair;
   - future-cone membership is antisymmetric for timelike pairs and admits
     the lightlike boundary;
   - protocol validation accepts the overlap point (4, 0) and rejects (2, 0)
@@ -16,6 +19,8 @@ Claims covered:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -64,6 +69,35 @@ class TestIntervalClass:
     def test_symmetric(self, t1, x1, t2, x2):
         e1, e2 = Event(t1, x1), Event(t2, x2)
         assert interval_class(e1, e2) is interval_class(e2, e1)
+
+    @pytest.mark.parametrize(
+        "e1, e2, expected",
+        [
+            (Event(1e200, 0.0), Event(0.0, 5.0), IntervalClass.TIMELIKE),
+            (Event(0.0, 1e200), Event(5.0, 0.0), IntervalClass.SPACELIKE),
+            (Event(1e200, -1e200), ORIGIN, IntervalClass.LIGHTLIKE),
+            (Event(2.0**512, 0.0), Event(0.0, 2.0**511), IntervalClass.TIMELIKE),
+            (Event(1e308, 0.0), Event(-1e308, 1e300), IntervalClass.TIMELIKE),
+            (Event(1e308, 1e308), Event(-1e308, -1e308), IntervalClass.LIGHTLIKE),
+        ],
+        ids=["dt-1e200", "dx-1e200", "light-1e200", "dt-2^512", "dt-overflows", "both-overflow"],
+    )
+    def test_large_coordinates(self, e1, e2, expected):
+        # Each difference here squares past the float range, or is itself beyond it.
+        assert interval_class(e1, e2) is expected
+        assert interval_class(e2, e1) is expected
+
+    def test_class_unchanged_by_power_of_two_scale(self):
+        # Scaled by 2^k, pairs whose difference reaches 2^512 take the
+        # rescaled path; unscaled, the same pairs are the oracle.
+        # Quarter-grid coordinates give exact lightlike ties.
+        rng = np.random.default_rng(41)
+        pairs = np.concatenate([rng.integers(-12, 13, size=(300, 4)) / 4, rng.normal(size=(300, 4))])
+        for t1, x1, t2, x2 in pairs.tolist():
+            want = interval_class(Event(t1, x1), Event(t2, x2))
+            for k in (513, 700, 1020):
+                scaled = [Event(math.ldexp(t, k), math.ldexp(x, k)) for t, x in ((t1, x1), (t2, x2))]
+                assert interval_class(*scaled) is want
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
