@@ -448,16 +448,14 @@ def cmd_timeline(args) -> int:
     events = []
     for k, entry in enumerate(data["timeline"]):
         try:
-            events.append(
-                st.Event(
-                    _json_number(entry["t"], f"malformed timeline entry {k}: 't' must be a number"),
-                    _json_number(entry["x"], f"malformed timeline entry {k}: 'x' must be a number"),
-                    _parse_role(str(entry.get("role", "other"))),
-                    str(entry.get("label", "")),
-                )
-            )
+            t, x = (_json_number(entry[c], f"malformed timeline entry {k}: {c!r} must be a number") for c in "tx")
+            role, label = entry.get("role", "other"), entry.get("label", "")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed timeline entry {k}: {exc}") from exc
+        for key, value in (("role", role), ("label", label)):
+            if not isinstance(value, str):
+                raise ValueError(f"malformed timeline entry {k}: {key!r} must be a string")
+        events.append(st.Event(t, x, _parse_role(role), label))
     report = st.validate_protocol(events)
     if slab is not None:
         report = st.ProtocolReport(report.checks + (st.region3_screens(events, slab),))

@@ -295,10 +295,15 @@ def bell_1964(
 
 
 def correlators_to_csv(corr: CorrelatorSet) -> str:
-    """Correlator grid as CSV text with columns a, b, E."""
-    lines = ["a,b,E"]
-    for ia, a in enumerate(corr.settings_a):
-        for ib, b in enumerate(corr.settings_b):
-            lines.append(f"{a},{b},{format(float(corr.values[ia, ib]), '.17g')}")
-    return "\n".join(lines) + "\n"
+    """Correlator grid as CSV text with columns a, b, E, each E as ``format(E, ".17g")``.
+
+    One ``%`` pass per grid row over ``values.tolist()``, through a template of the
+    labels (``%`` escaped as ``%%``) and one ``%.17g`` per cell; grids are never empty.
+    """
+    cells = [f",{b.replace('%', '%%')},%.17g\n" for b in corr.settings_b]
+    rows = ["a,b,E\n"]
+    for a, row in zip(corr.settings_a, corr.values.tolist()):
+        a = a.replace("%", "%%")
+        rows.append((a + a.join(cells)) % tuple(row))
+    return "".join(rows)
 

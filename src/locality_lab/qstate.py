@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 ALG_TOL = 1e-12  # algebraic identities: norms, unitarity, probability sums
+_BITS2 = ((0, 0), (0, 1), (1, 0), (1, 1))  # outcome and basis index pairs in C order
 
 DimSpec = tuple[tuple[str, int], ...]
 
@@ -252,14 +253,22 @@ def joint_probability_table(
 
     Entry ``[i, j, p, q]`` equals ``born_joint`` at angles ``(angles_a[i],
     angles_b[j])`` on the first and second subsystem for outcomes (up,
-    down)[p] and (up, down)[q]; the two routes agree to rounding.
+    down)[p] and (up, down)[q]; the two routes agree to rounding. Each (p, q) plane sums
+    ``(wa[:, k, p] * t[k, l]) * wb[:, l, q]`` over (k, l) = (0,0), (0,1), (1,0), (1,1) in that
+    order, which makes the table bitwise equal to ``abs(einsum("akp,kl,blq->abpq", wa, t, wb)) ** 2``.
     """
     if state.sizes != (2, 2):
         raise SubsystemError("joint probability tables require a two-qubit state")
-    wa = np.stack([rotated_basis_matrix(t) for t in angles_a])  # (na, 2, cols)
-    wb = np.stack([rotated_basis_matrix(t) for t in angles_b])
-    amp = np.einsum("akp,kl,blq->abpq", wa, state.as_tensor(), wb)
-    return np.abs(amp) ** 2
+    wa = np.stack([rotated_basis_matrix(t) for t in angles_a]).astype(np.complex128)  # (na, 2, cols)
+    wb = np.stack([rotated_basis_matrix(t) for t in angles_b]).astype(np.complex128)
+    wat = wa[:, :, :, None] * state.as_tensor()[:, None, :]  # [i, k, p, l] = wa[i, k, p] * t[k, l]
+    out = np.empty((len(wa), len(wb), 2, 2))
+    for p, q in _BITS2:
+        acc = wat[:, 0, p, 0, None] * wb[None, :, 0, q]
+        for k, l in _BITS2[1:]:
+            acc += wat[:, k, p, l, None] * wb[None, :, l, q]
+        np.abs(acc, out=out[:, :, p, q])
+    return np.square(out, out=out)
 
 
 def correlator_matrix(

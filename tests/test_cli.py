@@ -10,11 +10,13 @@ Claims covered:
     parser's depth, or a scenario label field or context of the wrong JSON
     type; timeline, signmodel and chsh --grid hold the same contract on deep
     JSON, a non-list timeline, an event coordinate that is a string or a
-    boolean, a "region3" slab that is not two finite numbers, non-finite
+    boolean, an event label or role that is not a JSON string (an absent
+    one stays empty or "other"), a "region3" slab that is not two finite numbers, non-finite
     angles and a step past the grid-size cap; the error line prints plain
     floats;
   - chsh emits the 16-strategy table, the (ceil(2 pi / step) + 1)^2-row
-    correlator grid, and the optimisation summary;
+    correlator grid (below 33 MiB of traced allocation at 500 x 500 rows),
+    and the optimisation summary;
   - bell1964 reports the canonical negative slack;
   - everett prints two branches at theta = 0, the {3/8, 1/8} weight multiset
     near theta = pi/3, and the documented CSV columns;
@@ -33,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -170,6 +173,9 @@ class TestInputContract:
             (["timeline"], json.dumps(dict(WINGS, region3=[float("nan"), 0.5])), {}),
             (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], t="1"), WINGS["timeline"][1]]}), {}),
             (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], x=True), WINGS["timeline"][1]]}), {}),
+            (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], label=True), WINGS["timeline"][1]]}), {}),
+            (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], label={"k": [1]}), WINGS["timeline"][1]]}), {}),
+            (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], role=5), WINGS["timeline"][1]]}), {}),
             (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,nan"], None, {}),
             (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,inf"], None, {}),
             (["chsh", "--grid", "--step", "0.006"], None, {}),
@@ -202,6 +208,9 @@ class TestInputContract:
             "region3-nan",
             "coordinate-string",
             "coordinate-bool",
+            "label-bool",
+            "label-object",
+            "role-number",
             "signmodel-nan-angle",
             "signmodel-inf-angle",
             "grid-over-row-cap",
@@ -251,6 +260,21 @@ class TestChsh:
         expected = (math.ceil(2 * math.pi / 0.1) + 1) ** 2
         assert lines[0] == "a,b,E"
         assert len(lines) - 1 == expected == 4096
+
+    def test_grid_peak_memory_at_500_angles(self, capsys):
+        # 500 x 500 rows: a (500, 500, 2, 2) Born table of 7.6 MiB and 8.1 MiB of
+        # CSV text (captured once more as bytes), but never one string object per row.
+        argv = ["chsh", "--grid", "--step", "0.0126"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("\n") == 500 * 500 + 1
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 33 * 2**20
 
     def test_optimize_reports_tsirelson_value(self, capsys):
         assert main(["chsh", "--optimize"]) == 0
@@ -388,6 +412,28 @@ class TestTimeline:
         path.write_text(json.dumps({"timeline": [dict(WINGS["timeline"][0], **a_event), WINGS["timeline"][1]]}))
         assert main(["timeline", str(path)]) == code
         assert capsys.readouterr().out == f"{'measurements-spacelike':<32} {verdict}\n"
+
+    @pytest.mark.parametrize(
+        "field, key",
+        [({"label": True}, "label"), ({"label": {"k": [1]}}, "label"), ({"label": None}, "label"),
+         ({"role": 5}, "role"), ({"role": ["measurement-a"]}, "role")],
+        ids=["label-bool", "label-object", "label-null", "role-number", "role-list"],
+    )
+    def test_label_and_role_must_be_strings(self, field, key, tmp_path, capsys):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"timeline": [dict(WINGS["timeline"][0], **field), WINGS["timeline"][1]]}))
+        assert main(["timeline", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed timeline entry 0: {key!r} must be a string\n"
+
+    def test_absent_label_and_role_default(self, tmp_path, capsys):
+        # An absent label is empty, so the row names the wings; an absent role is "other".
+        events = [{"t": 2, "x": -2, "role": "measurement-a"}, {"t": 2, "x": 2, "role": "measurement-b"}, {"t": 0, "x": 9}]
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"timeline": events}))
+        assert main(["timeline", str(path)]) == 0
+        assert capsys.readouterr().out == f"{'measurements-spacelike':<32} PASS  interval(A, B) = spacelike\n"
 
     def test_bad_role_exits_two(self, tmp_path, capsys):
         path = tmp_path / "roles.json"

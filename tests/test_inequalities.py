@@ -16,7 +16,10 @@ Claims covered:
   - the original-form slack is -1/2 at the canonical violating triple, zero
     on the a = b boundary, and nonnegative for the sign ensemble up to
     sampling error;
-  - singlet correlators obey E(a, b) = -cos(a - b) on a grid.
+  - singlet correlators obey E(a, b) = -cos(a - b) on a grid;
+  - the correlator CSV equals, byte for byte, a per-cell ``format(E, ".17g")``
+    emitter, also for labels holding ``%`` or braces and for -0.0, NaN and
+    subnormal values.
 """
 
 from __future__ import annotations
@@ -286,4 +289,36 @@ class TestCsvEmission:
         lines = text.strip().split("\n")
         assert lines[0] == "a,b,E"
         assert len(lines) == 3
+
+    @staticmethod
+    def per_cell_csv(corr):
+        """Second code path: one ``format(E, ".17g")`` per cell, lines joined at the end."""
+        lines = ["a,b,E"]
+        for ia, a in enumerate(corr.settings_a):
+            for ib, b in enumerate(corr.settings_b):
+                lines.append(f"{a},{b},{format(float(corr.values[ia, ib]), '.17g')}")
+        return "\n".join(lines) + "\n"
+
+    def test_bytes_equal_per_cell_formatting(self):
+        # Labels a %-template would misread, and values whose text is easy to get wrong.
+        labels = ("%", "%s", "%%d", "{}")
+        values = [
+            [-0.0, 1.0, -1.0, 5e-324],
+            [float("nan"), 0.1, -1 / 3, 2.0**-1074 * 3],
+            [1e-300, -0.0, float("nan"), 0.5],
+            [0.0, -1.0, 1.0, -5e-324],
+        ]
+        corr = CorrelatorSet(labels, labels[::-1], values)
+        text = correlators_to_csv(corr)
+        assert text == self.per_cell_csv(corr)
+        lines = text.splitlines()
+        assert lines[1:5] == ["%,{},-0", "%,%%d,1", "%,%s,-1", "%,%,4.9406564584124654e-324"]
+        assert lines[5] == "%s,{},nan" and lines[-1] == "{},%,-4.9406564584124654e-324"
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (64, 64)])
+    def test_singlet_grids_equal_per_cell_formatting(self, shape):
+        angles_a = [k * 0.1 - 3.0 for k in range(shape[0])]
+        angles_b = [k * 0.37 + 20.0 for k in range(shape[1])]
+        corr = CorrelatorSet.from_state(singlet(), angles_a, angles_b)
+        assert correlators_to_csv(corr) == self.per_cell_csv(corr)
 
