@@ -346,8 +346,18 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _json_number(raw, error: str) -> float:
+    """A JSON number as a float; a string, a boolean or an int too large for a float raises ValueError(error)."""
+    if type(raw) in (int, float):
+        try:
+            return float(raw)
+        except OverflowError:
+            pass
+    raise ValueError(error)
+
+
 def scenario_from_dict(obj: Mapping) -> Scenario:
-    """Scenario from its JSON object: label fields are lists, ``context`` an object."""
+    """Scenario from its JSON object: label fields are lists of strings, ``context`` an object of strings."""
     try:
         fields = {key: obj[key] for key in ("settings_a", "settings_b")}
         fields.update({key: obj[key] for key in ("outcomes_a", "outcomes_b", "context") if key in obj})
@@ -357,6 +367,9 @@ def scenario_from_dict(obj: Mapping) -> Scenario:
         kind, name = (dict, "object") if key == "context" else (list, "list")
         if not isinstance(value, kind):
             raise BehaviorError(f"scenario field {key!r} must be a JSON {name}, got {type(value).__name__}")
+        bad = [x for x in (value.values() if key == "context" else value) if not isinstance(x, str)]
+        if bad:
+            raise BehaviorError(f"scenario field {key!r} must hold JSON strings, got {type(bad[0]).__name__}")
     return Scenario(**{key: value if key == "context" else tuple(value) for key, value in fields.items()})
 
 
@@ -407,9 +420,9 @@ def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
         tables = np.empty((len(entries), size))  # filled row by row: no second copy of the input
         for k, lam in enumerate(entries):
             try:
-                weights[k] = float(lam["weight"])
+                weights[k] = _json_number(lam["weight"], "'weight' must be a number")
                 raw = lam["table"]
-            except (KeyError, TypeError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise BehaviorError(f"malformed lambda entry {k}: {exc}") from exc
             flat = _table_array(raw, f"lambda {k} table")
             if flat.size != size:

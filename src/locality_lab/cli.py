@@ -177,8 +177,7 @@ def cmd_chsh(args) -> int:
         raise ValueError("--format applies to --optimize only")
     state = singlet()
     if args.classical:
-        scenario = bh.Scenario(("a", "a'"), ("b", "b'"))
-        enum = ineq.classical_bound(scenario)
+        enum = ineq.classical_bound()
         print("A(a) A(a') B(b) B(b')     S   |S|")
         for row in enum.strategies:
             ra, rb = row.responses_a, row.responses_b
@@ -250,12 +249,11 @@ def _branch_rows(trace: ev.ProtocolTrace) -> tuple[list[str], list[list[str]]]:
 
 
 def _definiteness_rows(trace: ev.ProtocolTrace) -> tuple[list[str], list[list[str]]]:
-    regions = {"A-side": ("s1", "m_A"), "B-side": ("s2", "m_B")}
-    conditionings = [("m_A", lab, "B-side") for lab in ("up", "down")]
-    conditionings += [("m_B", lab, "A-side") for lab in ("up", "down")]
-    if any("C" in stage.state.labels for stage in trace.stages):
-        for lab in ("uu", "ud", "du", "dd"):
-            conditionings += [("C", lab, "A-side"), ("C", lab, "B-side")]
+    bases = trace.stages[-1].pointer_bases
+    conditionings = [("m_A", lab, "B-side") for lab in bases["m_A"].labels]
+    conditionings += [("m_B", lab, "A-side") for lab in bases["m_B"].labels]
+    for lab in bases["C"].labels if "C" in bases else ():
+        conditionings += [("C", lab, "A-side"), ("C", lab, "B-side")]
     header = ["region", "conditioned-on"] + [stage.name for stage in trace.stages]
     rows = []
     for sub, lab, region_name in conditionings:
@@ -266,7 +264,7 @@ def _definiteness_rows(trace: ev.ProtocolTrace) -> tuple[list[str], list[list[st
                 continue
             try:
                 definite = ev.is_definite_relative(
-                    stage.state, regions[region_name], {sub: lab}, stage.pointer_bases
+                    stage.state, ev.WINGS[region_name], {sub: lab}, stage.pointer_bases
                 )
             except ev.EmptyBranchError:
                 row.append("-")
@@ -422,21 +420,11 @@ def _parse_role(raw: str) -> st.Role:
     return _ROLE_ALIASES[key]
 
 
-def _json_number(raw, error: str) -> float:
-    """A JSON number as a float; a string, a boolean or an int too large for a float raises ValueError(error)."""
-    if type(raw) in (int, float):
-        try:
-            return float(raw)
-        except OverflowError:
-            pass
-    raise ValueError(error)
-
-
 def _parse_slab(raw) -> tuple[float, float]:
     """The optional ``"region3": [t_lo, t_hi]`` slab; `region3_screens` checks finiteness and order."""
     error = "'region3' must be a list of two finite numbers [t_lo, t_hi]"
     if isinstance(raw, list) and len(raw) == 2:
-        return _json_number(raw[0], error), _json_number(raw[1], error)
+        return bh._json_number(raw[0], error), bh._json_number(raw[1], error)
     raise ValueError(error)
 
 
@@ -448,7 +436,7 @@ def cmd_timeline(args) -> int:
     events = []
     for k, entry in enumerate(data["timeline"]):
         try:
-            t, x = (_json_number(entry[c], f"malformed timeline entry {k}: {c!r} must be a number") for c in "tx")
+            t, x = (bh._json_number(entry[c], f"malformed timeline entry {k}: {c!r} must be a number") for c in "tx")
             role, label = entry.get("role", "other"), entry.get("label", "")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed timeline entry {k}: {exc}") from exc

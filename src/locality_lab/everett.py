@@ -40,6 +40,7 @@ from .causality import CheckReport, check_outcome_independence
 from .qstate import (
     Operator,
     StateVector,
+    SubsystemError,
     ket,
     measurement_unitary,
     rotated_basis_matrix,
@@ -93,14 +94,9 @@ class PointerBasis:
             raise KeyError(f"unknown pointer label {label!r}; have {self.labels}") from None
 
 
-def default_pointer(dim: int) -> PointerBasis:
-    if dim == 2:
-        return PointerBasis.computational(("up", "down"))
-    return PointerBasis.computational(tuple(str(i) for i in range(dim)))
-
-
 SPIN_POINTER = PointerBasis.computational(("up", "down"))
 COMPARER_POINTER = PointerBasis.computational(("uu", "ud", "du", "dd"))
+WINGS = {"A-side": ("s1", "m_A"), "B-side": ("s2", "m_B")}  # each wing's spin and apparatus
 
 
 @dataclass(frozen=True)
@@ -115,17 +111,17 @@ class Branch:
         return abs(self.amplitude) ** 2
 
 
-def _pointer(label: str, dim: int, pointer_bases: Mapping[str, PointerBasis] | None) -> PointerBasis:
-    """The declared pointer basis of a subsystem, or `default_pointer` when none is declared."""
-    basis = pointer_bases[label] if pointer_bases and label in pointer_bases else default_pointer(dim)
+def _pointer(label: str, dim: int, pointer_bases: Mapping[str, PointerBasis]) -> PointerBasis:
+    """The declared pointer basis of a subsystem; SubsystemError when none is declared."""
+    if label not in pointer_bases:
+        raise SubsystemError(f"no pointer basis declared for subsystem {label!r}")
+    basis = pointer_bases[label]
     if len(basis.labels) != dim:
         raise ValueError(f"pointer basis for {label!r} has wrong dimension")
     return basis
 
 
-def _expand(
-    state: StateVector, pointer_bases: Mapping[str, PointerBasis] | None
-) -> tuple[np.ndarray, list[PointerBasis]]:
+def _expand(state: StateVector, pointer_bases: Mapping[str, PointerBasis]) -> tuple[np.ndarray, list[PointerBasis]]:
     """Amplitude tensor of the state in its pointer bases, and those bases in axis order."""
     bases = [_pointer(label, dim, pointer_bases) for label, dim in state.dims]
     t = state.as_tensor()
@@ -134,10 +130,7 @@ def _expand(
     return t, bases
 
 
-def decompose(
-    state: StateVector,
-    pointer_bases: Mapping[str, PointerBasis] | None = None,
-) -> tuple[Branch, ...]:
+def decompose(state: StateVector, pointer_bases: Mapping[str, PointerBasis]) -> tuple[Branch, ...]:
     """Branches of the state in the declared pointer bases, in basis order.
 
     Components with |amplitude| <= BRANCH_CUTOFF are dropped; the surviving
@@ -156,7 +149,7 @@ def decompose(
 def relative_state(
     state: StateVector,
     conditioning: Mapping[str, str],
-    pointer_bases: Mapping[str, PointerBasis] | None = None,
+    pointer_bases: Mapping[str, PointerBasis],
 ) -> StateVector:
     """Normalised state of the remaining subsystems relative to a branch.
 
@@ -184,7 +177,7 @@ def is_definite_relative(
     state: StateVector,
     region: Iterable[str],
     conditioning: Mapping[str, str],
-    pointer_bases: Mapping[str, PointerBasis] | None = None,
+    pointer_bases: Mapping[str, PointerBasis],
 ) -> bool:
     """True iff the region has a single pointer configuration in the branch.
 

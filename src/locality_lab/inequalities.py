@@ -26,12 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .behavior import Behavior, Scenario, angle_label
+from .behavior import Behavior, angle_label
 from .qstate import StateVector, correlator_matrix
 
 CORRELATOR_TOL = 1e-12
 ANTICORRELATION_TOL = 1e-9
-MAX_SCAN_ANGLES = 64  # per axis of the quantum_max grid; its bound pass and candidate blocks hold m**3 cells
+SCAN_GRID = np.arange(48) * (math.pi / 24)  # quantum_max scans the 48 multiples of pi/24 in [0, 2pi)
+SEESAW_ROUNDS = 60  # cap on quantum_max's see-saw rounds
 
 
 class ScenarioShapeError(ValueError):
@@ -144,14 +145,12 @@ class ClassicalBound:
     strategies: tuple[StrategyRow, ...]
 
 
-def classical_bound(scenario: Scenario) -> ClassicalBound:
-    """Exhaustive enumeration of the 16 deterministic local strategies.
+def classical_bound() -> ClassicalBound:
+    """Exhaustive enumeration of the 16 deterministic local strategies of the 2x2x2 scenario.
 
     The enumeration itself is the oracle: it returns max |S| = 2 together
     with every strategy row, so mixtures can be checked against it.
     """
-    if scenario.shape != (2, 2, 2, 2):
-        raise ScenarioShapeError(f"need a 2x2-setting binary scenario, got shape {scenario.shape}")
     rows = []
     for ra in product((1, -1), repeat=2):
         for rb in product((1, -1), repeat=2):
@@ -165,30 +164,12 @@ def _chsh_from_grid(e: np.ndarray, ia: int, iap: int, ib: int, ibp: int) -> floa
     return float(e[ia, ib] - e[ia, ibp] + e[iap, ib] + e[iap, ibp])
 
 
-def quantum_max(
-    state: StateVector,
-    grid_step: float = math.pi / 24,
-    refine_iters: int = 60,
-) -> ChshResult:
-    """Largest |S| over measurement directions in the x-z plane for a two-qubit state.
+def _scan(e: np.ndarray) -> tuple[int, int, int, int]:
+    """Indices (a, a', b, b') of the first maximum of |S| in C order over a correlator grid ``e``.
 
-    Only real directions (sin theta, 0, cos theta) are searched, so states
-    whose optimal directions leave that plane fall short of the full
-    two-qubit maximum. Deterministic: an exact scan of the angle quadruples
-    of a uniform grid over [0, 2pi) takes the first maximum of |S| in C
-    order over (a, a', b, b'); then up to ``refine_iters`` see-saw rounds
-    (Werner & Wolf 2001) each set one pair of directions to its optimum given
-    the other. A round is kept only when it raises |S|; from the grid's best
-    quadruple the rounds reach the in-plane optimum 2 ||T||_F (Horodecki 1995).
+    Equal to the first argmax of |S| over the full (a, a', b, b') array, found
+    without building it: candidate (a, a') pairs come from a separable bound.
     """
-    if not grid_step > 0.0:
-        raise ValueError("grid_step must be positive")
-    turns = 2.0 * math.pi / grid_step
-    if turns > MAX_SCAN_ANGLES:
-        raise ValueError(f"grid_step {grid_step!r} needs more than {MAX_SCAN_ANGLES} angles per axis")
-    m = math.ceil(turns)
-    grid = np.arange(m) * grid_step
-    e = correlator_matrix(state, grid, grid)
     # For fixed (a, a'), S = plus[b] + minus[b'], so the largest |S| over (b, b')
     # is a separable bound. A four-term sum rounds by under 3e-15, so a pair
     # whose bound falls 1e-12 below the best bound cannot hold the maximum.
@@ -199,8 +180,8 @@ def quantum_max(
     bound = np.maximum(top + minus.max(axis=2), -(bottom + minus.min(axis=2)))
     del minus
     candidates = bound >= bound.max() - 1e-12
-    # Candidates are summed as in the full scan, one (a', b, b') block of at most m**3
-    # cells per a; a block's first maximum replaces the best only when strictly larger.
+    # Candidates are summed as in the full scan, one (a', b, b') block per a;
+    # a block's first maximum replaces the best only when strictly larger.
     # No |S| rounds above the ceiling, so the scan ends once the best reaches it.
     ceiling = bound.max() + 1e-12 * np.abs(e).max()
     best_abs = -1.0
@@ -214,8 +195,25 @@ def quantum_max(
             best_abs = block.flat[k]
             j, ib, ibp = np.unravel_index(k, block.shape)
             ia, iap = int(i), int(rows[j])
-    best = [grid[ia], grid[iap], grid[ib], grid[ibp]]
-    best_val = _chsh_from_grid(e, ia, iap, ib, ibp)
+    return ia, iap, int(ib), int(ibp)
+
+
+def quantum_max(state: StateVector) -> ChshResult:
+    """Largest |S| over measurement directions in the x-z plane for a two-qubit state.
+
+    Only real directions (sin theta, 0, cos theta) are searched, so states
+    whose optimal directions leave that plane fall short of the full
+    two-qubit maximum. Deterministic: an exact scan of the angle quadruples
+    of SCAN_GRID takes the first maximum of |S| in C order over
+    (a, a', b, b'); then up to SEESAW_ROUNDS see-saw rounds (Werner & Wolf
+    2001) each set one pair of directions to its optimum given the other. A
+    round is kept only when it raises |S|; from the grid's best quadruple the
+    rounds reach the in-plane optimum 2 ||T||_F (Horodecki 1995).
+    """
+    e = correlator_matrix(state, SCAN_GRID, SCAN_GRID)
+    quad = _scan(e)
+    best = [SCAN_GRID[i] for i in quad]
+    best_val = _chsh_from_grid(e, *quad)
 
     # S = a . T(b - b') + a' . T(b + b') = b . T^t(a + a') + b' . T^t(a' - a)
     # for unit vectors n(theta) = (sin theta, cos theta); rows and columns of T are (x, z).
@@ -223,7 +221,7 @@ def quantum_max(
     sign = 1.0 if best_val >= 0.0 else -1.0
     unit = lambda theta: np.array([math.sin(theta), math.cos(theta)])
     angle = lambda v: math.atan2(sign * v[0], sign * v[1]) % (2.0 * math.pi)
-    for _ in range(refine_iters):
+    for _ in range(SEESAW_ROUNDS):
         nb, nbp = unit(best[2]), unit(best[3])
         a, ap = angle(t @ (nb - nbp)), angle(t @ (nb + nbp))
         na, nap = unit(a), unit(ap)

@@ -131,7 +131,7 @@ def test_c04_measurement_order_immaterial():
 
 def test_c05_classical_bound():
     scenario = Scenario(("a0", "a1"), ("b0", "b1"))
-    enum = classical_bound(scenario)
+    enum = classical_bound()
     exact = enum.bound == 2.0 and len(enum.strategies) == 16
     rng = np.random.default_rng(505)
     worst = 0.0
@@ -165,7 +165,7 @@ def test_c06_quantum_chsh_value():
     fixed = chsh(b, 0, 1, 0, 1)
     at_angles = abs(fixed.magnitude - SQRT8) <= 1e-9
     start = time.perf_counter()
-    found = quantum_max(singlet(), grid_step=math.pi / 24, refine_iters=60)
+    found = quantum_max(singlet())
     elapsed = time.perf_counter() - start
     report(
         6,

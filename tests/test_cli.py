@@ -4,11 +4,11 @@ Claims covered:
   - check exits 0 when the requested conditions pass, 1 on a failed check
     (with the 1/2 outcome-independence violation of the parallel singlet),
     and 2 with one "error:" line on malformed input: a table or lambda list
-    of the wrong JSON type, a non-finite weight, or a non-finite or negative
-    tolerance from --tol or LOCALITY_LAB_TOL, a model past the cell cap
-    (refused before its stack is allocated), or JSON nested past the
-    parser's depth, or a scenario label field or context of the wrong JSON
-    type; timeline, signmodel and chsh --grid hold the same contract on deep
+    of the wrong JSON type, a weight that is not a finite JSON number, a
+    non-finite or negative tolerance from --tol or LOCALITY_LAB_TOL, a model
+    past the cell cap (refused before its stack is allocated), JSON nested
+    past the parser's depth, a scenario label field or context of the wrong
+    JSON type, or a label or context value that is not a JSON string; timeline, signmodel and chsh --grid hold the same contract on deep
     JSON, a non-list timeline, an event coordinate that is a string or a
     boolean, an event label or role that is not a JSON string (an absent
     one stays empty or "other"), a "region3" slab that is not two finite numbers, non-finite
@@ -165,6 +165,11 @@ class TestInputContract:
             (["check", "--tol", "inf"], json.dumps(_model(1.0)), {}),
             (["check"], json.dumps({"scenario": dict(PARALLEL, settings_a="ab"), "table": ANTI * 2}), {}),
             (["check"], json.dumps({"scenario": dict(PARALLEL, context="lab"), "table": ANTI}), {}),
+            (["check"], json.dumps(_model("1")), {}),
+            (["check"], json.dumps(_model(True)), {}),
+            (["check"], json.dumps({"scenario": dict(PARALLEL, settings_a=[True]), "table": ANTI}), {}),
+            (["check"], json.dumps({"scenario": dict(PARALLEL, settings_b=[None]), "table": ANTI}), {}),
+            (["check"], json.dumps({"scenario": dict(PARALLEL, context={"k": [1, 2]}), "table": ANTI}), {}),
             (["timeline"], json.dumps({"timeline": 5}), {}),
             (["timeline"], json.dumps(dict(WINGS, region3="0,1")), {}),
             (["timeline"], json.dumps(dict(WINGS, region3=[0, 0.5, 1])), {}),
@@ -200,6 +205,11 @@ class TestInputContract:
             "tol-inf",
             "settings-string",
             "context-string",
+            "weight-string",
+            "weight-bool",
+            "scenario-label-bool",
+            "scenario-label-null",
+            "context-list",
             "timeline-int",
             "region3-string",
             "region3-three-numbers",

@@ -19,6 +19,13 @@ Claims covered:
     independence by exactly 1/2;
   - traces are bitwise deterministic and their stage events form a valid
     causal layout;
+  - every query reads a declared pointer basis: a subsystem without one
+    raises SubsystemError naming it;
+  - no action at a distance: the two local measurement unitaries give
+    bitwise the same state and branches in either order, B's unitary alone
+    leaves the A-side reduced density matrix unchanged to ALG_TOL (a B
+    unitary that measures A's spin moves it), and boosts of rapidity +/-0.3
+    that put either measurement first both give a valid causal layout;
   - branches and definiteness agree with oracles built independently of
     the package's pointer expansion: the Kronecker product of the
     conjugate-transposed basis matrices applied to the amplitudes, branches
@@ -41,6 +48,7 @@ from locality_lab.cli import main
 from locality_lab.everett import (
     BRANCH_CUTOFF,
     DEFINITE_TOL,
+    WINGS,
     ComparerStateError,
     EmptyBranchError,
     PointerBasis,
@@ -52,8 +60,19 @@ from locality_lab.everett import (
     run_nonparallel,
     run_parallel_epr,
 )
-from locality_lab.qstate import StateVector, SubsystemError, born_joint, ket, rotated_basis_matrix, singlet, tensor, up
-from locality_lab.spacetime import validate_protocol
+from locality_lab.qstate import (
+    ALG_TOL,
+    StateVector,
+    SubsystemError,
+    born_joint,
+    ket,
+    measurement_unitary,
+    rotated_basis_matrix,
+    singlet,
+    tensor,
+    up,
+)
+from locality_lab.spacetime import Role, boost, validate_protocol
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 THETAS = [0.3, math.pi / 4, math.pi / 3, math.pi / 2, 2.5]
@@ -202,7 +221,7 @@ class TestRelativeState:
 
     def test_empty_conditioning_rejected(self):
         with pytest.raises(ValueError):
-            relative_state(singlet(), {})
+            relative_state(singlet(), {}, {})
 
 
 class TestDefinitenessTransition:
@@ -230,6 +249,16 @@ class TestDefinitenessTransition:
         with pytest.raises(KeyError, match="unknown pointer label 'sideways'"):
             is_definite_relative(stage.state, ["s2"], {"m_A": "sideways"}, stage.pointer_bases)
 
+    def test_undeclared_pointer_basis_rejected(self):
+        stage = run_parallel_epr().stages[-1]
+        bases = {label: basis for label, basis in stage.pointer_bases.items() if label != "s2"}
+        with pytest.raises(SubsystemError, match="no pointer basis declared for subsystem 's2'"):
+            decompose(stage.state, bases)
+        with pytest.raises(SubsystemError, match="'s2'"):
+            relative_state(stage.state, {"s2": "up"}, bases)
+        with pytest.raises(SubsystemError, match="'s2'"):
+            is_definite_relative(stage.state, ["m_B"], {"m_A": "up"}, bases)
+
 
 class TestComparisonMeasurement:
     def test_requires_ready_comparer(self):
@@ -245,7 +274,8 @@ class TestComparisonMeasurement:
     def test_single_branch_labelled_consistently(self):
         psi = tensor(up("m_A"), ket("m_B", [0.0, 1.0]), ket("C", [1.0, 0.0, 0.0, 0.0]))
         out = comparison_measurement(psi)
-        bases = {"C": PointerBasis.computational(("uu", "ud", "du", "dd"))}
+        spin = PointerBasis.computational(("up", "down"))
+        bases = {"m_A": spin, "m_B": spin, "C": PointerBasis.computational(("uu", "ud", "du", "dd"))}
         (branch,) = decompose(out, bases)
         assert branch.labels["C"] == "ud"
         assert branch.amplitude == pytest.approx(1.0, abs=1e-12)
@@ -301,23 +331,76 @@ class TestEinsteinBoxes:
             assert branch.labels["particle"] == side
 
 
-def oracle_labels(bases, label, dim):
-    if label in bases:
-        return bases[label].labels
-    return ("up", "down") if dim == 2 else tuple(str(i) for i in range(dim))
+FRAME_THETAS = [0.0, 1e-9, math.pi / 3, 1.0472, math.pi / 2, math.pi, 2.5, -1.0]
+
+
+def wing_density(state, wing):
+    """rho = M M^H, where M is the amplitude tensor with the wing's axes moved first and flattened."""
+    axes = [state.axis(sub) for sub in wing]
+    t = np.moveaxis(state.as_tensor(), axes, range(len(axes)))
+    m = t.reshape(math.prod(t.shape[: len(axes)]), -1)
+    return m @ m.conj().T
+
+
+def assert_a_side_unchanged(before, after):
+    shift = np.max(np.abs(wing_density(after, WINGS["A-side"]) - wing_density(before, WINGS["A-side"])))
+    assert shift <= ALG_TOL, f"A-side density matrix moved by {shift:.3g}"
+
+
+class TestFrameOrder:
+    """The two wings' measurement events are spacelike: neither order may matter."""
+
+    @staticmethod
+    def protocol(theta):
+        trace = run_nonparallel(theta)
+        psi0 = trace.stage("preparation").state
+        u_a = measurement_unitary(psi0.dims, 0.0, "s1", "m_A")
+        u_b = measurement_unitary(psi0.dims, theta, "s2", "m_B")
+        return trace, psi0, u_a, u_b
+
+    @pytest.mark.parametrize("theta", FRAME_THETAS)
+    def test_either_order_gives_the_same_state_and_branches(self, theta):
+        trace, psi0, u_a, u_b = self.protocol(theta)
+        a_first, b_first = u_b.apply(u_a.apply(psi0)), u_a.apply(u_b.apply(psi0))
+        stage = trace.stage("measurement-b")
+        assert a_first.amps.tobytes() == stage.state.amps.tobytes()
+        assert b_first.amps.tobytes() == a_first.amps.tobytes()
+        assert decompose(b_first, stage.pointer_bases) == stage.branches
+
+    @pytest.mark.parametrize("theta", FRAME_THETAS)
+    def test_b_alone_leaves_the_a_side_unchanged(self, theta):
+        _, psi0, u_a, u_b = self.protocol(theta)
+        for before in (psi0, u_a.apply(psi0)):
+            assert_a_side_unchanged(before, u_b.apply(before))
+
+    @pytest.mark.parametrize("theta", [math.pi / 3, 1.0472, math.pi / 2, 2.5, -1.0])
+    def test_b_measuring_the_a_spin_is_caught(self, theta):
+        _, psi0, u_a, _ = self.protocol(theta)
+        after_a = u_a.apply(psi0)
+        mutant = measurement_unitary(psi0.dims, theta, "s1", "m_B")
+        with pytest.raises(AssertionError, match="A-side density matrix moved"):
+            assert_a_side_unchanged(after_a, mutant.apply(after_a))
+
+    @pytest.mark.parametrize("rapidity, first", [(0.3, Role.MEASUREMENT_B), (-0.3, Role.MEASUREMENT_A)])
+    def test_both_time_orders_are_valid_frames(self, rapidity, first):
+        for trace in (run_nonparallel(1.0472), run_parallel_epr()):
+            events = [boost(stage.event, rapidity) for stage in trace.stages]
+            measurements = [e for e in events if e.role in (Role.MEASUREMENT_A, Role.MEASUREMENT_B)]
+            assert min(measurements, key=lambda e: e.t).role is first
+            assert validate_protocol(events).passed
 
 
 def oracle_expansion(state, bases):
     """Amplitude tensor in the pointer bases: one Kronecker product of B^H applied to the amplitudes."""
     big = np.ones((1, 1))
-    for label, dim in state.dims:
-        big = np.kron(big, bases[label].matrix.conj().T if label in bases else np.eye(dim))
+    for label in state.labels:
+        big = np.kron(big, bases[label].matrix.conj().T)
     return (big @ state.amps).reshape([dim for _, dim in state.dims])
 
 
 def oracle_branches(state, bases, cutoff=BRANCH_CUTOFF):
     t = oracle_expansion(state, bases)
-    names = [oracle_labels(bases, label, dim) for label, dim in state.dims]
+    names = [bases[label].labels for label in state.labels]
     return [
         ({label: names[k][i] for k, (label, i) in enumerate(zip(state.labels, idx))}, complex(t[idx]))
         for idx in np.ndindex(*t.shape)
@@ -329,8 +412,8 @@ def oracle_definite(state, region, conditioning, bases):
     """None for an empty branch, else whether one region pattern carries the normalised slice."""
     t = oracle_expansion(state, bases)
     index = tuple(
-        oracle_labels(bases, label, dim).index(conditioning[label]) if label in conditioning else slice(None)
-        for label, dim in state.dims
+        bases[label].labels.index(conditioning[label]) if label in conditioning else slice(None)
+        for label in state.labels
     )
     rest = [label for label in state.labels if label not in conditioning]
     part = t[index]
@@ -356,7 +439,7 @@ def assert_matches_oracles(state, bases, conditioning_sizes=(1,)):
     for n in conditioning_sizes:
         for conditioned in itertools.combinations(labels, n):
             rest = [label for label in labels if label not in conditioned]
-            names = [oracle_labels(bases, sub, state.dims[state.axis(sub)][1]) for sub in conditioned]
+            names = [bases[sub].labels for sub in conditioned]
             for picks in itertools.product(*names):
                 conditioning = dict(zip(conditioned, picks))
                 for size in range(1, len(rest) + 1):
@@ -393,8 +476,8 @@ class TestExpansionOracles:
         for _ in range(12):
             amps = rng.normal(size=16)
             state = StateVector([(label, 2) for label in labels], amps / np.linalg.norm(amps))
-            # q3 is left undeclared, so it is read in the default up/down basis
             bases = {label: PointerBasis.spin(float(rng.uniform(-math.pi, math.pi))) for label in labels[:3]}
+            bases["q3"] = PointerBasis.computational(("up", "down"))
             assert_matches_oracles(state, bases, conditioning_sizes=(1, 2))
 
     def test_entangled_pairs_in_rotated_bases(self):

@@ -6,13 +6,16 @@ Claims covered:
   - S is linear in the behaviour, every mixture of deterministic strategies
     stays within the enumerated bound of 2;
   - the exhaustive enumeration lists exactly 16 strategies with max |S| = 2;
-  - the pruned grid scan returns the first maximum in C order of a
-    brute-force scan of every angle quadruple, tie-break included; see-saw
-    refinement recovers 2 sqrt(2) on the singlet, stays below 2 on product
-    states, and on random states equals the x-z plane Horodecki closed form
-    to 1e-12; the search refuses a grid finer than its size cap, and its
-    default scan peaks below 8 MiB of temporaries, also on states where
-    every angle pair ties;
+  - the pruned scan kernel returns the first maximum in C order of a
+    brute-force scan of every (a, a', b, b') quadruple, tie-break included:
+    on the correlator grids of states at four grid steps (the 48-angle scan
+    grid among them) and on seeded grids of 1 to 16 angles with tie-heavy,
+    uniform and all-zero entries; see-saw refinement recovers 2 sqrt(2) on
+    the singlet (in one round from a 12-angle grid), stays below 2 on product
+    states, raises |S| above the scan's value with its sign kept wherever the
+    closed form lies beyond the grid, and on random states equals the x-z
+    plane Horodecki closed form to 1e-12; the scan peaks below 8 MiB of
+    temporaries, also on states where every angle pair ties;
   - the original-form slack is -1/2 at the canonical violating triple, zero
     on the a = b boundary, and nonnegative for the sign ensemble up to
     sampling error;
@@ -30,10 +33,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from locality_lab.behavior import Behavior, HiddenVariableModel, Scenario, angle_label, average, sign_model, validate
+from locality_lab import inequalities
+from locality_lab.behavior import Behavior, HiddenVariableModel, Scenario, average, sign_model, validate
 from locality_lab.inequalities import (
+    SCAN_GRID,
     Bell1964Result,
-    ChshResult,
     CorrelatorSet,
     ScenarioShapeError,
     bell_1964,
@@ -42,6 +46,7 @@ from locality_lab.inequalities import (
     correlators_to_csv,
     quantum_max,
 )
+from locality_lab.inequalities import _scan as scan_kernel
 from locality_lab.qstate import StateVector, correlator_matrix, singlet, tensor, up
 
 SQRT8 = 2.0 * math.sqrt(2.0)
@@ -63,20 +68,16 @@ def plane_closed_form(t):
     return 2.0 * math.sqrt(t1**2 + t2**2)
 
 
-def brute_force_scan(state, grid_step):
-    """First maximum of |S| in C order over every (a, a', b, b') of the m**4 grid."""
-    grid = np.arange(math.ceil(2.0 * math.pi / grid_step)) * grid_step
-    e = correlator_matrix(state, grid, grid)
+def brute_force_quadruple(e):
+    """First maximum of |S| in C order over every (a, a', b, b') of the full m**4 array."""
     s = e[:, None, :, None] - e[:, None, None, :] + e[None, :, :, None]
     s += e[None, :, None, :]
-    ia, iap, ib, ibp = np.unravel_index(int(np.argmax(np.abs(s))), s.shape)
-    angles = [grid[ia], grid[iap], grid[ib], grid[ibp]]
-    em = correlator_matrix(state, angles[:2], angles[2:])
-    return ChshResult(
-        float(s[ia, iap, ib, ibp]),
-        tuple(angle_label(float(x)) for x in angles),
-        (float(em[0, 0]), float(em[0, 1]), float(em[1, 0]), float(em[1, 1])),
-    )
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(np.abs(s))), s.shape))
+
+
+def scan_value(e, quadruple):
+    ia, iap, ib, ibp = quadruple
+    return float(e[ia, ib] - e[ia, ibp] + e[iap, ib] + e[iap, ibp])
 
 
 TWO_QUBITS = (("s1", 2), ("s2", 2))
@@ -144,15 +145,11 @@ class TestChsh:
 
 class TestClassicalBound:
     def test_sixteen_strategies_bound_two(self):
-        enum = classical_bound(BINARY)
+        enum = classical_bound()
         assert len(enum.strategies) == 16
         assert enum.bound == 2.0
         assert all(abs(r.s) <= 2.0 for r in enum.strategies)
         assert any(abs(r.s) == enum.bound for r in enum.strategies)  # the bound is attained
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ScenarioShapeError):
-            classical_bound(Scenario(("a0",), ("b0", "b1")))
 
     def test_random_mixtures_stay_below_two(self):
         rng = np.random.default_rng(3)
@@ -173,40 +170,65 @@ class TestClassicalBound:
 
 class TestQuantumMax:
     def test_singlet_recovers_tsirelson_value(self):
-        result = quantum_max(singlet(), grid_step=math.pi / 24, refine_iters=60)
+        result = quantum_max(singlet())
         assert result.magnitude == pytest.approx(SQRT8, abs=1e-12)
 
     def test_product_state_stays_classical(self):
-        result = quantum_max(tensor(up("s1"), up("s2")), grid_step=math.pi / 8, refine_iters=40)
+        result = quantum_max(tensor(up("s1"), up("s2")))
         assert result.magnitude <= 2.0 + 1e-9
 
     @pytest.mark.parametrize("step", [math.pi / 6, math.pi / 8, math.pi / 12, math.pi / 24])
     def test_scan_matches_brute_force_first_maximum(self, step):
+        grid = np.arange(math.ceil(2.0 * math.pi / step)) * step
         for state in [singlet(), ZERO_ZERO, PLUS_I, *random_states(5, 20)]:
-            assert repr(quantum_max(state, grid_step=step, refine_iters=0)) == repr(brute_force_scan(state, step))
+            e = correlator_matrix(state, grid, grid)
+            assert scan_kernel(e) == brute_force_quadruple(e)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 12, 16])
+    def test_scan_kernel_on_seeded_grids(self, m):
+        # Entries from {-1, -1/2, 0, 1/2, 1} tie often; the all-zero grid ties everywhere.
+        rng = np.random.default_rng(m)
+        grids = [np.zeros((m, m))]
+        for _ in range(60):
+            grids.append(rng.integers(-2, 3, size=(m, m)) / 2.0)
+            grids.append(rng.uniform(-1.0, 1.0, size=(m, m)))
+        for e in grids:
+            assert scan_kernel(e) == brute_force_quadruple(e)
 
     def test_refinement_only_improves_on_the_scan(self):
-        step = math.pi / 6
-        coarse = quantum_max(singlet(), grid_step=step, refine_iters=0)
-        refined = quantum_max(singlet(), grid_step=step, refine_iters=40)
-        assert set(coarse.settings) <= {angle_label(k * step) for k in range(12)}
-        assert refined.magnitude > coarse.magnitude
-        assert refined.value * coarse.value > 0.0  # rounds keep the sign of the grid's S
+        # On states whose x-z closed form lies beyond the 48-angle scan, the
+        # see-saw rounds raise |S| above the scan's value and keep its sign.
+        improved = 0
+        for state in random_states(6, 40):
+            e = correlator_matrix(state, SCAN_GRID, SCAN_GRID)
+            scanned = scan_value(e, scan_kernel(e))
+            if plane_closed_form(xz_correlation_block(state.amps)) - abs(scanned) > 1e-9:
+                result = quantum_max(state)
+                assert result.magnitude > abs(scanned)
+                assert result.value * scanned > 0.0
+                improved += 1
+        assert improved >= 30
 
-    def test_one_round_reaches_tsirelson_value_from_a_coarse_grid(self):
-        result = quantum_max(singlet(), grid_step=math.pi / 6, refine_iters=1)
+    def test_one_round_reaches_tsirelson_value_from_a_coarse_grid(self, monkeypatch):
+        # The 12-angle grid misses every odd multiple of pi/4, so its best |S| on the singlet is below 2 sqrt(2).
+        coarse = np.arange(12) * (math.pi / 6)
+        e = correlator_matrix(singlet(), coarse, coarse)
+        assert abs(scan_value(e, scan_kernel(e))) < SQRT8 - 1e-3
+        monkeypatch.setattr(inequalities, "SCAN_GRID", coarse)
+        monkeypatch.setattr(inequalities, "SEESAW_ROUNDS", 1)
+        result = quantum_max(singlet())
         assert result.magnitude == pytest.approx(SQRT8, abs=1e-12)
 
     def test_deterministic(self):
-        r1 = quantum_max(singlet(), grid_step=math.pi / 8, refine_iters=25)
-        r2 = quantum_max(singlet(), grid_step=math.pi / 8, refine_iters=25)
+        r1 = quantum_max(singlet())
+        r2 = quantum_max(singlet())
         assert r1 == r2
 
     def test_random_states_respect_quantum_ceiling(self):
         # Oracle: the Horodecki maximum of the x-z block, which see-saw rounds
         # from the best grid quadruple reach to rounding.
         for state in random_states(4, 50):
-            result = quantum_max(state, grid_step=math.pi / 8, refine_iters=40)
+            result = quantum_max(state)
             assert result.magnitude == pytest.approx(plane_closed_form(xz_correlation_block(state.amps)), abs=1e-12)
 
     def test_default_scan_peak_memory_is_cubic(self):
@@ -221,11 +243,6 @@ class TestQuantumMax:
             finally:
                 tracemalloc.stop()
             assert peak < 8 * 2**20
-
-    @pytest.mark.parametrize("step", [math.pi / 40, 1e-300, 5e-324, float("nan")])
-    def test_oversize_or_invalid_grid_refused(self, step):
-        with pytest.raises(ValueError):
-            quantum_max(singlet(), grid_step=step)
 
 
 class TestBell1964:

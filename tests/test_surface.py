@@ -1,10 +1,12 @@
 """The package's public surface: its option count and its export list.
 
 Claims covered:
-  - the package has 24 options: parameters and dataclass fields with a
+  - the package has 19 options: parameters and dataclass fields with a
     default, counted with `ast` over every module. A `field(init=False)` is
     derived, not set by a caller, so it is not counted. A new option shows
     up as a deliberate edit of OPTIONS;
+  - the package's modules hold SRC_LINES lines in total, so growth or
+    shrinkage shows up as a deliberate edit of SRC_LINES;
   - `locality_lab.__all__` has no duplicates and every name in it resolves.
 """
 
@@ -15,7 +17,8 @@ from pathlib import Path
 
 import locality_lab
 
-OPTIONS = 24
+OPTIONS = 19
+SRC_LINES = 2567
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -69,6 +72,11 @@ class Plain:
 def test_option_count_pinned():
     package = Path(locality_lab.__file__).parent
     assert sum(count_options(path.read_text()) for path in sorted(package.glob("*.py"))) == OPTIONS
+
+
+def test_src_line_count_pinned():
+    package = Path(locality_lab.__file__).parent
+    assert sum(len(path.read_text().splitlines()) for path in sorted(package.glob("*.py"))) == SRC_LINES
 
 
 def test_exports_unique_and_resolvable():
