@@ -21,6 +21,8 @@ variable LOCALITY_LAB_TOL overrides the default check tolerance.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import os
@@ -257,19 +259,14 @@ def _definiteness_rows(trace: ev.ProtocolTrace) -> tuple[list[str], list[list[st
     header = ["region", "conditioned-on"] + [stage.name for stage in trace.stages]
     rows = []
     for sub, lab, region_name in conditionings:
-        row = [region_name, f"{sub}={lab}"]
+        row, wing = [region_name, f"{sub}={lab}"], ev.WINGS[region_name]
         for stage in trace.stages:
-            if sub not in stage.state.labels:
-                row.append("-")
-                continue
-            try:
-                definite = ev.is_definite_relative(
-                    stage.state, ev.WINGS[region_name], {sub: lab}, stage.pointer_bases
-                )
-            except ev.EmptyBranchError:
-                row.append("-")
-                continue
-            row.append("yes" if definite else "no")
+            cell = "-"  # the conditioning subsystem is absent, or its branch is empty
+            if sub in stage.state.labels:
+                with contextlib.suppress(ev.EmptyBranchError):
+                    definite = ev._definite(stage.expansion, stage.state, stage.pointer_bases, wing, {sub: lab})
+                    cell = "yes" if definite else "no"
+            row.append(cell)
         rows.append(row)
     return header, rows
 
@@ -458,6 +455,7 @@ def cmd_timeline(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+@functools.cache  # parse_args neither mutates the parser nor keeps a result
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="locality-lab",
@@ -470,7 +468,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conditions", default=None, help="comma-separated condition names, or 'all'")
     p.add_argument("--tol", type=float, default=None, help="violation tolerance (default from LOCALITY_LAB_TOL or 1e-9)")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("chsh", help="CHSH optimisation, correlator grids, classical enumeration")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -479,43 +476,37 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--classical", action="store_true")
     p.add_argument("--step", type=float, default=0.1, help="grid step in radians (with --grid)")
     p.add_argument("--format", choices=("table", "json"), default="table", help="output format (with --optimize)")
-    p.set_defaults(func=cmd_chsh)
 
     p = sub.add_parser("bell1964", help="original three-setting inequality slack on the singlet")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_bell1964)
 
     p = sub.add_parser("everett", help="branch tables and definiteness matrix of the two-wing protocol")
     p.add_argument("--theta", type=float, required=True, help="relative measurement angle in radians")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=cmd_everett)
 
     p = sub.add_parser("boxes", help="one-particle two-box protocol with condition reports")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_boxes)
 
     p = sub.add_parser("signmodel", help="sampled sign-strategy ensemble and correlators")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--settings", required=True, help="comma-separated angles in radians")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=cmd_signmodel)
 
     p = sub.add_parser("timeline", help="validate the causal layout of an event list")
     p.add_argument("file")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_timeline)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]  # per call, so a cmd_* replaced after the parser was built runs
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

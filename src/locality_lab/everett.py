@@ -19,11 +19,11 @@ yet violates outcome independence with an empty hidden variable.
 
 Branches and definiteness are both read off one pointer expansion: the
 state's amplitude tensor after each subsystem is rewritten in its declared
-pointer basis. Branches are the cells of that tensor with |amplitude| above
-a cutoff. A region is definite relative to a conditioning branch iff the
-support of the relative state's expansion (cells with |amplitude| >
-DEFINITE_TOL), projected onto the region's subsystems, is a single
-pointer-label combination.
+pointer basis; each stage keeps its tensor. Branches are the cells of that
+tensor with |amplitude| above a cutoff. A region is definite relative to a
+conditioning branch iff the support of the tensor sliced at the branch's
+labels and normalised (cells with |amplitude| > DEFINITE_TOL), projected
+onto the region's subsystems, is a single pointer-label combination.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .qstate import (
     Operator,
     StateVector,
     SubsystemError,
+    _positions,
     ket,
     measurement_unitary,
     rotated_basis_matrix,
@@ -88,8 +89,11 @@ class PointerBasis:
         return cls(("up", "down"), rotated_basis_matrix(theta))
 
     def column(self, label: str) -> np.ndarray:
+        return self.matrix[:, self._index(label)]
+
+    def _index(self, label: str) -> int:
         try:
-            return self.matrix[:, self.labels.index(str(label))]
+            return self.labels.index(str(label))
         except ValueError:
             raise KeyError(f"unknown pointer label {label!r}; have {self.labels}") from None
 
@@ -136,7 +140,10 @@ def decompose(state: StateVector, pointer_bases: Mapping[str, PointerBasis]) -> 
     Components with |amplitude| <= BRANCH_CUTOFF are dropped; the surviving
     weights sum to 1 up to the discarded mass.
     """
-    t, bases = _expand(state, pointer_bases)
+    return _branches(state, *_expand(state, pointer_bases))
+
+
+def _branches(state: StateVector, t: np.ndarray, bases: Sequence[PointerBasis]) -> tuple[Branch, ...]:
     return tuple(
         Branch(
             {label: basis.labels[i] for label, basis, i in zip(state.labels, bases, idx)},
@@ -181,30 +188,55 @@ def is_definite_relative(
 ) -> bool:
     """True iff the region has a single pointer configuration in the branch.
 
-    The relative state is expanded in the declared pointer bases; its support
-    is the set of cells with |amplitude| > DEFINITE_TOL. Definiteness means
-    that the support, projected onto the region's axes, is one cell, i.e. the
-    relative state factors as |region pattern> (x) |rest>.
+    The state's pointer expansion, sliced at the conditioning labels and
+    normalised, is the relative state's expansion; its support is the set of
+    cells with |amplitude| > DEFINITE_TOL. Definiteness means that the support,
+    projected onto the region's axes, is one cell, i.e. the relative state
+    factors as |region pattern> (x) |rest>.
     """
-    rel = relative_state(state, conditioning, pointer_bases)
-    keep = {rel.axis(sub) for sub in region}  # SubsystemError for unknown/conditioned-away labels
-    t, _ = _expand(rel, pointer_bases)
+    if not conditioning:
+        raise ValueError("conditioning must name at least one subsystem")
+    return _definite(_expand(state, pointer_bases)[0], state, pointer_bases, region, conditioning)
+
+
+def _definite(
+    t: np.ndarray,
+    state: StateVector,
+    pointer_bases: Mapping[str, PointerBasis],
+    region: Iterable[str],
+    conditioning: Mapping[str, str],
+) -> bool:
+    """`is_definite_relative` on ``t``, the state's expansion in ``pointer_bases``."""
+    index = [slice(None)] * t.ndim
+    for sub, lab in conditioning.items():
+        axis = state.axis(sub)  # SubsystemError for an unknown subsystem, before its basis is looked up
+        index[axis] = pointer_bases[sub]._index(lab)
+    t = t[tuple(index)]
+    norm = float(np.sqrt(np.sum(np.abs(t) ** 2)))
+    if norm <= BRANCH_CUTOFF:
+        raise EmptyBranchError(f"conditioning {dict(conditioning)!r} has zero overlap")
+    remaining = tuple(d for d in state.dims if d[0] not in conditioning)
+    keep = {_positions(remaining, [sub])[0] for sub in region}  # SubsystemError for unknown/conditioned-away labels
     rest = tuple(axis for axis in range(t.ndim) if axis not in keep)
-    return int(np.count_nonzero((np.abs(t) > DEFINITE_TOL).any(axis=rest))) == 1
+    return int(np.count_nonzero((np.abs(t / norm) > DEFINITE_TOL).any(axis=rest))) == 1
 
 
 @dataclass(frozen=True)
 class Stage:
-    """Named snapshot of the protocol: state, event, bases, and branches."""
+    """Named snapshot of the protocol: state, event, bases, their expansion, and branches."""
 
     name: str
     state: StateVector
     event: spacetime.Event
     pointer_bases: dict[str, PointerBasis]
     branches: tuple[Branch, ...] = field(init=False)
+    expansion: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "branches", decompose(self.state, self.pointer_bases))
+        t, bases = _expand(self.state, self.pointer_bases)
+        t.setflags(write=False)
+        object.__setattr__(self, "expansion", t)
+        object.__setattr__(self, "branches", _branches(self.state, t, bases))
 
 
 @dataclass(frozen=True)

@@ -27,18 +27,27 @@ Claims covered:
     backward cones touch or overlap at the slab floor, exit 2 when the slab
     is not strictly before both measurements), and classifies measurement
     events 1e200 apart in t or in x;
-  - repeated invocations are byte-identical.
+  - repeated invocations are byte-identical;
+  - the argument parser is built once per process: a usage error exits 2
+    with its usage on the stderr current at that call, also when the parser
+    was built under another stderr, a valid call after a usage error still
+    gives the golden stdout bytes, and a `cmd_*` function replaced after the
+    parser was built (as a tracer does) is the one that runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from locality_lab import cli
 from locality_lab.behavior import behavior_to_dict, from_quantum, model_to_dict
 from locality_lab.behavior import HiddenVariableModel
 from locality_lab.cli import main
@@ -467,3 +476,36 @@ class TestReproducibility:
         assert main(argv) == 0
         second = capsys.readouterr().out.encode()
         assert first == second
+
+
+class TestParser:
+    GOLDENS = json.loads((Path(__file__).resolve().parent.parent / "bench" / "goldens.json").read_text(encoding="utf-8"))
+
+    def test_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_command_replaced_after_the_parser_was_built_is_the_one_run(self, monkeypatch):
+        cli._build_parser()
+        monkeypatch.setattr(cli, "cmd_boxes", lambda args: 7)
+        assert main(["boxes"]) == 7
+
+    def test_usage_error_goes_to_the_stderr_of_the_call(self):
+        cli._build_parser.cache_clear()
+        at_build, at_call = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(at_build):
+            cli._build_parser()
+        with contextlib.redirect_stderr(at_call), pytest.raises(SystemExit) as exc:
+            main(["everett"])
+        assert exc.value.code == 2
+        assert at_build.getvalue() == ""
+        assert at_call.getvalue().startswith("usage: locality-lab everett")
+        assert "the following arguments are required: --theta" in at_call.getvalue()
+
+    @pytest.mark.parametrize("bad", [["everett"], ["everett", "--theta", "0", "--format", "xml"], ["nope"]])
+    def test_valid_call_after_usage_error_matches_golden(self, bad, capsys):
+        with pytest.raises(SystemExit):
+            main(bad)
+        capsys.readouterr()
+        (entry,) = [e for e in self.GOLDENS["invocations"] if e["argv"] == ["everett", "--theta", "0"]]
+        assert main(entry["argv"]) == entry["exit"]
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == entry["stdout_sha256"]

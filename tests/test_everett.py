@@ -32,6 +32,11 @@ Claims covered:
     listed cell by cell, and region patterns counted in the normalised
     conditioned slice; on every protocol stage and on seeded random states
     in rotated bases;
+  - the `everett` definiteness matrix, read off each stage's stored
+    expansion, equals the same oracle cell by cell ("-" for an absent
+    conditioning subsystem or a zero-overlap branch) on the aligned protocol
+    and on the general protocol at 1,216 angles: edge values near 0, pi and
+    2 pi, log-spaced small angles and seeded angles in [-10, 10];
   - one `everett` invocation builds at most two pointer bases.
 """
 
@@ -44,7 +49,7 @@ import numpy as np
 import pytest
 
 from locality_lab.behavior import Behavior
-from locality_lab.cli import main
+from locality_lab.cli import _definiteness_rows, main
 from locality_lab.everett import (
     BRANCH_CUTOFF,
     DEFINITE_TOL,
@@ -410,7 +415,11 @@ def oracle_branches(state, bases, cutoff=BRANCH_CUTOFF):
 
 def oracle_definite(state, region, conditioning, bases):
     """None for an empty branch, else whether one region pattern carries the normalised slice."""
-    t = oracle_expansion(state, bases)
+    return oracle_definite_in(oracle_expansion(state, bases), state, region, conditioning, bases)
+
+
+def oracle_definite_in(t, state, region, conditioning, bases):
+    """`oracle_definite` on ``t``, the state's `oracle_expansion`."""
     index = tuple(
         bases[label].labels.index(conditioning[label]) if label in conditioning else slice(None)
         for label in state.labels
@@ -486,6 +495,60 @@ class TestExpansionOracles:
         for theta in (0.0, 0.4):
             bases = {label: PointerBasis.spin(theta) for label in ("q0", "q1", "q2", "q3")}
             assert_matches_oracles(state, bases, conditioning_sizes=(1, 2))
+
+
+def _row_thetas() -> list[float]:
+    edges = [0.0, -0.0, 1e-15, 5e-13, 1e-9, 1.9e-9, 2e-9, 2.1e-9, 1e-6, math.pi / 3, 1.0472, math.pi / 2]
+    edges += [math.pi - 1e-7, math.pi, 2 * math.pi, -1.0]
+    offsets = np.geomspace(1e-15, 1e-3, 100)
+    parts = (
+        np.geomspace(1e-12, 1e-6, 400),
+        2 * math.pi - np.geomspace(1e-15, 1e-3, 200),
+        np.concatenate([math.pi - offsets, math.pi + offsets]),
+        np.random.default_rng(1216).uniform(-10.0, 10.0, 400),
+    )
+    return edges + [float(theta) for part in parts for theta in part]
+
+
+ROW_THETAS = _row_thetas()
+
+
+def oracle_definiteness_rows(trace):
+    """(region, conditioned-on, one cell per stage) rows from `oracle_definite`."""
+    conditionings = [("B-side", "m_A", "up"), ("B-side", "m_A", "down"), ("A-side", "m_B", "up"), ("A-side", "m_B", "down")]
+    if "C" in trace.stages[-1].pointer_bases:
+        conditionings += [(wing, "C", lab) for lab in ("uu", "ud", "du", "dd") for wing in ("A-side", "B-side")]
+    expansions = [oracle_expansion(stage.state, stage.pointer_bases) for stage in trace.stages]
+    rows = []
+    for wing, sub, lab in conditionings:
+        row = [wing, f"{sub}={lab}"]
+        for stage, t in zip(trace.stages, expansions):
+            want = None
+            if sub in stage.state.labels:
+                want = oracle_definite_in(t, stage.state, WINGS[wing], {sub: lab}, stage.pointer_bases)
+            row.append("-" if want is None else "yes" if want else "no")
+        rows.append(row)
+    return rows
+
+
+class TestDefinitenessRows:
+    def test_parallel_protocol(self):
+        trace = run_parallel_epr()
+        header, rows = _definiteness_rows(trace)
+        assert header == ["region", "conditioned-on"] + [stage.name for stage in trace.stages]
+        assert rows == oracle_definiteness_rows(trace)
+
+    def test_nonparallel_protocol_at_every_row_angle(self):
+        assert len(ROW_THETAS) == 1216
+        cells = {"yes": 0, "no": 0, "-": 0}
+        for theta in ROW_THETAS:
+            trace = run_nonparallel(theta)
+            _, rows = _definiteness_rows(trace)
+            assert rows == oracle_definiteness_rows(trace), theta
+            for row in rows:
+                for cell in row[2:]:
+                    cells[cell] += 1
+        assert all(cells.values())  # every kind of cell occurs: definite, indefinite and empty
 
 
 def test_everett_builds_at_most_two_pointer_bases(monkeypatch, capsys):

@@ -18,7 +18,7 @@ from pathlib import Path
 import locality_lab
 
 OPTIONS = 19
-SRC_LINES = 2567
+SRC_LINES = 2590
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
