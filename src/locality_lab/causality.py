@@ -19,7 +19,7 @@ violation of one condition and reports it quantitatively:
                             marginal there to 0 or 1.
 
 Conditional probabilities are defined only on conditioning events with
-probability above ``zero_cutoff``; skipped cells are counted, never treated
+probability above ``ZERO_CUTOFF``; skipped cells are counted, never treated
 as vacuous passes. Reports carry the maximal violation and a witness for it
 (ties broken lexicographically), so they can back quantitative tests.
 
@@ -181,14 +181,10 @@ def check_parameter_independence(model: HiddenVariableModel, tol: float = DEFAUL
     return CheckReport(Condition.PARAMETER_INDEPENDENCE, value <= tol, value, tol, {"lambda": il, **witness})
 
 
-def check_outcome_independence(
-    model: HiddenVariableModel,
-    tol: float = DEFAULT_TOL,
-    zero_cutoff: float = ZERO_CUTOFF,
-) -> CheckReport:
+def check_outcome_independence(model: HiddenVariableModel, tol: float = DEFAULT_TOL) -> CheckReport:
     """Far-outcome conditioning leaves near-outcome probabilities unchanged.
 
-    Cells whose conditioning event has probability <= zero_cutoff are
+    Cells whose conditioning event has probability <= ZERO_CUTOFF are
     skipped and counted in the report.
     """
     sc = model.scenario
@@ -197,7 +193,7 @@ def check_outcome_independence(
     marg_a, marg_b = (m.transpose(3, 0, 1, 2).copy() for m in _marginals(tables))
     gaps, skipped = [], 0  # side A |P(A,B)/P(B) - P(A)|, then side B in joint's buffer
     for cond, base, out in ((marg_b[None], marg_a[:, None], None), (marg_a[:, None], marg_b[None], joint)):
-        skip = ~(cond > zero_cutoff)
+        skip = ~(cond > ZERO_CUTOFF)
         skipped += int(np.count_nonzero(skip)) * (joint.size // skip.size)
         # Skipped cells divide by 1, so no warning is raised, then become -inf.
         gap = np.divide(joint, np.where(skip, 1.0, cond), out=out)
@@ -283,18 +279,14 @@ def _parallel_pairs(model: HiddenVariableModel) -> list[tuple[int, int]]:
     return pairs
 
 
-def suppes_zanotti_reduction(
-    model: HiddenVariableModel,
-    tol: float = DEFAULT_TOL,
-    det_tol: float = DEFAULT_DET_TOL,
-) -> CheckReport:
+def suppes_zanotti_reduction(model: HiddenVariableModel, tol: float = DEFAULT_TOL) -> CheckReport:
     """Reduction to determinism at the parallel settings.
 
     Hypotheses: factorizability within ``tol`` and perfect anticorrelation of
     the averaged behaviour at every parallel pair (outcomes matched by index,
     P(A = B | s, s) <= tol). When both hold, asserts the conclusion: every
     lambda-conditional marginal at the tested settings lies within
-    ``det_tol`` of {0, 1}. When the hypotheses fail, the report carries
+    ``DEFAULT_DET_TOL`` of {0, 1}. When the hypotheses fail, the report carries
     ``passed = None``, a "hypotheses-unsatisfied" note, and the hypothesis
     deficit as ``max_violation``.
     """
@@ -316,14 +308,14 @@ def suppes_zanotti_reduction(
             f"anticorrelation deficit {deficit:.6g} (tol {tol:g})",
         )
         slack = max(fact if not fact <= tol else 0.0, deficit if deficit > tol else 0.0)
-        return CheckReport(Condition.DETERMINISM, None, slack, det_tol, None, 0, notes)
+        return CheckReport(Condition.DETERMINISM, None, slack, DEFAULT_DET_TOL, None, 0, notes)
 
     ia, ib = np.array(pairs).T
     # (l, pair, side, outcome), scanned in that order
     marg = np.stack([marg_a[:, ia, ib], marg_b[:, ia, ib]], axis=2)
     worst, (il, ip, side, io) = _argmax_cell(np.minimum(np.abs(marg), np.abs(1.0 - marg)))
     if not worst > 0.0:
-        return CheckReport(Condition.DETERMINISM, 0.0 <= det_tol, 0.0, det_tol, None)
+        return CheckReport(Condition.DETERMINISM, 0.0 <= DEFAULT_DET_TOL, 0.0, DEFAULT_DET_TOL, None)
     witness = {
         "lambda": il,
         "side": "AB"[side],
@@ -331,4 +323,4 @@ def suppes_zanotti_reduction(
         "outcome": (sc.outcomes_a, sc.outcomes_b)[side][io],
         "marginal": float(marg[il, ip, side, io]),
     }
-    return CheckReport(Condition.DETERMINISM, worst <= det_tol, worst, det_tol, witness)
+    return CheckReport(Condition.DETERMINISM, worst <= DEFAULT_DET_TOL, worst, DEFAULT_DET_TOL, witness)

@@ -263,8 +263,9 @@ def _definiteness_rows(trace: ev.ProtocolTrace) -> tuple[list[str], list[list[st
         for stage in trace.stages:
             cell = "-"  # the conditioning subsystem is absent, or its branch is empty
             if sub in stage.state.labels:
+                region = [label for label in wing if label in stage.state.labels]  # WINGS also names the box detectors
                 with contextlib.suppress(ev.EmptyBranchError):
-                    definite = ev._definite(stage.expansion, stage.state, stage.pointer_bases, wing, {sub: lab})
+                    definite = ev._definite(stage.expansion, stage.state, stage.pointer_bases, region, {sub: lab})
                     cell = "yes" if definite else "no"
             row.append(cell)
         rows.append(row)

@@ -17,6 +17,12 @@ light cones; see the stage events). `einstein_boxes` runs the one-particle,
 two-detector splitting protocol whose induced behaviour is no-signalling
 yet violates outcome independence with an empty hidden variable.
 
+All three are built by one runner from steps of (name, event, local
+operator or None, pointer bases): each stage records the operator that made
+it. `WINGS` names each wing's subsystems (``particle`` and ``C`` belong to
+neither), and a trace refuses a measurement-a (measurement-b) stage whose
+operator names any B-side (A-side) subsystem, so no stage acts at a distance.
+
 Branches and definiteness are both read off one pointer expansion: the
 state's amplitude tensor after each subsystem is rewritten in its declared
 pointer basis; each stage keeps its tensor. Branches are the cells of that
@@ -29,7 +35,7 @@ onto the region's subsystems, is a single pointer-label combination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -59,7 +65,7 @@ class EmptyBranchError(ValueError):
 
 
 class ComparerStateError(ValueError):
-    """Comparison pointer is absent, has the wrong dimension, or is not ready."""
+    """Comparison pointer has the wrong dimension or is not ready (an absent one raises SubsystemError)."""
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,7 @@ class PointerBasis:
 
 SPIN_POINTER = PointerBasis.computational(("up", "down"))
 COMPARER_POINTER = PointerBasis.computational(("uu", "ud", "du", "dd"))
-WINGS = {"A-side": ("s1", "m_A"), "B-side": ("s2", "m_B")}  # each wing's spin and apparatus
+WINGS = {"A-side": ("s1", "m_A", "d_L"), "B-side": ("s2", "m_B", "d_R")}  # each wing's subsystems
 
 
 @dataclass(frozen=True)
@@ -223,12 +229,13 @@ def _definite(
 
 @dataclass(frozen=True)
 class Stage:
-    """Named snapshot of the protocol: state, event, bases, their expansion, and branches."""
+    """Protocol snapshot: name, state, event, bases, the local operator that made it (or None), expansion, branches."""
 
     name: str
     state: StateVector
     event: spacetime.Event
     pointer_bases: dict[str, PointerBasis]
+    operator: Operator | None
     branches: tuple[Branch, ...] = field(init=False)
     expansion: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -241,12 +248,19 @@ class Stage:
 
 @dataclass(frozen=True)
 class ProtocolTrace:
+    """Stages in time order; refuses events out of causal order and measurement stages that act on the far wing."""
+
     stages: tuple[Stage, ...]
 
     def __post_init__(self):
         report = spacetime.validate_protocol([s.event for s in self.stages])
         if not report.passed:
             raise ValueError(f"stage events are not causally ordered: {report.to_dict()}")
+        for s in self.stages:
+            far = _FAR_WING.get(s.event.role, ())
+            reached = [label for label, _ in s.operator.dims if label in far] if s.operator else []
+            if reached:
+                raise ValueError(f"stage {s.name!r} ({s.event.role.value}) acts on far-wing subsystems {reached}")
 
     @property
     def final_branches(self) -> tuple[Branch, ...]:
@@ -263,10 +277,23 @@ _EV_PREP = spacetime.Event(0.0, 0.0, spacetime.Role.PREPARATION, "source")
 _EV_A = spacetime.Event(3.0, -2.0, spacetime.Role.MEASUREMENT_A, "measurement A")
 _EV_B = spacetime.Event(3.0, 2.0, spacetime.Role.MEASUREMENT_B, "measurement B")
 _EV_COMPARE = spacetime.Event(7.0, 0.0, spacetime.Role.COMPARISON, "comparison")
+_FAR_WING = {spacetime.Role.MEASUREMENT_A: WINGS["B-side"], spacetime.Role.MEASUREMENT_B: WINGS["A-side"]}
+
+_j = np.arange(16)  # basis index 8x + 4y + c of (m_A, m_B, C): reading pair (x, y), comparer c
+_COMPARER = Operator((("m_A", 2), ("m_B", 2), ("C", 4)), np.eye(16)[:, (_j & 12) | ((_j & 3) ^ (_j >> 2))])
 
 
-def _two_wing_initial() -> StateVector:
-    return tensor(up("m_A"), singlet("s1", "s2"), up("m_B"))
+def _run(state: StateVector, steps: Iterable[tuple]) -> ProtocolTrace:
+    """Trace of the steps (name, event, operator or None, pointer bases), each operator applied in turn."""
+    stages = []
+    for name, event, operator, bases in steps:
+        if operator is not None:
+            for label, dim in operator.dims:
+                if label not in state.labels:  # adjoined last, in its ready (first) basis state
+                    state = tensor(state, ket(label, np.eye(dim)[0]))
+            state = operator.apply(state)
+        stages.append(Stage(name, state, event, bases, operator))
+    return ProtocolTrace(tuple(stages))
 
 
 def run_parallel_epr() -> ProtocolTrace:
@@ -277,27 +304,24 @@ def run_parallel_epr() -> ProtocolTrace:
     flipped pattern. Cross-wing definiteness already holds here: relative to
     either apparatus reading, the far wing shows the opposite outcome.
     """
-    psi0 = _two_wing_initial()
-    u_a = measurement_unitary(psi0.dims, 0.0, "s1", "m_A")
-    u_b = measurement_unitary(psi0.dims, 0.0, "s2", "m_B")
-    after_a = u_a.apply(psi0)
-    final = u_b.apply(after_a)
-    bases = {"m_A": SPIN_POINTER, "s1": SPIN_POINTER, "s2": SPIN_POINTER, "m_B": SPIN_POINTER}
-    return ProtocolTrace(
+    psi0 = tensor(up("m_A"), singlet(), up("m_B"))
+    bases = dict.fromkeys(psi0.labels, SPIN_POINTER)
+    return _run(
+        psi0,
         (
-            Stage("preparation", psi0, _EV_PREP, bases),
-            Stage("measurement-a", after_a, _EV_A, bases),
-            Stage("measurement-b", final, _EV_B, bases),
-        )
+            ("preparation", _EV_PREP, None, bases),
+            ("measurement-a", _EV_A, measurement_unitary(psi0.dims, 0.0, "s1", "m_A"), bases),
+            ("measurement-b", _EV_B, measurement_unitary(psi0.dims, 0.0, "s2", "m_B"), bases),
+        ),
     )
 
 
 def comparison_measurement(state: StateVector) -> StateVector:
     """Unitarily copy the apparatus readings ``m_A`` and ``m_B`` into the four-state pointer ``C``.
 
-    The comparer must be present, four-dimensional, and entirely in its
-    ready (first) indicator state; the interaction is the permutation
-    c -> c XOR (reading pair), a two-bit generalisation of a CNOT.
+    The comparer must be present (else SubsystemError), four-dimensional, and
+    entirely in its ready (first) indicator state; the interaction is the
+    permutation c -> c XOR (reading pair), a two-bit generalisation of a CNOT.
     """
     ax_c = state.axis("C")
     if state.dims[ax_c][1] != 4:
@@ -308,10 +332,7 @@ def comparison_measurement(state: StateVector) -> StateVector:
         raise ComparerStateError(
             f"comparer 'C' is not in its ready state (stray amplitude {stray:.3g})"
         )
-    j = np.arange(16)  # basis index 8x + 4y + c: reading pair (x, y), comparer c
-    block = np.zeros((16, 16))
-    block[(j & 12) | ((j & 3) ^ (j >> 2)), j] = 1.0
-    return Operator((("m_A", 2), ("m_B", 2), ("C", 4)), block).apply(state)
+    return _COMPARER.apply(state)
 
 
 def run_nonparallel(theta: float) -> ProtocolTrace:
@@ -325,30 +346,18 @@ def run_nonparallel(theta: float) -> ProtocolTrace:
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    psi0 = _two_wing_initial()
-    z_bases = {"m_A": SPIN_POINTER, "s1": SPIN_POINTER, "s2": SPIN_POINTER, "m_B": SPIN_POINTER}
-    rot_bases = dict(z_bases)
-    rot_bases["s2"] = PointerBasis.spin(theta)
-
-    u_a = measurement_unitary(psi0.dims, 0.0, "s1", "m_A")
-    u_b = measurement_unitary(psi0.dims, theta, "s2", "m_B")
-    after_a = u_a.apply(psi0)
-    after_b = u_b.apply(after_a)
-
-    with_comparer = tensor(after_b, ket("C", [1.0, 0.0, 0.0, 0.0]))
-    compared = comparison_measurement(with_comparer)
-    cmp_bases = dict(rot_bases)
-    cmp_bases["C"] = COMPARER_POINTER
-
-    rotated_view_event = spacetime.Event(0.0, 0.0, spacetime.Role.OTHER, "rotated-basis view")
-    return ProtocolTrace(
+    psi0 = tensor(up("m_A"), singlet(), up("m_B"))
+    z_bases = dict.fromkeys(psi0.labels, SPIN_POINTER)
+    rot_bases = {**z_bases, "s2": PointerBasis.spin(theta)}
+    return _run(
+        psi0,
         (
-            Stage("preparation", psi0, _EV_PREP, z_bases),
-            Stage("rotated-view", psi0, rotated_view_event, rot_bases),
-            Stage("measurement-a", after_a, _EV_A, rot_bases),
-            Stage("measurement-b", after_b, _EV_B, rot_bases),
-            Stage("comparison", compared, _EV_COMPARE, cmp_bases),
-        )
+            ("preparation", _EV_PREP, None, z_bases),
+            ("rotated-view", spacetime.Event(0.0, 0.0, spacetime.Role.OTHER, "rotated-basis view"), None, rot_bases),
+            ("measurement-a", _EV_A, measurement_unitary(psi0.dims, 0.0, "s1", "m_A"), rot_bases),
+            ("measurement-b", _EV_B, measurement_unitary(psi0.dims, theta, "s2", "m_B"), rot_bases),
+            ("comparison", _EV_COMPARE, _COMPARER, {**rot_bases, "C": COMPARER_POINTER}),
+        ),
     )
 
 
@@ -364,7 +373,6 @@ def einstein_boxes() -> tuple[ProtocolTrace, Behavior, CheckReport]:
     particles to begin with.
     """
     box_pointer = PointerBasis.computational(("empty", "found"))
-    particle_pointer = PointerBasis.computational(("L", "R"))
     psi0 = tensor(
         ket("d_L", [1.0, 0.0]),
         ket("particle", [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)]),
@@ -374,26 +382,14 @@ def einstein_boxes() -> tuple[ProtocolTrace, Behavior, CheckReport]:
     p_left, p_right = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     open_left = Operator((("particle", 2), ("d_L", 2)), np.kron(p_left, flip) + np.kron(p_right, eye))
     open_right = Operator((("particle", 2), ("d_R", 2)), np.kron(p_right, flip) + np.kron(p_left, eye))
-    after_left = open_left.apply(psi0)
-    final = open_right.apply(after_left)
-
-    bases = {"d_L": box_pointer, "particle": particle_pointer, "d_R": box_pointer}
-    trace = ProtocolTrace(
+    bases = {"d_L": box_pointer, "particle": PointerBasis.computational(("L", "R")), "d_R": box_pointer}
+    trace = _run(
+        psi0,
         (
-            Stage("preparation", psi0, _EV_PREP, bases),
-            Stage(
-                "open-left",
-                after_left,
-                spacetime.Event(3.0, -2.0, spacetime.Role.MEASUREMENT_A, "open left box"),
-                bases,
-            ),
-            Stage(
-                "open-right",
-                final,
-                spacetime.Event(3.0, 2.0, spacetime.Role.MEASUREMENT_B, "open right box"),
-                bases,
-            ),
-        )
+            ("preparation", _EV_PREP, None, bases),
+            ("open-left", replace(_EV_A, label="open left box"), open_left, bases),
+            ("open-right", replace(_EV_B, label="open right box"), open_right, bases),
+        ),
     )
 
     scenario = Scenario(
@@ -404,10 +400,8 @@ def einstein_boxes() -> tuple[ProtocolTrace, Behavior, CheckReport]:
         context={"source": "einstein-boxes"},
     )
     table = np.zeros(scenario.shape)
-    outcome_index = {"empty": 0, "found": 1}
-    for branch in trace.final_branches:
-        iA = outcome_index[branch.labels["d_L"]]
-        iB = outcome_index[branch.labels["d_R"]]
+    for branch in trace.final_branches:  # the box pointer's label order is the outcome order
+        iA, iB = (box_pointer._index(branch.labels[box]) for box in ("d_L", "d_R"))
         table[0, 0, iA, iB] += branch.weight
     induced = validate(Behavior(scenario, table))
     model = HiddenVariableModel(scenario, [(1.0, induced)])

@@ -158,12 +158,12 @@ def tensor(*states: StateVector) -> StateVector:
     return StateVector(dims, amps)
 
 
-def singlet(label1: str = "s1", label2: str = "s2") -> StateVector:
-    """(|up down> - |down up>)/sqrt(2) on two labelled qubits."""
+def singlet() -> StateVector:
+    """(|up down> - |down up>)/sqrt(2) on the qubits ``s1`` and ``s2``."""
     amps = np.zeros(4, dtype=np.complex128)
     amps[1] = 1.0 / math.sqrt(2.0)
     amps[2] = -1.0 / math.sqrt(2.0)
-    return StateVector(((label1, 2), (label2, 2)), amps)
+    return StateVector((("s1", 2), ("s2", 2)), amps)
 
 
 def rotated_basis_matrix(theta: float) -> np.ndarray:

@@ -195,7 +195,7 @@ class TestFromQuantum:
         assert np.max(np.abs(b.table - prod)) < 1e-12
 
     def test_rejects_states_with_apparatus_factors(self):
-        psi = tensor(up("m"), singlet("s1", "s2"))
+        psi = tensor(up("m"), singlet())
         with pytest.raises(Exception):
             from_quantum(psi, [0.0], [0.0])
 

@@ -49,6 +49,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from locality_lab import causality
 from locality_lab.behavior import (
     Behavior,
     HiddenVariableModel,
@@ -439,7 +440,7 @@ class TestSuppesZanottiReduction:
             model = HiddenVariableModel(
                 PARALLEL, [(float(w), anticorrelated_product_lambda(rng)) for w in weights]
             )
-            report = suppes_zanotti_reduction(model, tol=1e-9, det_tol=1e-6)
+            report = suppes_zanotti_reduction(model)
             assert report.passed is True
 
     def test_missing_parallel_pair_rejected(self):
@@ -625,15 +626,17 @@ class TestVectorisedCheckersAgainstLoops:
         ids=["shared-L3", "shared-L1", "uneven-outcomes-L4", "uneven-outcomes-L1", "all-oi-cells-skipped",
              "wide-ties-L6", "uneven-partial-skip-L4", "wide-partial-skip-L6"],
     )
-    def test_reports_equal_loop_oracles(self, sc, n_lambda, zero_cutoff):
+    def test_reports_equal_loop_oracles(self, sc, n_lambda, zero_cutoff, monkeypatch):
         rng = np.random.default_rng([n_lambda, len(sc.outcomes_b), int(zero_cutoff)])
         tol = 0.0
+        monkeypatch.setattr(causality, "ZERO_CUTOFF", zero_cutoff)
+        monkeypatch.setattr(causality, "DEFAULT_DET_TOL", 0.3)
         for _ in range(25):
             model = tie_heavy_model(rng, sc, n_lambda)
             avg = average(model)
             assert check_no_signalling(avg, tol).to_dict() == loop_ns(avg, tol)
             assert check_parameter_independence(model, tol).to_dict() == loop_pi(model, tol)
-            oi = check_outcome_independence(model, tol, zero_cutoff=zero_cutoff)
+            oi = check_outcome_independence(model, tol)
             assert oi.to_dict() == loop_oi(model, tol, zero_cutoff)
             if zero_cutoff >= 1.0:
                 assert oi.witness is None and oi.max_violation == 0.0
@@ -642,7 +645,7 @@ class TestVectorisedCheckersAgainstLoops:
             if len(sc.outcomes_a) == len(sc.outcomes_b):
                 # tol 1 always meets the hypotheses, so the determinism scan runs
                 for sz_tol in (1e-9, 1.0):
-                    got = suppes_zanotti_reduction(model, sz_tol, det_tol=0.3).to_dict()
+                    got = suppes_zanotti_reduction(model, sz_tol).to_dict()
                     assert got == loop_sz(model, sz_tol, 0.3)
             want = loop_positivity_error(model)
             if want is None:

@@ -11,19 +11,31 @@ Claims covered:
     the definiteness transition: cross-wing definiteness holds at the
     aligned protocol's final stage, fails after non-aligned local
     measurements, and holds for every branch after the comparison;
-  - the comparison interaction requires a ready four-state pointer, labels
-    single branches consistently, and on random states equals the index
-    permutation C <- 2 m_A + m_B of the ready slice;
+  - the comparison interaction requires a ready four-state pointer (an
+    absent one raises SubsystemError, a busy or wrong-dimension one
+    ComparerStateError), labels single branches consistently, and on random
+    states equals the index permutation C <- 2 m_A + m_B of the ready slice;
   - the one-particle box protocol yields equal-weight strictly
     anticorrelated branches and its induced behaviour violates outcome
     independence by exactly 1/2;
   - traces are bitwise deterministic and their stage events form a valid
     causal layout;
+  - every stage records the local operator that made it (None for the
+    preparation and the rotated view): each stage's state is bitwise that
+    operator applied to the previous state, with the comparer C adjoined in
+    its ready state at the comparison, and each operator names the expected
+    subsystems;
+  - a measurement-a (measurement-b) stage whose operator names a subsystem of
+    the other wing in `WINGS` (A: s1, m_A, d_L; B: s2, m_B, d_R) is refused
+    when the trace is built, exactly: B measuring s1 into m_B, open-left
+    naming d_R, and an A operator that is the identity on s2 all raise;
   - every query reads a declared pointer basis: a subsystem without one
     raises SubsystemError naming it;
-  - no action at a distance: the two local measurement unitaries give
-    bitwise the same state and branches in either order, B's unitary alone
-    leaves the A-side reduced density matrix unchanged to ALG_TOL (a B
+  - no action at a distance: in all three protocols the two local
+    measurement operators give bitwise the same state and branches in either
+    order, and across every measurement stage the far wing's reduced density
+    matrix, an explicit einsum partial trace equal to M M^H, is unchanged to
+    ALG_TOL; B's unitary alone leaves the A-side matrix unchanged (a B
     unitary that measures A's spin moves it), and boosts of rapidity +/-0.3
     that put either measurement first both give a valid causal layout;
   - branches and definiteness agree with oracles built independently of
@@ -42,6 +54,7 @@ Claims covered:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -57,6 +70,8 @@ from locality_lab.everett import (
     ComparerStateError,
     EmptyBranchError,
     PointerBasis,
+    ProtocolTrace,
+    _run,
     comparison_measurement,
     decompose,
     einstein_boxes,
@@ -67,6 +82,7 @@ from locality_lab.everett import (
 )
 from locality_lab.qstate import (
     ALG_TOL,
+    Operator,
     StateVector,
     SubsystemError,
     born_joint,
@@ -271,6 +287,10 @@ class TestComparisonMeasurement:
         with pytest.raises(ComparerStateError):
             comparison_measurement(busy)
 
+    def test_absent_comparer_raises_subsystem_error(self):
+        with pytest.raises(SubsystemError, match="unknown subsystem 'C'"):
+            comparison_measurement(tensor(up("m_A"), up("m_B")))
+
     def test_requires_four_state_comparer(self):
         wrong = tensor(up("m_A"), up("m_B"), ket("C", [1.0, 0.0]))
         with pytest.raises(ComparerStateError):
@@ -340,8 +360,8 @@ FRAME_THETAS = [0.0, 1e-9, math.pi / 3, 1.0472, math.pi / 2, math.pi, 2.5, -1.0]
 
 
 def wing_density(state, wing):
-    """rho = M M^H, where M is the amplitude tensor with the wing's axes moved first and flattened."""
-    axes = [state.axis(sub) for sub in wing]
+    """rho = M M^H, where M is the amplitude tensor with the wing's axes in the state moved first and flattened."""
+    axes = [state.axis(sub) for sub in wing if sub in state.labels]
     t = np.moveaxis(state.as_tensor(), axes, range(len(axes)))
     m = t.reshape(math.prod(t.shape[: len(axes)]), -1)
     return m @ m.conj().T
@@ -386,6 +406,15 @@ class TestFrameOrder:
         with pytest.raises(AssertionError, match="A-side density matrix moved"):
             assert_a_side_unchanged(after_a, mutant.apply(after_a))
 
+    @pytest.mark.parametrize("build", [run_parallel_epr, lambda: einstein_boxes()[0]], ids=["parallel", "boxes"])
+    def test_either_order_in_the_other_protocols(self, build):
+        prep, a, b = build().stages
+        a_first = b.operator.apply(a.operator.apply(prep.state))
+        b_first = a.operator.apply(b.operator.apply(prep.state))
+        assert a_first.amps.tobytes() == b.state.amps.tobytes()
+        assert b_first.amps.tobytes() == a_first.amps.tobytes()
+        assert decompose(b_first, b.pointer_bases) == decompose(a_first, b.pointer_bases) == b.branches
+
     @pytest.mark.parametrize("rapidity, first", [(0.3, Role.MEASUREMENT_B), (-0.3, Role.MEASUREMENT_A)])
     def test_both_time_orders_are_valid_frames(self, rapidity, first):
         for trace in (run_nonparallel(1.0472), run_parallel_epr()):
@@ -393,6 +422,116 @@ class TestFrameOrder:
             measurements = [e for e in events if e.role in (Role.MEASUREMENT_A, Role.MEASUREMENT_B)]
             assert min(measurements, key=lambda e: e.t).role is first
             assert validate_protocol(events).passed
+
+
+PROTOCOLS = {
+    "parallel": run_parallel_epr,
+    **{f"nonparallel-{theta!r}": (lambda theta=theta: run_nonparallel(theta)) for theta in FRAME_THETAS},
+    "boxes": lambda: einstein_boxes()[0],
+}
+FAR_WING = {Role.MEASUREMENT_A: WINGS["B-side"], Role.MEASUREMENT_B: WINGS["A-side"]}
+OPERATOR_SUBSYSTEMS = {
+    "measurement-a": ("s1", "m_A"),
+    "measurement-b": ("s2", "m_B"),
+    "comparison": ("m_A", "m_B", "C"),
+    "open-left": ("particle", "d_L"),
+    "open-right": ("particle", "d_R"),
+}
+
+
+def einsum_density(state, wing):
+    """Reduced density matrix of the wing's subsystems in the state, in wing order.
+
+    An explicit einsum partial trace: every other axis is summed against its conjugate.
+    """
+    keep = [state.axis(sub) for sub in wing if sub in state.labels]
+    n = len(state.dims)
+    bra = {axis: n + i for i, axis in enumerate(keep)}
+    t = state.as_tensor()
+    rho = np.einsum(t, list(range(n)), t.conj(), [bra.get(axis, axis) for axis in range(n)], keep + list(bra.values()))
+    dim = math.prod(state.sizes[axis] for axis in keep)
+    return rho.reshape(dim, dim)
+
+
+def steps(trace):
+    return [(stage.name, stage.event, stage.operator, stage.pointer_bases) for stage in trace.stages]
+
+
+class TestLocalOperators:
+    """Each stage records the local operator that made it, and no measurement stage acts at a distance."""
+
+    @pytest.mark.parametrize("build", PROTOCOLS.values(), ids=PROTOCOLS.keys())
+    def test_each_stage_is_its_operator_applied_to_the_previous_state(self, build):
+        stages = build().stages
+        assert stages[0].operator is None
+        for before, stage in zip(stages, stages[1:]):
+            state = before.state
+            if stage.operator is None:
+                assert stage.event.role is Role.OTHER
+                assert stage.state.amps.tobytes() == state.amps.tobytes()
+                continue
+            assert tuple(label for label, _ in stage.operator.dims) == OPERATOR_SUBSYSTEMS[stage.name]
+            if stage.name == "comparison":
+                state = tensor(state, ket("C", [1.0, 0.0, 0.0, 0.0]))
+                assert comparison_measurement(state).amps.tobytes() == stage.state.amps.tobytes()
+            after = stage.operator.apply(state)
+            assert after.dims == stage.state.dims
+            assert after.amps.tobytes() == stage.state.amps.tobytes()
+
+    @pytest.mark.parametrize("build", PROTOCOLS.values(), ids=PROTOCOLS.keys())
+    def test_measurements_leave_the_far_wing_density_unchanged(self, build):
+        stages = build().stages
+        measured = [(before, stage) for before, stage in zip(stages, stages[1:]) if stage.event.role in FAR_WING]
+        assert len(measured) == 2
+        for before, stage in measured:
+            far = FAR_WING[stage.event.role]
+            rho = einsum_density(stage.state, far)
+            assert np.max(np.abs(rho - wing_density(stage.state, far))) <= ALG_TOL
+            shift = np.max(np.abs(rho - einsum_density(before.state, far)))
+            assert shift <= ALG_TOL, f"{stage.name}: far-wing density matrix moved by {shift:.3g}"
+
+    @pytest.mark.parametrize("build", PROTOCOLS.values(), ids=PROTOCOLS.keys())
+    def test_own_steps_rebuild_the_trace(self, build):
+        trace = build()
+        again = _run(trace.stages[0].state, steps(trace))
+        for one, two in zip(trace.stages, again.stages, strict=True):
+            assert one.state.amps.tobytes() == two.state.amps.tobytes()
+            assert one.branches == two.branches
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 3, 2.5])
+    @pytest.mark.parametrize(
+        "build", [lambda theta: run_parallel_epr(), run_nonparallel], ids=["parallel", "nonparallel"]
+    )
+    def test_b_measuring_the_a_spin_is_refused(self, build, theta):
+        trace = build(theta)
+        psi0, plan = trace.stages[0].state, steps(trace)
+        k = [stage.name for stage in trace.stages].index("measurement-b")
+        mutant = measurement_unitary(psi0.dims, theta, "s1", "m_B")
+        plan[k] = plan[k][:2] + (mutant, plan[k][3])
+        with pytest.raises(ValueError, match=r"'measurement-b' \(measurement-b\) acts on far-wing subsystems \['s1'\]"):
+            _run(psi0, plan)
+        # the trace itself refuses the stage, however the stages were built
+        stages = list(trace.stages)
+        stages[k] = dataclasses.replace(stages[k], operator=mutant, state=mutant.apply(stages[k - 1].state))
+        with pytest.raises(ValueError, match="far-wing"):
+            ProtocolTrace(tuple(stages))
+
+    def test_open_left_naming_the_right_detector_is_refused(self):
+        trace = einstein_boxes()[0]
+        plan = steps(trace)
+        name, event, open_left, bases = plan[1]
+        plan[1] = (name, event, Operator((("particle", 2), ("d_R", 2)), open_left.matrix), bases)
+        with pytest.raises(ValueError, match=r"'open-left' \(measurement-a\) acts on far-wing subsystems \['d_R'\]"):
+            _run(trace.stages[0].state, plan)
+
+    def test_refusal_is_structural_not_a_tolerance(self):
+        # A's operator extended by the identity on s2 leaves every state unchanged, and is still refused.
+        trace = run_parallel_epr()
+        plan = steps(trace)
+        name, event, u_a, bases = plan[1]
+        plan[1] = (name, event, Operator(u_a.dims + (("s2", 2),), np.kron(u_a.matrix, np.eye(2))), bases)
+        with pytest.raises(ValueError, match=r"far-wing subsystems \['s2'\]"):
+            _run(trace.stages[0].state, plan)
 
 
 def oracle_expansion(state, bases):
@@ -491,7 +630,8 @@ class TestExpansionOracles:
 
     def test_entangled_pairs_in_rotated_bases(self):
         # two singlets in rotated bases: supports with exact zeros, so definiteness can hold
-        state = tensor(singlet("q0", "q1"), singlet("q2", "q3"))
+        pair = singlet().amps
+        state = tensor(StateVector((("q0", 2), ("q1", 2)), pair), StateVector((("q2", 2), ("q3", 2)), pair))
         for theta in (0.0, 0.4):
             bases = {label: PointerBasis.spin(theta) for label in ("q0", "q1", "q2", "q3")}
             assert_matches_oracles(state, bases, conditioning_sizes=(1, 2))
@@ -525,7 +665,8 @@ def oracle_definiteness_rows(trace):
         for stage, t in zip(trace.stages, expansions):
             want = None
             if sub in stage.state.labels:
-                want = oracle_definite_in(t, stage.state, WINGS[wing], {sub: lab}, stage.pointer_bases)
+                region = [label for label in WINGS[wing] if label in stage.state.labels]
+                want = oracle_definite_in(t, stage.state, region, {sub: lab}, stage.pointer_bases)
             row.append("-" if want is None else "yes" if want else "no")
         rows.append(row)
     return rows

@@ -112,7 +112,7 @@ class TestTensor:
     def test_initial_two_wing_state(self):
         # The four-factor prepared state: +/- 1/sqrt(2) on exactly two of the
         # sixteen joint amplitudes, apparatus factors in their ready states.
-        psi = tensor(up("m_A"), singlet("s1", "s2"), up("m_B"))
+        psi = tensor(up("m_A"), singlet(), up("m_B"))
         expected = np.zeros(16)
         expected[2] = INV_SQRT2   # (up, up, down, up)
         expected[4] = -INV_SQRT2  # (up, down, up, up)
@@ -149,7 +149,7 @@ class TestMeasurementUnitary:
         assert dev < ALG_TOL
 
     def test_aligned_measurements_give_two_branches(self):
-        psi = tensor(up("m_A"), singlet("s1", "s2"), up("m_B"))
+        psi = tensor(up("m_A"), singlet(), up("m_B"))
         u_a = measurement_unitary(psi.dims, 0.0, "s1", "m_A")
         u_b = measurement_unitary(psi.dims, 0.0, "s2", "m_B")
         final = u_b.apply(u_a.apply(psi))
@@ -232,7 +232,7 @@ class TestBornJoint:
 class TestMeasurementOrder:
     def test_order_immaterial(self):
         rng = np.random.default_rng(17)
-        psi = tensor(up("m_A"), singlet("s1", "s2"), up("m_B"))
+        psi = tensor(up("m_A"), singlet(), up("m_B"))
         for theta in rng.uniform(-math.pi, math.pi, size=20):
             u_a = measurement_unitary(psi.dims, 0.0, "s1", "m_A")
             u_b = measurement_unitary(psi.dims, float(theta), "s2", "m_B")

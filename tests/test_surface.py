@@ -1,12 +1,14 @@
 """The package's public surface: its option count and its export list.
 
 Claims covered:
-  - the package has 19 options: parameters and dataclass fields with a
+  - the package has 15 options: parameters and dataclass fields with a
     default, counted with `ast` over every module. A `field(init=False)` is
     derived, not set by a caller, so it is not counted. A new option shows
     up as a deliberate edit of OPTIONS;
   - the package's modules hold SRC_LINES lines in total, so growth or
     shrinkage shows up as a deliberate edit of SRC_LINES;
+  - every `Stage(...)` call in the package lies inside `everett._run`, the
+    one stage runner, so no second way to build a protocol trace comes back;
   - `locality_lab.__all__` has no duplicates and every name in it resolves.
 """
 
@@ -17,8 +19,8 @@ from pathlib import Path
 
 import locality_lab
 
-OPTIONS = 19
-SRC_LINES = 2590
+OPTIONS = 15
+SRC_LINES = 2577
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -77,6 +79,36 @@ def test_option_count_pinned():
 def test_src_line_count_pinned():
     package = Path(locality_lab.__file__).parent
     assert sum(len(path.read_text().splitlines()) for path in sorted(package.glob("*.py"))) == SRC_LINES
+
+
+def stage_calls(source: str) -> tuple[int, list[int]]:
+    """Number of `Stage(...)` calls inside a function named `_run`, and the lines of those outside it."""
+    tree = ast.parse(source)
+    runners = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_run"]
+    inside = {id(node) for fn in runners for node in ast.walk(fn)}
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Stage"
+    ]
+    return sum(id(node) in inside for node in calls), sorted(node.lineno for node in calls if id(node) not in inside)
+
+
+def test_stage_finder_follows_the_rule():
+    source = '''
+def _run(steps):
+    return [Stage(*step) for step in steps]
+
+def protocol():
+    return (Stage("a"), _run([]))
+'''
+    assert stage_calls(source) == (1, [6])
+
+
+def test_stages_are_built_only_by_the_runner():
+    package = Path(locality_lab.__file__).parent
+    found = {path.name: stage_calls(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls != (0, [])} == {"everett.py": (1, [])}
 
 
 def test_exports_unique_and_resolvable():
