@@ -55,7 +55,7 @@ class ModelError(ValueError):
 
 
 def angle_label(theta: float) -> str:
-    """Stable text label for an angle-valued setting."""
+    """Stable text label for an angle-valued setting; the CLI prints every figure it rounds with it."""
     return format(float(theta), ".12g")
 
 
@@ -346,8 +346,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def _json_number(raw, error: str) -> float:
-    """A JSON number as a float; a string, a boolean or an int too large for a float raises ValueError(error)."""
+def json_number(raw, error: str) -> float:
+    """A JSON number (weight, slab bound, coordinate) as a float; a str, bool or huge int raises ValueError(error)."""
     if type(raw) in (int, float):
         try:
             return float(raw)
@@ -390,13 +390,16 @@ def model_to_dict(model: HiddenVariableModel) -> dict:
 
 
 def _table_array(raw, what: str) -> np.ndarray:
-    """Flat float array of a JSON table, which must be a list of numbers."""
+    """Float array of a JSON table, which must be a flat list of numbers."""
     if not isinstance(raw, list):
         raise BehaviorError(f"{what} must be a list of numbers, got {type(raw).__name__}")
     try:
-        return np.asarray(raw, dtype=np.float64).reshape(-1)
+        arr = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BehaviorError(f"{what} must be a list of numbers: {exc}") from exc
+    if arr.ndim != 1:
+        raise BehaviorError(f"{what} must be a flat list of numbers, not a nested list")
+    return arr
 
 
 def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
@@ -420,7 +423,7 @@ def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
         tables = np.empty((len(entries), size))  # filled row by row: no second copy of the input
         for k, lam in enumerate(entries):
             try:
-                weights[k] = _json_number(lam["weight"], "'weight' must be a number")
+                weights[k] = json_number(lam["weight"], "'weight' must be a number")
                 raw = lam["table"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise BehaviorError(f"malformed lambda entry {k}: {exc}") from exc

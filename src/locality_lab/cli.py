@@ -6,7 +6,7 @@ Subcommands:
   chsh       CHSH tools: --optimize (quantum maximum search), --grid
              (correlator CSV for plotting), --classical (strategy enumeration)
   bell1964   original three-setting inequality slack at given angles
-  everett    stage-by-stage branch tables and the definiteness matrix
+  everett    stage-by-stage branch tables and `ProtocolTrace.definiteness()`
   boxes      the one-particle two-box protocol and its condition reports
   signmodel  sampled sign-strategy ensemble and its correlators
   timeline   causal-structure validation of an event list from JSON, with an
@@ -21,7 +21,6 @@ variable LOCALITY_LAB_TOL overrides the default check tolerance.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -39,18 +38,18 @@ from .qstate import singlet
 MAX_GRID_ANGLES = 1000  # per axis of `chsh --grid`, so at most 10**6 CSV rows
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("LOCALITY_LAB_TOL")
-    if raw is None:
-        return ca.DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValueError(f"LOCALITY_LAB_TOL is not a number: {raw!r}") from exc
-
-
-def _g(x: float) -> str:
-    return format(float(x), ".12g")
+def _tolerance(flag: float | None) -> float:
+    """The check tolerance: --tol, else LOCALITY_LAB_TOL (read only without --tol), else the checkers' default."""
+    tol = flag
+    if tol is None:
+        raw = os.environ.get("LOCALITY_LAB_TOL")
+        try:
+            tol = ca.DEFAULT_TOL if raw is None else float(raw)
+        except ValueError as exc:
+            raise ValueError(f"LOCALITY_LAB_TOL is not a number: {raw!r}") from exc
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance (--tol or LOCALITY_LAB_TOL) must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _load_json(path: str):
@@ -69,7 +68,13 @@ def _print_json(obj) -> None:
 
 # -- check ----------------------------------------------------------------------
 
-_CONDITION_NAMES = tuple(c.value for c in ca.Condition)
+_CHECKS = {  # each checker is looked up on `ca` per call, so a wrapper installed after import sees every check
+    "no-signalling": lambda model, observable, tol: ca.check_no_signalling(observable, tol),
+    "parameter-independence": lambda model, observable, tol: ca.check_parameter_independence(model, tol),
+    "outcome-independence": lambda model, observable, tol: ca.check_outcome_independence(model, tol),
+    "factorizability": lambda model, observable, tol: ca.check_factorizability(model, tol),
+    "determinism": lambda model, observable, tol: ca.suppes_zanotti_reduction(model, tol),
+}
 
 
 def _parse_conditions(raw: str | None, is_model: bool) -> list[str]:
@@ -80,27 +85,11 @@ def _parse_conditions(raw: str | None, is_model: bool) -> list[str]:
         return base
     names = [part.strip() for part in raw.split(",") if part.strip()]
     for name in names:
-        if name not in _CONDITION_NAMES:
-            raise ValueError(f"unknown condition {name!r}; known: {', '.join(_CONDITION_NAMES)}")
+        if name not in _CHECKS:
+            raise ValueError(f"unknown condition {name!r}; known: {', '.join(_CHECKS)}")
     if not names:
         raise ValueError("empty --conditions list")
     return names
-
-
-def _run_condition(
-    name: str, model: bh.HiddenVariableModel, observable: bh.Behavior | None, tol: float
-) -> ca.CheckReport:
-    if name == "no-signalling":
-        return ca.check_no_signalling(observable, tol)
-    if name == "parameter-independence":
-        return ca.check_parameter_independence(model, tol)
-    if name == "outcome-independence":
-        return ca.check_outcome_independence(model, tol)
-    if name == "factorizability":
-        return ca.check_factorizability(model, tol)
-    if name == "determinism":
-        return ca.suppes_zanotti_reduction(model, tol)
-    raise ValueError(f"unknown condition {name!r}")
 
 
 def _report_status(report: ca.CheckReport) -> str:
@@ -114,7 +103,7 @@ def _print_reports_table(reports: list[ca.CheckReport]) -> None:
     for r in reports:
         line = (
             f"{r.condition.value:<{width}}  {_report_status(r)}  "
-            f"max_violation={_g(r.max_violation)}  tol={_g(r.tol)}"
+            f"max_violation={bh.angle_label(r.max_violation)}  tol={bh.angle_label(r.tol)}"
         )
         if r.skipped_cells:
             line += f"  skipped_cells={r.skipped_cells}"
@@ -128,9 +117,7 @@ def _print_reports_table(reports: list[ca.CheckReport]) -> None:
 def cmd_check(args) -> int:
     obj = bh.from_dict(_load_json(args.file))
     is_model = isinstance(obj, bh.HiddenVariableModel)
-    tol = args.tol if args.tol is not None else _default_tol()
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance (--tol or LOCALITY_LAB_TOL) must be finite and >= 0, got {tol!r}")
+    tol = _tolerance(args.tol)
     names = _parse_conditions(args.conditions, is_model)
     if not is_model and any(n not in ("no-signalling",) for n in names):
         print("input is a behaviour; lambda-level checks use the empty hidden variable")
@@ -138,7 +125,7 @@ def cmd_check(args) -> int:
         model, observable = obj, (bh.average(obj) if "no-signalling" in names else None)
     else:
         model, observable = bh.HiddenVariableModel(obj.scenario, [(1.0, obj)]), obj
-    reports = [_run_condition(name, model, observable, tol) for name in names]
+    reports = [_CHECKS[name](model, observable, tol) for name in names]
     if args.format == "json":
         _print_json(
             {
@@ -166,11 +153,11 @@ def cmd_check(args) -> int:
 def _chsh_table(result: ineq.ChshResult) -> None:
     a, ap, b, bp = result.settings
     e_ab, e_abp, e_apb, e_apbp = result.terms
-    print(f"S = {_g(result.value)}   |S| = {_g(result.magnitude)}")
+    print(f"S = {bh.angle_label(result.value)}   |S| = {bh.angle_label(result.magnitude)}")
     print(f"settings (radians): a={a} a'={ap} b={b} b'={bp}")
     print(
-        f"correlators: E(a,b)={_g(e_ab)} E(a,b')={_g(e_abp)} "
-        f"E(a',b)={_g(e_apb)} E(a',b')={_g(e_apbp)}"
+        f"correlators: E(a,b)={bh.angle_label(e_ab)} E(a,b')={bh.angle_label(e_abp)} "
+        f"E(a',b)={bh.angle_label(e_apb)} E(a',b')={bh.angle_label(e_apbp)}"
     )
 
 
@@ -184,7 +171,7 @@ def cmd_chsh(args) -> int:
         for row in enum.strategies:
             ra, rb = row.responses_a, row.responses_b
             print(f"{ra[0]:+4d} {ra[1]:+5d} {rb[0]:+4d} {rb[1]:+5d} {row.s:+6.1f} {abs(row.s):5.1f}")
-        print(f"classical bound: max |S| = {_g(enum.bound)} over 16 deterministic strategies")
+        print(f"classical bound: max |S| = {bh.angle_label(enum.bound)} over 16 deterministic strategies")
         return 0
     if args.grid:
         step = args.step
@@ -215,13 +202,13 @@ def cmd_bell1964(args) -> int:
     if args.format == "json":
         _print_json(result.to_dict())
         return 0
-    print(f"slack = {_g(result.slack)}  ({'satisfied' if result.satisfied else 'VIOLATED'})")
+    print(f"slack = {bh.angle_label(result.slack)}  ({'satisfied' if result.satisfied else 'VIOLATED'})")
     for key in ("E(b,c)", "E(a,b)", "E(a,c)"):
-        print(f"{key} = {_g(result.terms[key])}")
+        print(f"{key} = {bh.angle_label(result.terms[key])}")
     if not result.anticorrelation_ok:
         print(
             "warning: perfect anticorrelation at equal settings fails "
-            f"(max deviation {_g(result.max_equal_setting_deviation)}); slack computed anyway"
+            f"(max deviation {bh.angle_label(result.max_equal_setting_deviation)}); slack computed anyway"
         )
     return 0
 
@@ -248,28 +235,6 @@ def _branch_rows(trace: ev.ProtocolTrace) -> tuple[list[str], list[list[str]]]:
                 ]
             )
     return ["stage"] + subsystems + ["re", "im", "weight"], rows
-
-
-def _definiteness_rows(trace: ev.ProtocolTrace) -> tuple[list[str], list[list[str]]]:
-    bases = trace.stages[-1].pointer_bases
-    conditionings = [("m_A", lab, "B-side") for lab in bases["m_A"].labels]
-    conditionings += [("m_B", lab, "A-side") for lab in bases["m_B"].labels]
-    for lab in bases["C"].labels if "C" in bases else ():
-        conditionings += [("C", lab, "A-side"), ("C", lab, "B-side")]
-    header = ["region", "conditioned-on"] + [stage.name for stage in trace.stages]
-    rows = []
-    for sub, lab, region_name in conditionings:
-        row, wing = [region_name, f"{sub}={lab}"], ev.WINGS[region_name]
-        for stage in trace.stages:
-            cell = "-"  # the conditioning subsystem is absent, or its branch is empty
-            if sub in stage.state.labels:
-                region = [label for label in wing if label in stage.state.labels]  # WINGS also names the box detectors
-                with contextlib.suppress(ev.EmptyBranchError):
-                    definite = ev._definite(stage.expansion, stage.state, stage.pointer_bases, region, {sub: lab})
-                    cell = "yes" if definite else "no"
-            row.append(cell)
-        rows.append(row)
-    return header, rows
 
 
 def _print_aligned(header: list[str], rows: list[list[str]]) -> None:
@@ -309,7 +274,7 @@ def cmd_everett(args) -> int:
         for row in rows:
             print(",".join(row))
         return 0
-    dheader, drows = _definiteness_rows(trace)
+    dheader, drows = trace.definiteness()
     if args.format == "json":
         payload = _trace_json(trace)
         payload["theta"] = args.theta
@@ -319,7 +284,7 @@ def cmd_everett(args) -> int:
         }
         _print_json(payload)
         return 0
-    print(f"branch tables (theta = {_g(args.theta)} rad)")
+    print(f"branch tables (theta = {bh.angle_label(args.theta)} rad)")
     _print_aligned(header, rows)
     print()
     print("definiteness of the far region relative to a conditioning branch")
@@ -346,7 +311,7 @@ def cmd_boxes(args) -> int:
     print("induced behaviour P(A,B|open,open):")
     for iA, a_out in enumerate(sc.outcomes_a):
         for iB, b_out in enumerate(sc.outcomes_b):
-            print(f"  P({a_out},{b_out}) = {_g(induced.table[0, 0, iA, iB])}")
+            print(f"  P({a_out},{b_out}) = {bh.angle_label(induced.table[0, 0, iA, iB])}")
     print()
     _print_reports_table([ns_report, oi_report])
     return 0
@@ -377,32 +342,19 @@ def cmd_signmodel(args) -> int:
             }
         )
         return 0
+    cells = [
+        (bh.angle_label(a), bh.angle_label(b), correlators[ia, ib], _closed_form_sign_correlator(a, b))
+        for ia, a in enumerate(angles)
+        for ib, b in enumerate(angles)
+    ]
     if args.format == "csv":
         print("a,b,E,expected")
-        for ia, a in enumerate(angles):
-            for ib, b in enumerate(angles):
-                print(
-                    f"{bh.angle_label(a)},{bh.angle_label(b)},"
-                    f"{format(correlators[ia, ib], '.17g')},"
-                    f"{format(_closed_form_sign_correlator(a, b), '.17g')}"
-                )
+        for a, b, e, expected in cells:
+            print(f"{a},{b},{format(e, '.17g')},{format(expected, '.17g')}")
         return 0
     print(f"sampled {args.n} hidden directions (seed {args.seed}); {len(model.weights())} distinct strategies")
-    header = ["a", "b", "E", "expected", "|diff|"]
-    rows = []
-    for ia, a in enumerate(angles):
-        for ib, b in enumerate(angles):
-            expected = _closed_form_sign_correlator(a, b)
-            rows.append(
-                [
-                    bh.angle_label(a),
-                    bh.angle_label(b),
-                    _g(correlators[ia, ib]),
-                    _g(expected),
-                    _g(abs(correlators[ia, ib] - expected)),
-                ]
-            )
-    _print_aligned(header, rows)
+    rows = [[a, b, *(bh.angle_label(x) for x in (e, expected, abs(e - expected)))] for a, b, e, expected in cells]
+    _print_aligned(["a", "b", "E", "expected", "|diff|"], rows)
     return 0
 
 
@@ -422,7 +374,7 @@ def _parse_slab(raw) -> tuple[float, float]:
     """The optional ``"region3": [t_lo, t_hi]`` slab; `region3_screens` checks finiteness and order."""
     error = "'region3' must be a list of two finite numbers [t_lo, t_hi]"
     if isinstance(raw, list) and len(raw) == 2:
-        return bh._json_number(raw[0], error), bh._json_number(raw[1], error)
+        return bh.json_number(raw[0], error), bh.json_number(raw[1], error)
     raise ValueError(error)
 
 
@@ -434,7 +386,7 @@ def cmd_timeline(args) -> int:
     events = []
     for k, entry in enumerate(data["timeline"]):
         try:
-            t, x = (bh._json_number(entry[c], f"malformed timeline entry {k}: {c!r} must be a number") for c in "tx")
+            t, x = (bh.json_number(entry[c], f"malformed timeline entry {k}: {c!r} must be a number") for c in "tx")
             role, label = entry.get("role", "other"), entry.get("label", "")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed timeline entry {k}: {exc}") from exc

@@ -34,6 +34,7 @@ onto the region's subsystems, is a single pointer-label combination.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
@@ -44,10 +45,11 @@ from . import spacetime
 from .behavior import Behavior, HiddenVariableModel, Scenario, validate
 from .causality import CheckReport, check_outcome_independence
 from .qstate import (
+    ALG_TOL,
+    DimSpec,
     Operator,
     StateVector,
     SubsystemError,
-    _positions,
     ket,
     measurement_unitary,
     rotated_basis_matrix,
@@ -80,7 +82,7 @@ class PointerBasis:
         d = len(self.labels)
         if mat.shape != (d, d):
             raise ValueError(f"pointer basis needs a {d}x{d} matrix, got {mat.shape}")
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(d))) > 1e-12:
+        if np.max(np.abs(mat.conj().T @ mat - np.eye(d))) > ALG_TOL:
             raise ValueError("pointer basis columns are not orthonormal")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -169,21 +171,30 @@ def relative_state(
     ``conditioning`` maps subsystem labels to pointer labels; the partial
     inner product with that basis state is taken and renormalised.
     """
+    t, remaining = _condition(state.as_tensor(), state, conditioning, pointer_bases, contract=True)
+    return StateVector(remaining, t.reshape(-1))
+
+
+def _condition(
+    t: np.ndarray, state: StateVector, conditioning: Mapping[str, str], bases: Mapping[str, PointerBasis], contract: bool
+) -> tuple[np.ndarray, DimSpec]:
+    """The branch part of ``t``, normalised, and the remaining dims; ``t`` is the expansion unless ``contract``."""
     if not conditioning:
         raise ValueError("conditioning must name at least one subsystem")
-    t = state.as_tensor()
-    pairs = []
+    picks = {}
     for sub, lab in conditioning.items():
-        axis = state.axis(sub)
-        pairs.append((axis, _pointer(sub, state.dims[axis][1], pointer_bases).column(lab)))
-    pairs.sort(key=lambda p: -p[0])
-    for axis, vec in pairs:
-        t = np.tensordot(np.conjugate(vec), t, axes=([0], [axis]))
+        axis = state.axis(sub)  # SubsystemError for an unknown subsystem, before its basis is looked up
+        basis = _pointer(sub, state.dims[axis][1], bases)
+        picks[axis] = basis.column(lab) if contract else basis._index(lab)
+    if contract:
+        for axis in sorted(picks, reverse=True):
+            t = np.tensordot(np.conjugate(picks[axis]), t, axes=([0], [axis]))
+    else:
+        t = t[tuple(picks.get(axis, slice(None)) for axis in range(t.ndim))]
     norm = float(np.sqrt(np.sum(np.abs(t) ** 2)))
     if norm <= BRANCH_CUTOFF:
         raise EmptyBranchError(f"conditioning {dict(conditioning)!r} has zero overlap")
-    remaining = tuple(d for d in state.dims if d[0] not in conditioning)
-    return StateVector(remaining, t.reshape(-1) / norm)
+    return t / norm, tuple(d for d in state.dims if d[0] not in conditioning)
 
 
 def is_definite_relative(
@@ -200,31 +211,23 @@ def is_definite_relative(
     projected onto the region's axes, is one cell, i.e. the relative state
     factors as |region pattern> (x) |rest>.
     """
-    if not conditioning:
-        raise ValueError("conditioning must name at least one subsystem")
-    return _definite(_expand(state, pointer_bases)[0], state, pointer_bases, region, conditioning)
+    return _definite(_expand(state, pointer_bases)[0], state, pointer_bases, list(region), conditioning)
 
 
 def _definite(
     t: np.ndarray,
     state: StateVector,
     pointer_bases: Mapping[str, PointerBasis],
-    region: Iterable[str],
+    region: Sequence[str],
     conditioning: Mapping[str, str],
 ) -> bool:
     """`is_definite_relative` on ``t``, the state's expansion in ``pointer_bases``."""
-    index = [slice(None)] * t.ndim
-    for sub, lab in conditioning.items():
-        axis = state.axis(sub)  # SubsystemError for an unknown subsystem, before its basis is looked up
-        index[axis] = pointer_bases[sub]._index(lab)
-    t = t[tuple(index)]
-    norm = float(np.sqrt(np.sum(np.abs(t) ** 2)))
-    if norm <= BRANCH_CUTOFF:
-        raise EmptyBranchError(f"conditioning {dict(conditioning)!r} has zero overlap")
-    remaining = tuple(d for d in state.dims if d[0] not in conditioning)
-    keep = {_positions(remaining, [sub])[0] for sub in region}  # SubsystemError for unknown/conditioned-away labels
-    rest = tuple(axis for axis in range(t.ndim) if axis not in keep)
-    return int(np.count_nonzero((np.abs(t / norm) > DEFINITE_TOL).any(axis=rest))) == 1
+    t, remaining = _condition(t, state, conditioning, pointer_bases, contract=False)
+    labels = [label for label, _ in remaining]
+    if unknown := [sub for sub in region if sub not in labels]:  # unknown, or conditioned away
+        raise SubsystemError(f"unknown subsystem {unknown[0]!r}; have {tuple(labels)}")
+    rest = tuple(axis for axis, label in enumerate(labels) if label not in region)
+    return int(np.count_nonzero((np.abs(t) > DEFINITE_TOL).any(axis=rest))) == 1
 
 
 @dataclass(frozen=True)
@@ -271,6 +274,26 @@ class ProtocolTrace:
             if s.name == name:
                 return s
         raise KeyError(f"no stage named {name!r}; have {[s.name for s in self.stages]}")
+
+    def definiteness(self) -> tuple[list[str], list[list[str]]]:
+        """Header and rows of the definiteness matrix: per far wing and pointer branch, a yes/no/- cell per stage."""
+        bases = self.stages[-1].pointer_bases
+        conditionings = [("m_A", lab, "B-side") for lab in bases["m_A"].labels]
+        conditionings += [("m_B", lab, "A-side") for lab in bases["m_B"].labels]
+        for lab in bases["C"].labels if "C" in bases else ():
+            conditionings += [("C", lab, "A-side"), ("C", lab, "B-side")]
+        rows = []
+        for sub, lab, wing in conditionings:
+            row = [wing, f"{sub}={lab}"]
+            for s in self.stages:
+                cell = "-"  # the conditioning subsystem is absent, or its branch is empty
+                if sub in s.state.labels:
+                    region = [label for label in WINGS[wing] if label in s.state.labels]  # drops the box detectors
+                    with contextlib.suppress(EmptyBranchError):
+                        cell = "yes" if _definite(s.expansion, s.state, s.pointer_bases, region, {sub: lab}) else "no"
+                row.append(cell)
+            rows.append(row)
+        return ["region", "conditioned-on"] + [s.name for s in self.stages], rows
 
 
 _EV_PREP = spacetime.Event(0.0, 0.0, spacetime.Role.PREPARATION, "source")

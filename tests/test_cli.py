@@ -8,12 +8,20 @@ Claims covered:
     non-finite or negative tolerance from --tol or LOCALITY_LAB_TOL, a model
     past the cell cap (refused before its stack is allocated), JSON nested
     past the parser's depth, a scenario label field or context of the wrong
-    JSON type, or a label or context value that is not a JSON string; timeline, signmodel and chsh --grid hold the same contract on deep
+    JSON type, a label or context value that is not a JSON string, or a
+    `table` of nested lists (behaviour or lambda); timeline, signmodel and chsh --grid hold the same contract on deep
     JSON, a non-list timeline, an event coordinate that is a string or a
     boolean, an event label or role that is not a JSON string (an absent
     one stays empty or "other"), a "region3" slab that is not two finite numbers, non-finite
     angles and a step past the grid-size cap; the error line prints plain
     floats;
+  - --tol wins over LOCALITY_LAB_TOL, which is read only without it: a
+    malformed LOCALITY_LAB_TOL does not stop `--tol 0.6`, and `--tol -1`
+    exits 2 with one line although LOCALITY_LAB_TOL is valid;
+  - check's exit code and stdout sha256, recorded before the checker table
+    and the tolerance reader were rewritten, are pinned for a behaviour, a
+    one-lambda model and a sign-model file, in table, json and csv, for each
+    of the five conditions, for `all`, and for all five at --tol 0.3;
   - chsh emits the 16-strategy table, the (ceil(2 pi / step) + 1)^2-row
     correlator grid (below 33 MiB of traced allocation at 500 x 500 rows),
     and the optimisation summary;
@@ -40,6 +48,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -48,8 +57,9 @@ from pathlib import Path
 import pytest
 
 from locality_lab import cli
-from locality_lab.behavior import behavior_to_dict, from_quantum, model_to_dict
+from locality_lab.behavior import behavior_to_dict, from_quantum, model_to_dict, sign_model
 from locality_lab.behavior import HiddenVariableModel
+from locality_lab.causality import Condition
 from locality_lab.cli import main
 from locality_lab.qstate import singlet
 
@@ -142,6 +152,124 @@ class TestCheck:
         capsys.readouterr()
         assert code == 0
 
+    def test_flag_tolerance_wins_over_a_malformed_env(self, parallel_model_file, capsys, monkeypatch):
+        monkeypatch.setenv("LOCALITY_LAB_TOL", "abc")
+        code = main(["check", "--tol", "0.6", parallel_model_file])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("PASS") == 4 and "tol=0.6" in out
+
+    def test_negative_flag_tolerance_exits_two_despite_a_valid_env(self, parallel_model_file, capsys, monkeypatch):
+        monkeypatch.setenv("LOCALITY_LAB_TOL", "0.6")
+        code = main(["check", "--tol", "-1", parallel_model_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == ["error: tolerance (--tol or LOCALITY_LAB_TOL) must be finite and >= 0, got -1.0"]
+
+
+ALL_FIVE = "no-signalling,parameter-independence,outcome-independence,factorizability,determinism"
+
+
+def _one_lambda_model() -> dict:
+    b = from_quantum(singlet(), [0.0], [0.0])
+    return model_to_dict(HiddenVariableModel(b.scenario, [(1.0, b)]))
+
+
+CHECK_INPUTS = {
+    "behavior": lambda: behavior_to_dict(from_quantum(singlet(), [0.0, math.pi / 2], [0.0, math.pi / 4])),
+    "one-lambda": _one_lambda_model,
+    "sign-model": lambda: model_to_dict(sign_model([0.0, 0.7854, 1.5708], [0.0, 0.7854, 1.5708], 500, 3)[0]),
+}
+CHECK_SELECTIONS = {
+    **{name: ["--conditions", name] for name in ALL_FIVE.split(",")},
+    "all": ["--conditions", "all"],
+    "all-five-tol-0.3": ["--conditions", ALL_FIVE, "--tol", "0.3"],
+}
+
+
+class TestCheckPinned:
+    """`check` exit code and stdout sha256 for every input kind, condition selection and format."""
+
+    PINS = {
+        "behavior/no-signalling/table": (0, "6d3c7998695c4399eea332113b50a8baa839935648c8eb623a26de4c504902f1"),
+        "behavior/no-signalling/json": (0, "9fe6b7ff1ad5a27c80a018490e2c0d8a7ce26da292e8ceb57843d4e7b0b9aaab"),
+        "behavior/no-signalling/csv": (0, "59b179d457e043d8c160b481c5ecad2fc58cda47f89664bd289781d128b29fd5"),
+        "behavior/parameter-independence/table": (0, "e887ccc5dbb8c4de36ee32ca20a0ea56896ae8cd3e302a3d8a720b02fd983ae0"),
+        "behavior/parameter-independence/json": (0, "fea1f87a494038b21c9698421c9608b7d6d300863198da11e3871ce7d364a86e"),
+        "behavior/parameter-independence/csv": (0, "bb9e9f09bbf4936f65a02f36b9fa4978ede60de440eb97c6a81a116ea503906a"),
+        "behavior/outcome-independence/table": (1, "f082533274aace80e4fe6a908ccafbf0f3169fbd10c895017e9e3c9589327aa9"),
+        "behavior/outcome-independence/json": (1, "f158bd4ab2198668e915dfd31e2697eab039337907551dbac1b488d1bb1423a7"),
+        "behavior/outcome-independence/csv": (1, "770929862664146f268e0c28b922cabf97c87ff008ce77595ad7486c222f6607"),
+        "behavior/factorizability/table": (1, "20944567880e34d0a8419ac5b0fcbb02cd6da1c796095221432383f614496cd2"),
+        "behavior/factorizability/json": (1, "5d4339693bd99df6e7c2dc83df0f9157568d2a8783bb4d6e4d823ed5b51b4ab6"),
+        "behavior/factorizability/csv": (1, "2fd8d044f90aeca699e8a732b8612d6b5b6d50af957054f73e8dc51ad4706e06"),
+        "behavior/determinism/table": (0, "e974f688ea47d9cc27dd0c4e5ca1428bedb14ce2b32a377007fd94d100b3c07d"),
+        "behavior/determinism/json": (0, "d05995ca630ff0244247ab00f9b3cfe8745a5b6d8b0746fce91be54ae4ec0b64"),
+        "behavior/determinism/csv": (0, "7743708b7bc6e243ed1cb874a9a8f94dfc85ad974df7cfa93fa66612b6c9dd68"),
+        "behavior/all/table": (0, "6d3c7998695c4399eea332113b50a8baa839935648c8eb623a26de4c504902f1"),
+        "behavior/all/json": (0, "9fe6b7ff1ad5a27c80a018490e2c0d8a7ce26da292e8ceb57843d4e7b0b9aaab"),
+        "behavior/all/csv": (0, "59b179d457e043d8c160b481c5ecad2fc58cda47f89664bd289781d128b29fd5"),
+        "behavior/all-five-tol-0.3/table": (1, "6fcc65fb5123113f0022aec5091cd74c52373a9db4ad2cd4fa15c197ade11563"),
+        "behavior/all-five-tol-0.3/json": (1, "aab3f613e9574fcfd62b01f372ad145fa7a41173c41dccbf84edadc0c461e674"),
+        "behavior/all-five-tol-0.3/csv": (1, "149ab4e47bdd94b258ea7f06f743419f163c6dab939fa5ede3df553ac9c99f4d"),
+        "one-lambda/no-signalling/table": (0, "f8bd9463f86b314bca01f3577c6694df60542fed24339550ec7ec7327428f6f0"),
+        "one-lambda/no-signalling/json": (0, "b2c5a4c69ea6de271ce230cfff6a1c83c09b5987dbcbab65a2746ff5878b8b97"),
+        "one-lambda/no-signalling/csv": (0, "38411f9c480877c1cae057a0afe3d7ba41d578b8bbb4886e2e6c0ce0b91c9e85"),
+        "one-lambda/parameter-independence/table": (0, "b73b1592ee2dfe6522c862918a226e5189642a4bae8edd3cc9650a973e7966c9"),
+        "one-lambda/parameter-independence/json": (0, "12bfbad4cc0db8f7188870a32012f7077e4c3da5356a5de3fd122103ed1a6f43"),
+        "one-lambda/parameter-independence/csv": (0, "2bb5fec62bf168b3f9e82cf09e5565cf823f84f0921e458d400bf1bed011c8ef"),
+        "one-lambda/outcome-independence/table": (1, "5ef6493f3aa14cc00b795b5228b462adab85cf6d93b24db3cdbac60cb79e0fd2"),
+        "one-lambda/outcome-independence/json": (1, "0f8595b77a83844f5e958325bd598def57d45763020e3da33fc530f3a65d9d6d"),
+        "one-lambda/outcome-independence/csv": (1, "73cc0c60f97032b7b7f9017fbe4d2bafa84dc4ca5369f9a4f2d985ebc51a21e2"),
+        "one-lambda/factorizability/table": (1, "57a71d732db6906c4b1919e90d107333205fe491d755463a475b7856716f0036"),
+        "one-lambda/factorizability/json": (1, "d843cedfc6b2f6863508ce2b82748feaf6ade5e7fb59f05ba3d4dde63747e1b5"),
+        "one-lambda/factorizability/csv": (1, "9e5b8b6e05ad4cba912635a6599a2ee8507262bf4fdc0476090c487ebe6ed089"),
+        "one-lambda/determinism/table": (0, "f01f43bad3d44f298f15e9d65a173f83dc7699a105ddb26e1af6e8e52fd0e332"),
+        "one-lambda/determinism/json": (0, "33930c61d0bf038bf16041b6c626ccee89fc2b501b9255285eb3f48f1bc5ff04"),
+        "one-lambda/determinism/csv": (0, "9e259cc58ecf8c837808d3593489e5f1f5591016def1720c9560eb2a2739746e"),
+        "one-lambda/all/table": (1, "9edaaeae26d0e65f9ad7406b83cfaf122f47573e5ee798fe7d9c8517df3cf07d"),
+        "one-lambda/all/json": (1, "b8fab6493b4bd127c63950f418ef564f02386d8848c6c60a5d50d3e455d1cbac"),
+        "one-lambda/all/csv": (1, "fd3c3b1b37eb78fca01fe34a408788694feb3757e576e02dbe4a3bbd03b75b06"),
+        "one-lambda/all-five-tol-0.3/table": (1, "75a63aecf4e2de9763aa158fcf783d16894a2f7ebc9fb8df71f5b4375c91a3da"),
+        "one-lambda/all-five-tol-0.3/json": (1, "be5a5e594879b166d01098eb392f76d2e372218a1a795ac731076d402a8dfbb6"),
+        "one-lambda/all-five-tol-0.3/csv": (1, "546d3e3d9a2101156cc0c7957318363c6f5955d66c7f8a0e6389eee5096f545d"),
+        "sign-model/no-signalling/table": (0, "3bba341a1cbdcadcdc43ce33e919aaef0aa7061a124430addd48ca07017e4c30"),
+        "sign-model/no-signalling/json": (0, "8bd98f006269ff9597e8b91376926902b7236d75c806e4c40957dedc2ea75a68"),
+        "sign-model/no-signalling/csv": (0, "4f63b6be0c5d0aa12dcdec4322bb9eebd7fcf1d65f938ec0b952fee2187e0db4"),
+        "sign-model/parameter-independence/table": (0, "b73b1592ee2dfe6522c862918a226e5189642a4bae8edd3cc9650a973e7966c9"),
+        "sign-model/parameter-independence/json": (0, "12bfbad4cc0db8f7188870a32012f7077e4c3da5356a5de3fd122103ed1a6f43"),
+        "sign-model/parameter-independence/csv": (0, "2bb5fec62bf168b3f9e82cf09e5565cf823f84f0921e458d400bf1bed011c8ef"),
+        "sign-model/outcome-independence/table": (0, "8d70aedd6ba99daadd5e811586014634c286c88a993d24d4ffd1c2d1537776fb"),
+        "sign-model/outcome-independence/json": (0, "f53cfe77b20130c3324ff30089a501beb528696f88d6b407e1cae20845d96996"),
+        "sign-model/outcome-independence/csv": (0, "f00f00c27af6f3c1e6c76a064b7b198ec960579c73e1eb8a6b45e4316d7d7721"),
+        "sign-model/factorizability/table": (0, "5e72859d90f7da472b55c55ffa7eb07d43d062a505987ca5b3d91fcbbd9961d9"),
+        "sign-model/factorizability/json": (0, "1f15e30daeab897eb31f6c2c759eb209a433b0a9ae51fc7f73abd0c6d1a49f3a"),
+        "sign-model/factorizability/csv": (0, "d1e49f96b257a8a91715c410865915dc6f16794a6da93197c211d94ff733a70e"),
+        "sign-model/determinism/table": (0, "1cbff3631262b25d5b05db27a1b111208f1e5e93cf83aa434da3a4624e3e6750"),
+        "sign-model/determinism/json": (0, "6b56993cdd14e56b35e2d70ba7a41bdf693c7e3e14bdc93c59b78a243f45ddb1"),
+        "sign-model/determinism/csv": (0, "c0307d9a157ac7a33471b89140b074c33d6dccb80c7d9f03ebc4d7fbf928d01a"),
+        "sign-model/all/table": (0, "2f1d5cd522fdd6a34342d101338e7aa869d3b48bc5a2be6f5dd92033326e185e"),
+        "sign-model/all/json": (0, "84dec7d6fb26e45ca538847d9eae65381cd1212c01b6ba0ba593649bf581ef37"),
+        "sign-model/all/csv": (0, "f7a00830b3a3c82e48d2d8294237cbd9469775b357f287ed467c7a268d5fc732"),
+        "sign-model/all-five-tol-0.3/table": (0, "3bc5d30db37bbd992e25ccea660571a2004443f76adb2ad7a916561bc23ef167"),
+        "sign-model/all-five-tol-0.3/json": (0, "7cce031fbfe1742de78cb5d899c9977f1a5f1e17616c6d9fab075390296d1279"),
+        "sign-model/all-five-tol-0.3/csv": (0, "0658080be60234213f14963be4e09459f8bffc2e2c4063707ffd81e8ed6cd760"),
+    }
+
+    @pytest.mark.parametrize("key", ["/".join(k) for k in itertools.product(CHECK_INPUTS, CHECK_SELECTIONS, ("table", "json", "csv"))])
+    def test_stdout_pinned(self, key, tmp_path, capsys):
+        inp, selection, fmt = key.split("/")
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(CHECK_INPUTS[inp]()))
+        code = main(["check", *CHECK_SELECTIONS[selection], "--format", fmt, str(path)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert (code, hashlib.sha256(captured.out.encode()).hexdigest()) == self.PINS[key]
+
+    def test_checker_table_follows_the_condition_order(self):
+        # the unknown-condition error lists the known names in this order
+        assert list(cli._CHECKS) == [c.value for c in Condition]
+
 
 PARALLEL = {"settings_a": ["0"], "settings_b": ["0"]}
 WIDE = {"settings_a": [str(k) for k in range(1000)], "settings_b": [str(k) for k in range(1000)]}
@@ -164,8 +292,10 @@ class TestInputContract:
         [
             (["check"], json.dumps({"scenario": PARALLEL, "table": {"x": 1}}), {}),
             (["check"], json.dumps({"scenario": PARALLEL, "table": ["x", 0.5, 0.5, 0.0]}), {}),
+            (["check"], json.dumps({"scenario": PARALLEL, "table": [[0.0, 0.5], [0.5, 0.0]]}), {}),
             (["check"], json.dumps({"scenario": PARALLEL, "lambdas": 5}), {}),
             (["check"], json.dumps({"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": 0.25}]}), {}),
+            (["check"], json.dumps({"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": [ANTI[:2], ANTI[2:]]}]}), {}),
             (["check", "--conditions", "parameter-independence"], json.dumps(_model(float("nan"), 1.0)), {}),
             (["check"], json.dumps(_model(float("inf"), 1.0)), {}),
             (["check"], json.dumps(_model(1.0, float("-inf"))), {}),
@@ -204,8 +334,10 @@ class TestInputContract:
         ids=[
             "table-object",
             "table-strings",
+            "table-nested",
             "lambdas-int",
             "lambda-table-number",
+            "lambda-table-nested",
             "nan-weight",
             "inf-weight",
             "minus-inf-weight",

@@ -44,7 +44,7 @@ Claims covered:
     listed cell by cell, and region patterns counted in the normalised
     conditioned slice; on every protocol stage and on seeded random states
     in rotated bases;
-  - the `everett` definiteness matrix, read off each stage's stored
+  - `ProtocolTrace.definiteness()`, read off each stage's stored
     expansion, equals the same oracle cell by cell ("-" for an absent
     conditioning subsystem or a zero-overlap branch) on the aligned protocol
     and on the general protocol at 1,216 angles: edge values near 0, pi and
@@ -62,7 +62,7 @@ import numpy as np
 import pytest
 
 from locality_lab.behavior import Behavior
-from locality_lab.cli import _definiteness_rows, main
+from locality_lab.cli import main
 from locality_lab.everett import (
     BRANCH_CUTOFF,
     DEFINITE_TOL,
@@ -675,7 +675,7 @@ def oracle_definiteness_rows(trace):
 class TestDefinitenessRows:
     def test_parallel_protocol(self):
         trace = run_parallel_epr()
-        header, rows = _definiteness_rows(trace)
+        header, rows = trace.definiteness()
         assert header == ["region", "conditioned-on"] + [stage.name for stage in trace.stages]
         assert rows == oracle_definiteness_rows(trace)
 
@@ -684,7 +684,7 @@ class TestDefinitenessRows:
         cells = {"yes": 0, "no": 0, "-": 0}
         for theta in ROW_THETAS:
             trace = run_nonparallel(theta)
-            _, rows = _definiteness_rows(trace)
+            _, rows = trace.definiteness()
             assert rows == oracle_definiteness_rows(trace), theta
             for row in rows:
                 for cell in row[2:]:

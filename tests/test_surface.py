@@ -9,6 +9,9 @@ Claims covered:
     shrinkage shows up as a deliberate edit of SRC_LINES;
   - every `Stage(...)` call in the package lies inside `everett._run`, the
     one stage runner, so no second way to build a protocol trace comes back;
+  - no module reads another package module's private (underscore) name, by
+    attribute on the imported module or by `from .module import _name`, so
+    every rule a module needs from another is public there;
   - `locality_lab.__all__` has no duplicates and every name in it resolves.
 """
 
@@ -20,7 +23,7 @@ from pathlib import Path
 import locality_lab
 
 OPTIONS = 15
-SRC_LINES = 2577
+SRC_LINES = 2552
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -109,6 +112,51 @@ def test_stages_are_built_only_by_the_runner():
     package = Path(locality_lab.__file__).parent
     found = {path.name: stage_calls(path.read_text()) for path in sorted(package.glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls != (0, [])} == {"everett.py": (1, [])}
+
+
+def private_reads(source: str) -> list[str]:
+    """`module._name` reads of other package modules in one module's source.
+
+    A read is an underscore attribute of a module imported with
+    `from . import module [as alias]`, or an underscore name imported with
+    `from .module import _name`. Dunder names count as public.
+    """
+    tree = ast.parse(source)
+    modules, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    found.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if _private(node.attr):
+                found.append(f"{modules[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_private_finder_follows_the_rule():
+    source = '''
+from . import behavior as bh, everett
+from .qstate import _positions, ket
+from .spacetime import __doc__
+
+def f(obj):
+    return bh._json_number(1, ""), everett._definite, everett.WINGS, bh.__name__, obj._index, _positions
+'''
+    assert private_reads(source) == ["behavior._json_number", "everett._definite", "qstate._positions"]
+
+
+def test_no_module_reads_another_modules_private_names():
+    package = Path(locality_lab.__file__).parent
+    found = {path.name: private_reads(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: reads for name, reads in found.items() if reads} == {}
 
 
 def test_exports_unique_and_resolvable():
