@@ -7,126 +7,49 @@ tables, reproduces the CHSH and original three-setting Bell bounds both
 classically and against a Born-rule oracle, and simulates two-wing
 measurement protocols branch by branch, including the causal-structure
 bookkeeping of where a comparison of the two wings may take place.
+
+Importing the package loads none of its modules: each public name, and each
+submodule, is imported on first access (PEP 562), so an entry point pays only
+for the layers it uses.
 """
 
 from __future__ import annotations
 
-from .behavior import (
-    Behavior,
-    HiddenVariableModel,
-    Scenario,
-    angle_label,
-    average,
-    from_quantum,
-    sign_model,
-    validate,
-)
-from .causality import (
-    CheckReport,
-    Condition,
-    check_factorizability,
-    check_no_signalling,
-    check_outcome_independence,
-    check_parameter_independence,
-    jarrett_equivalence,
-    suppes_zanotti_reduction,
-)
-from .everett import (
-    Branch,
-    PointerBasis,
-    ProtocolTrace,
-    Stage,
-    comparison_measurement,
-    decompose,
-    einstein_boxes,
-    is_definite_relative,
-    relative_state,
-    run_nonparallel,
-    run_parallel_epr,
-)
-from .inequalities import (
-    Bell1964Result,
-    ChshResult,
-    ClassicalBound,
-    CorrelatorSet,
-    bell_1964,
-    chsh,
-    classical_bound,
-    quantum_max,
-)
-from .qstate import (
-    Operator,
-    StateVector,
-    born_joint,
-    correlator_matrix,
-    joint_probability_table,
-    measurement_unitary,
-    singlet,
-    tensor,
-)
-from .spacetime import (
-    Event,
-    IntervalClass,
-    Role,
-    boost,
-    in_future_lightcone,
-    interval_class,
-    region3_screens,
-    validate_protocol,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Behavior",
-    "Bell1964Result",
-    "Branch",
-    "CheckReport",
-    "ChshResult",
-    "ClassicalBound",
-    "Condition",
-    "CorrelatorSet",
-    "Event",
-    "HiddenVariableModel",
-    "IntervalClass",
-    "Operator",
-    "PointerBasis",
-    "ProtocolTrace",
-    "Role",
-    "Scenario",
-    "Stage",
-    "StateVector",
-    "angle_label",
-    "average",
-    "bell_1964",
-    "boost",
-    "born_joint",
-    "check_factorizability",
-    "check_no_signalling",
-    "check_outcome_independence",
-    "check_parameter_independence",
-    "chsh",
-    "classical_bound",
-    "comparison_measurement",
-    "correlator_matrix",
-    "decompose",
-    "einstein_boxes",
-    "from_quantum",
-    "in_future_lightcone",
-    "interval_class",
-    "is_definite_relative",
-    "jarrett_equivalence",
-    "joint_probability_table",
-    "measurement_unitary",
-    "quantum_max",
-    "region3_screens",
-    "relative_state",
-    "run_nonparallel",
-    "run_parallel_epr",
-    "sign_model",
-    "singlet",
-    "suppes_zanotti_reduction",
-    "tensor",
-    "validate",
-    "validate_protocol",
-]
+_SUBMODULES = ("qstate", "behavior", "causality", "inequalities", "everett", "spacetime", "cli")
+_EXPORTS = {  # defining module -> its public names
+    "behavior": ("Behavior", "HiddenVariableModel", "Scenario", "angle_label", "average", "from_quantum", "sign_model",
+                 "validate"),
+    "causality": ("CheckReport", "Condition", "check_factorizability", "check_no_signalling",
+                  "check_outcome_independence", "check_parameter_independence", "jarrett_equivalence",
+                  "suppes_zanotti_reduction"),
+    "everett": ("Branch", "PointerBasis", "ProtocolTrace", "Stage", "comparison_measurement", "decompose",
+                "einstein_boxes", "is_definite_relative", "relative_state", "run_nonparallel", "run_parallel_epr"),
+    "inequalities": ("Bell1964Result", "ChshResult", "ClassicalBound", "CorrelatorSet", "bell_1964", "chsh",
+                     "classical_bound", "quantum_max"),
+    "qstate": ("Operator", "StateVector", "born_joint", "correlator_matrix", "joint_probability_table",
+               "measurement_unitary", "singlet", "tensor"),
+    "spacetime": ("Event", "IntervalClass", "Role", "boost", "in_future_lightcone", "interval_class", "region3_screens",
+                  "validate_protocol"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """A submodule, or a public name bound here from its defining module, imported on first access."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")  # the import binds it on the package
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -16,6 +16,10 @@ Angles are radians everywhere. Output is deterministic: identical invocations
 (including seeds) produce byte-identical output. Exit codes: 0 all requested
 checks pass, 1 a check failed, 2 usage or input error. The environment
 variable LOCALITY_LAB_TOL overrides the default check tolerance.
+
+Only `behavior`, `inequalities` and `qstate` are imported with this module;
+`causality`, `everett` and `spacetime` are imported by the subcommands that
+use them, so `chsh`, `bell1964` and `signmodel` never load them.
 """
 
 from __future__ import annotations
@@ -26,20 +30,22 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import behavior as bh
-from . import causality as ca
-from . import everett as ev
 from . import inequalities as ineq
-from . import spacetime as st
 from .qstate import singlet
+
+if TYPE_CHECKING:
+    from . import causality as ca, everett as ev
 
 MAX_GRID_ANGLES = 1000  # per axis of `chsh --grid`, so at most 10**6 CSV rows
 
 
 def _tolerance(flag: float | None) -> float:
     """The check tolerance: --tol, else LOCALITY_LAB_TOL (read only without --tol), else the checkers' default."""
+    from . import causality as ca
+
     tol = flag
     if tol is None:
         raw = os.environ.get("LOCALITY_LAB_TOL")
@@ -68,12 +74,12 @@ def _print_json(obj) -> None:
 
 # -- check ----------------------------------------------------------------------
 
-_CHECKS = {  # each checker is looked up on `ca` per call, so a wrapper installed after import sees every check
-    "no-signalling": lambda model, observable, tol: ca.check_no_signalling(observable, tol),
-    "parameter-independence": lambda model, observable, tol: ca.check_parameter_independence(model, tol),
-    "outcome-independence": lambda model, observable, tol: ca.check_outcome_independence(model, tol),
-    "factorizability": lambda model, observable, tol: ca.check_factorizability(model, tol),
-    "determinism": lambda model, observable, tol: ca.suppes_zanotti_reduction(model, tol),
+_CHECKS = {  # each checker is read off the `causality` module passed in per call, so a wrapper installed later sees it
+    "no-signalling": lambda ca, model, observable, tol: ca.check_no_signalling(observable, tol),
+    "parameter-independence": lambda ca, model, observable, tol: ca.check_parameter_independence(model, tol),
+    "outcome-independence": lambda ca, model, observable, tol: ca.check_outcome_independence(model, tol),
+    "factorizability": lambda ca, model, observable, tol: ca.check_factorizability(model, tol),
+    "determinism": lambda ca, model, observable, tol: ca.suppes_zanotti_reduction(model, tol),
 }
 
 
@@ -115,6 +121,8 @@ def _print_reports_table(reports: list[ca.CheckReport]) -> None:
 
 
 def cmd_check(args) -> int:
+    from . import causality as ca
+
     obj = bh.from_dict(_load_json(args.file))
     is_model = isinstance(obj, bh.HiddenVariableModel)
     tol = _tolerance(args.tol)
@@ -125,7 +133,7 @@ def cmd_check(args) -> int:
         model, observable = obj, (bh.average(obj) if "no-signalling" in names else None)
     else:
         model, observable = bh.HiddenVariableModel(obj.scenario, [(1.0, obj)]), obj
-    reports = [_CHECKS[name](model, observable, tol) for name in names]
+    reports = [_CHECKS[name](ca, model, observable, tol) for name in names]
     if args.format == "json":
         _print_json(
             {
@@ -267,6 +275,8 @@ def _trace_json(trace: ev.ProtocolTrace) -> dict:
 
 
 def cmd_everett(args) -> int:
+    from . import everett as ev
+
     trace = ev.run_parallel_epr() if args.theta == 0.0 else ev.run_nonparallel(args.theta)
     header, rows = _branch_rows(trace)
     if args.format == "csv":
@@ -293,6 +303,8 @@ def cmd_everett(args) -> int:
 
 
 def cmd_boxes(args) -> int:
+    from . import causality as ca, everett as ev
+
     trace, induced, oi_report = ev.einstein_boxes()
     ns_report = ca.check_no_signalling(induced)
     if args.format == "json":
@@ -360,16 +372,6 @@ def cmd_signmodel(args) -> int:
 
 # -- timeline -----------------------------------------------------------------------
 
-_ROLE_ALIASES = {r.value.replace("-", ""): r for r in st.Role}
-
-
-def _parse_role(raw: str) -> st.Role:
-    key = raw.replace("-", "").replace("_", "").lower()
-    if key not in _ROLE_ALIASES:
-        raise ValueError(f"unknown event role {raw!r}")
-    return _ROLE_ALIASES[key]
-
-
 def _parse_slab(raw) -> tuple[float, float]:
     """The optional ``"region3": [t_lo, t_hi]`` slab; `region3_screens` checks finiteness and order."""
     error = "'region3' must be a list of two finite numbers [t_lo, t_hi]"
@@ -379,6 +381,9 @@ def _parse_slab(raw) -> tuple[float, float]:
 
 
 def cmd_timeline(args) -> int:
+    from . import spacetime as st
+
+    roles = {r.value.replace("-", ""): r for r in st.Role}  # a role is named case-blind, with or without - and _
     data = _load_json(args.file)
     if not isinstance(data, dict) or not isinstance(data.get("timeline"), list):
         raise ValueError("timeline file must be an object with a 'timeline' list")
@@ -393,7 +398,9 @@ def cmd_timeline(args) -> int:
         for key, value in (("role", role), ("label", label)):
             if not isinstance(value, str):
                 raise ValueError(f"malformed timeline entry {k}: {key!r} must be a string")
-        events.append(st.Event(t, x, _parse_role(role), label))
+        if (alias := role.replace("-", "").replace("_", "").lower()) not in roles:
+            raise ValueError(f"unknown event role {role!r}")
+        events.append(st.Event(t, x, roles[alias], label))
     report = st.validate_protocol(events)
     if slab is not None:
         report = st.ProtocolReport(report.checks + (st.region3_screens(events, slab),))

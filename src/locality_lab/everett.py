@@ -109,6 +109,7 @@ class PointerBasis:
 SPIN_POINTER = PointerBasis.computational(("up", "down"))
 COMPARER_POINTER = PointerBasis.computational(("uu", "ud", "du", "dd"))
 WINGS = {"A-side": ("s1", "m_A", "d_L"), "B-side": ("s2", "m_B", "d_R")}  # each wing's subsystems
+_RECORDS = {"A-side": ("m_A", "d_L"), "B-side": ("m_B", "d_R")}  # the subsystems of a wing that record its outcome
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,11 @@ class Stage:
 
 @dataclass(frozen=True)
 class ProtocolTrace:
-    """Stages in time order; refuses events out of causal order and measurement stages that act on the far wing."""
+    """Stages in time order; refuses events out of causal order and measurement stages that act on the far wing.
+
+    Out of causal order means a stage whose event lies in the future light
+    cone of a stage listed after it.
+    """
 
     stages: tuple[Stage, ...]
 
@@ -259,6 +264,10 @@ class ProtocolTrace:
         report = spacetime.validate_protocol([s.event for s in self.stages])
         if not report.passed:
             raise ValueError(f"stage events are not causally ordered: {report.to_dict()}")
+        for i, s in enumerate(self.stages):
+            for later in self.stages[i + 1 :]:
+                if spacetime.in_future_lightcone(s.event, later.event):
+                    raise ValueError(f"stage {s.name!r} lies in the future light cone of the later stage {later.name!r}")
         for s in self.stages:
             far = _FAR_WING.get(s.event.role, ())
             reached = [label for label, _ in s.operator.dims if label in far] if s.operator else []
@@ -276,10 +285,20 @@ class ProtocolTrace:
         raise KeyError(f"no stage named {name!r}; have {[s.name for s in self.stages]}")
 
     def definiteness(self) -> tuple[list[str], list[list[str]]]:
-        """Header and rows of the definiteness matrix: per far wing and pointer branch, a yes/no/- cell per stage."""
+        """Header and rows of the definiteness matrix: per far wing and pointer branch, a yes/no/- cell per stage.
+
+        The branches are those of each wing's records in the last stage (the
+        apparatus ``m_A``/``m_B``, or the box detectors ``d_L``/``d_R``), then
+        those of the comparer ``C`` when it is there.
+        """
         bases = self.stages[-1].pointer_bases
-        conditionings = [("m_A", lab, "B-side") for lab in bases["m_A"].labels]
-        conditionings += [("m_B", lab, "A-side") for lab in bases["m_B"].labels]
+        conditionings = [
+            (sub, lab, far)
+            for near, far in (("A-side", "B-side"), ("B-side", "A-side"))
+            for sub in _RECORDS[near]
+            if sub in bases
+            for lab in bases[sub].labels
+        ]
         for lab in bases["C"].labels if "C" in bases else ():
             conditionings += [("C", lab, "A-side"), ("C", lab, "B-side")]
         rows = []

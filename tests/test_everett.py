@@ -29,6 +29,13 @@ Claims covered:
     the other wing in `WINGS` (A: s1, m_A, d_L; B: s2, m_B, d_R) is refused
     when the trace is built, exactly: B measuring s1 into m_B, open-left
     naming d_R, and an A operator that is the identity on s2 all raise;
+  - a trace refuses a stage listed before a stage in whose future light
+    cone (boundary included) its event lies: the comparison listed before
+    both measurements, and a preparation listed first at t = 9, after
+    measurement A at t = 3, in every protocol; it accepts measurements listed
+    in either order, equal times, and the three shipped protocols (the
+    general one at 81 angles in [-4, 4], whose rotated view shares the
+    preparation's event);
   - every query reads a declared pointer basis: a subsystem without one
     raises SubsystemError naming it;
   - no action at a distance: in all three protocols the two local
@@ -48,7 +55,9 @@ Claims covered:
     expansion, equals the same oracle cell by cell ("-" for an absent
     conditioning subsystem or a zero-overlap branch) on the aligned protocol
     and on the general protocol at 1,216 angles: edge values near 0, pi and
-    2 pi, log-spaced small angles and seeded angles in [-10, 10];
+    2 pi, log-spaced small angles and seeded angles in [-10, 10]; on the
+    two-box trace it conditions on the detector readings `d_L` and `d_R`
+    and matches a hand-derived matrix;
   - one `everett` invocation builds at most two pointer bases.
 """
 
@@ -534,6 +543,53 @@ class TestLocalOperators:
             _run(trace.stages[0].state, plan)
 
 
+class TestListingOrder:
+    """A trace refuses a stage listed before a stage in whose future light cone its event lies."""
+
+    def test_comparison_listed_before_both_measurements_is_refused(self):
+        trace = run_nonparallel(1.0472)
+        plan = steps(trace)
+        compare = plan[4]
+        plan = plan[:2] + [compare] + [step[:3] + (compare[3],) for step in plan[2:4]]  # C needs a basis from there on
+        with pytest.raises(
+            ValueError, match="stage 'comparison' lies in the future light cone of the later stage 'measurement-a'"
+        ):
+            _run(trace.stages[0].state, plan)
+        prep, view, a, b, c = trace.stages  # the trace itself refuses the order, however the stages were built
+        with pytest.raises(ValueError, match="future light cone"):
+            ProtocolTrace((prep, view, c, a, b))
+
+    @pytest.mark.parametrize("build", PROTOCOLS.values(), ids=PROTOCOLS.keys())
+    def test_preparation_after_measurement_a_is_refused(self, build):
+        # listed first, but at t = 9 it lies in the future light cone of measurement A at (3, -2)
+        trace = build()
+        plan = steps(trace)
+        name, event, operator, bases = plan[0]
+        plan[0] = (name, dataclasses.replace(event, t=9.0), operator, bases)
+        with pytest.raises(ValueError, match="stage 'preparation' lies in the future light cone of the later stage"):
+            _run(trace.stages[0].state, plan)
+
+    def test_lightlike_is_refused_and_spacelike_or_simultaneous_accepted(self):
+        prep, a, b = run_parallel_epr().stages
+        on_cone = dataclasses.replace(prep.event, t=a.event.t + 2.0, x=a.event.x + 2.0)
+        with pytest.raises(ValueError, match="future light cone"):
+            ProtocolTrace((dataclasses.replace(prep, event=on_cone), a, b))
+        assert ProtocolTrace((prep, b, a)).stages == (prep, b, a)  # the measurements are spacelike
+        same_time = dataclasses.replace(prep.event, t=a.event.t)
+        assert ProtocolTrace((a, dataclasses.replace(prep, event=same_time), b)).stages[1].event == same_time
+
+    def test_shipped_protocols_are_accepted(self):
+        thetas = np.linspace(-4.0, 4.0, 81)
+        traces = [run_parallel_epr(), einstein_boxes()[0]] + [run_nonparallel(float(theta)) for theta in thetas]
+        for trace in traces:
+            events = [stage.event for stage in trace.stages]
+            pairs = [(e, f) for i, e in enumerate(events) for f in events[i + 1 :]]
+            # the oracle: no event is later than, and not spacelike to, an event listed after it
+            assert not any(e.t > f.t and (e.t - f.t) ** 2 >= (e.x - f.x) ** 2 for e, f in pairs)
+        view = traces[-1].stage("rotated-view")
+        assert view.event.t == traces[-1].stage("preparation").event.t  # strict t order keeps a shared time legal
+
+
 def oracle_expansion(state, bases):
     """Amplitude tensor in the pointer bases: one Kronecker product of B^H applied to the amplitudes."""
     big = np.ones((1, 1))
@@ -678,6 +734,17 @@ class TestDefinitenessRows:
         header, rows = trace.definiteness()
         assert header == ["region", "conditioned-on"] + [stage.name for stage in trace.stages]
         assert rows == oracle_definiteness_rows(trace)
+
+    def test_einstein_boxes(self):
+        # the other box's detector relative to each reading of one detector; "-" marks a reading no branch has yet
+        header, rows = einstein_boxes()[0].definiteness()
+        assert header == ["region", "conditioned-on", "preparation", "open-left", "open-right"]
+        assert rows == [
+            ["B-side", "d_L=empty", "yes", "yes", "yes"],
+            ["B-side", "d_L=found", "-", "yes", "yes"],
+            ["A-side", "d_R=empty", "yes", "no", "yes"],
+            ["A-side", "d_R=found", "-", "-", "yes"],
+        ]
 
     def test_nonparallel_protocol_at_every_row_angle(self):
         assert len(ROW_THETAS) == 1216

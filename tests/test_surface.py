@@ -12,18 +12,33 @@ Claims covered:
   - no module reads another package module's private (underscore) name, by
     attribute on the imported module or by `from .module import _name`, so
     every rule a module needs from another is public there;
-  - `locality_lab.__all__` has no duplicates and every name in it resolves.
+  - in a fresh interpreter, `locality_lab.__all__` is sorted and has no
+    duplicates, `dir(locality_lab)` lists every name in it before any is
+    read, `from locality_lab import *` binds every name to the object its
+    defining module holds, and the seven module names resolve;
+  - each entry point loads only the modules it uses, each counted in a fresh
+    interpreter: `import locality_lab` loads none; `bell1964`, `chsh` and
+    `signmodel` load `qstate`, `behavior`, `inequalities` and `cli`, and
+    `python -m locality_lab.cli bell1964` reads the code of those four
+    modules and `__init__` only; `check` adds `causality`, `timeline` adds
+    `spacetime`, and `everett` and `boxes` load all seven.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import locality_lab
 
 OPTIONS = 15
-SRC_LINES = 2552
+SRC_LINES = 2501
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -159,7 +174,82 @@ def test_no_module_reads_another_modules_private_names():
     assert {name: reads for name, reads in found.items() if reads} == {}
 
 
+MODULES = ("qstate", "behavior", "causality", "inequalities", "everett", "spacetime", "cli")
+BELL_LAYERS = ["behavior", "cli", "inequalities", "qstate"]
+BELL1964 = ["bell1964", "--a", "0", "--b", "1.0471975511965976", "--c", "2.0943951023931953"]
+
+
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with these arguments that imports the package from this source tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(locality_lab.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_exports_unique_and_resolvable():
-    names = locality_lab.__all__
-    assert len(names) == len(set(names))
-    assert [name for name in names if not hasattr(locality_lab, name)] == []
+    script = f"""
+import json, sys
+import locality_lab
+listed = set(dir(locality_lab))
+names = locality_lab.__all__
+star = {{}}
+exec("from locality_lab import *", star)
+print(json.dumps({{
+    "sorted_unique": names == sorted(set(names)),
+    "not_in_dir": [n for n in names if n not in listed],
+    "not_bound_by_star": [n for n in names if n not in star],
+    "not_the_defining_object": [n for n in names if getattr(sys.modules[star[n].__module__], n) is not star[n]],
+    "unresolved_modules": [m for m in {MODULES!r} if not hasattr(locality_lab, m)],
+}}))
+"""
+    assert json.loads(fresh("-c", script).stdout) == {
+        "sorted_unique": True,
+        "not_in_dir": [],
+        "not_bound_by_star": [],
+        "not_the_defining_object": [],
+        "unresolved_modules": [],
+    }
+
+
+INPUTS = {
+    "behavior.json": {"scenario": {"settings_a": ["0"], "settings_b": ["0"]}, "table": [0.0, 0.5, 0.5, 0.0]},
+    "timeline.json": {
+        "timeline": [{"t": 2, "x": -2, "role": "measurement-a"}, {"t": 2, "x": 2, "role": "measurement-b"}]
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (None, []),
+        (BELL1964, BELL_LAYERS),
+        (["chsh", "--classical"], BELL_LAYERS),
+        (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,1"], BELL_LAYERS),
+        (["check", "behavior.json"], sorted(BELL_LAYERS + ["causality"])),
+        (["timeline", "timeline.json"], sorted(BELL_LAYERS + ["spacetime"])),
+        (["everett", "--theta", "1.0472"], sorted(MODULES)),
+        (["boxes"], sorted(MODULES)),
+    ],
+    ids=["import", "bell1964", "chsh", "signmodel", "check", "timeline", "everett", "boxes"],
+)
+def test_each_entry_point_loads_only_what_it_uses(argv, loaded, tmp_path):
+    """Package modules in `sys.modules` after `import locality_lab`, then `cli.main(argv)` if given."""
+    for name, payload in INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    script = "import json, sys\nimport locality_lab\n"
+    if argv is not None:
+        argv = [str(tmp_path / arg) if arg in INPUTS else arg for arg in argv]
+        script += f"from locality_lab import cli\nassert cli.main({argv!r}) == 0\n"
+    script += "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('locality_lab.'))))\n"
+    assert json.loads(fresh("-c", script).stdout.splitlines()[-1]) == loaded
+
+
+def test_cold_start_compiles_only_the_bell_layers():
+    """`python -v` names the file each module's code object comes from: source, or cached bytecode."""
+    stderr = fresh("-v", "-m", "locality_lab.cli", *BELL1964).stderr
+    marker = "# code object from "
+    paths = [Path(line[len(marker) :].strip("'")) for line in stderr.splitlines() if line.startswith(marker)]
+    read = sorted(path.name.split(".")[0] for path in paths if "locality_lab" in path.parts)
+    assert read == sorted(BELL_LAYERS + ["__init__"])  # run as __main__, cli's code is read once too
