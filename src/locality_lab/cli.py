@@ -305,8 +305,9 @@ def cmd_everett(args) -> int:
 def cmd_boxes(args) -> int:
     from . import causality as ca, everett as ev
 
-    trace, induced, oi_report = ev.einstein_boxes()
-    ns_report = ca.check_no_signalling(induced)
+    trace, induced = ev.einstein_boxes()
+    one_lambda = bh.HiddenVariableModel.from_arrays(induced.scenario, [1.0], induced.table[None])
+    ns_report, oi_report = ca.check_no_signalling(induced), ca.check_outcome_independence(one_lambda)
     if args.format == "json":
         _print_json(
             {

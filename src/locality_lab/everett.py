@@ -42,8 +42,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import spacetime
-from .behavior import Behavior, HiddenVariableModel, Scenario, validate
-from .causality import CheckReport, check_outcome_independence
+from .behavior import Behavior, Scenario, validate
 from .qstate import (
     ALG_TOL,
     DimSpec,
@@ -403,16 +402,15 @@ def run_nonparallel(theta: float) -> ProtocolTrace:
     )
 
 
-def einstein_boxes() -> tuple[ProtocolTrace, Behavior, CheckReport]:
+def einstein_boxes() -> tuple[ProtocolTrace, Behavior]:
     """One particle split over two boxes, opened by local detectors.
 
     The particle starts in (|L> + |R>)/sqrt(2); each detector flips from
     ``empty`` to ``found`` iff the particle is on its side. The final state
     has two equal-weight branches with strictly anticorrelated findings. The
-    induced one-setting behaviour is returned together with its outcome
-    independence report for the empty hidden variable, which fails with
-    violation 1/2 even though nothing here is entangled between two
-    particles to begin with.
+    induced one-setting behaviour is returned with the trace; with the empty
+    hidden variable it fails outcome independence by 1/2 even though nothing
+    here is entangled between two particles to begin with.
     """
     box_pointer = PointerBasis.computational(("empty", "found"))
     psi0 = tensor(
@@ -445,6 +443,4 @@ def einstein_boxes() -> tuple[ProtocolTrace, Behavior, CheckReport]:
     for branch in trace.final_branches:  # the box pointer's label order is the outcome order
         iA, iB = (box_pointer._index(branch.labels[box]) for box in ("d_L", "d_R"))
         table[0, 0, iA, iB] += branch.weight
-    induced = validate(Behavior(scenario, table))
-    model = HiddenVariableModel(scenario, [(1.0, induced)])
-    return trace, induced, check_outcome_independence(model)
+    return trace, validate(Behavior(scenario, table))

@@ -295,13 +295,17 @@ def bell_1964(
 def correlators_to_csv(corr: CorrelatorSet) -> str:
     """Correlator grid as CSV text with columns a, b, E, each E as ``format(E, ".17g")``.
 
-    One ``%`` pass per grid row over ``values.tolist()``, through a template of the
-    labels (``%`` escaped as ``%%``) and one ``%.17g`` per cell; grids are never empty.
+    Each distinct float64 bit pattern is formatted once, in one ``%.17g`` pass
+    (bit patterns, not values, so -0.0 keeps its sign beside 0.0); each grid
+    row is then one ``%`` pass of those texts through a template of the labels
+    (``%`` escaped as ``%%``) with one ``%s`` per cell. Grids are never empty.
     """
-    cells = [f",{b.replace('%', '%%')},%.17g\n" for b in corr.settings_b]
+    keys, inverse = np.unique(corr.values.view(np.uint64), return_inverse=True)
+    distinct = tuple(keys.view(np.float64).tolist())
+    texts = np.array(("\n".join(["%.17g"] * len(distinct)) % distinct).split("\n"), dtype=object)
+    cells = [f",{b.replace('%', '%%')},%s\n" for b in corr.settings_b]
     rows = ["a,b,E\n"]
-    for a, row in zip(corr.settings_a, corr.values.tolist()):
+    for a, row in zip(corr.settings_a, texts[inverse.reshape(corr.values.shape)].tolist()):
         a = a.replace("%", "%%")
         rows.append((a + a.join(cells)) % tuple(row))
     return "".join(rows)
-

@@ -27,6 +27,7 @@ from locality_lab.behavior import (
 )
 from locality_lab.causality import (
     check_no_signalling,
+    check_outcome_independence,
     jarrett_equivalence,
     suppes_zanotti_reduction,
 )
@@ -249,8 +250,9 @@ def test_c09_reduction_to_determinism():
 
 
 def test_c10_einstein_boxes():
-    _, induced, oi_report = einstein_boxes()
+    _, induced = einstein_boxes()
     ns = check_no_signalling(induced, tol=1e-12)
+    oi_report = check_outcome_independence(HiddenVariableModel(induced.scenario, [(1.0, induced)]))
     ok = ns.passed and (not oi_report.passed) and abs(oi_report.max_violation - 0.5) <= 1e-12
     report(
         10,

@@ -453,7 +453,8 @@ class TestEinsteinBoxesProperty:
     def test_boxes_behavior_fails_oi_passes_ns(self):
         from locality_lab.everett import einstein_boxes
 
-        _, induced, oi_report = einstein_boxes()
+        _, induced = einstein_boxes()
+        oi_report = check_outcome_independence(empty_lambda(induced))
         assert not oi_report.passed
         assert oi_report.max_violation == pytest.approx(0.5, abs=1e-12)
         ns = check_no_signalling(induced)

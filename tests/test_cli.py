@@ -40,19 +40,33 @@ Claims covered:
     with its usage on the stderr current at that call, also when the parser
     was built under another stderr, a valid call after a usage error still
     gives the golden stdout bytes, and a `cmd_*` function replaced after the
-    parser was built (as a tracer does) is the one that runs.
+    parser was built (as a tracer does) is the one that runs;
+  - every row of the committed sweep `tests/cli_sweep.json` replays in-process
+    to its recorded exit code and stdout and stderr sha256: every subcommand
+    in every format, every `check` condition selection on the three input
+    kinds, `everett` at 81 angles k pi / 40, `chsh --grid` at steps 0.5, 0.04,
+    0.05, 0.065 and 0.0126 (500 angles per axis), the input-contract exit-2
+    cases above and argparse usage errors. A file argument is written as
+    `{name}` and read from `sweep_inputs()`; stderr names it the same way.
+    `PYTHONPATH=src python tests/test_cli.py [row id ...]` re-records the
+    named rows, or every row.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
 import json
 import math
+import os
+import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -83,15 +97,8 @@ def parallel_model_file(tmp_path):
 
 @pytest.fixture()
 def timeline_file(tmp_path):
-    payload = {
-        "timeline": [
-            {"t": 1, "x": -2, "role": "measurement-a", "label": "A"},
-            {"t": 1, "x": 2, "role": "measurement-b", "label": "B"},
-            {"t": 4, "x": 0, "role": "comparison", "label": "C"},
-        ]
-    }
     path = tmp_path / "timeline.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(TIMELINES["compared"]))
     return str(path)
 
 
@@ -286,93 +293,53 @@ def _model(*weights):
     return {"scenario": PARALLEL, "lambdas": [{"weight": w, "table": ANTI} for w in weights]}
 
 
+# id: (argv, input file text or None, environment); each ends in exit 2 with one "error:" line
+CONTRACT_CASES = {
+    "table-object": (["check"], json.dumps({"scenario": PARALLEL, "table": {"x": 1}}), {}),
+    "table-strings": (["check"], json.dumps({"scenario": PARALLEL, "table": ["x", 0.5, 0.5, 0.0]}), {}),
+    "table-nested": (["check"], json.dumps({"scenario": PARALLEL, "table": [[0.0, 0.5], [0.5, 0.0]]}), {}),
+    "lambdas-int": (["check"], json.dumps({"scenario": PARALLEL, "lambdas": 5}), {}),
+    "lambda-table-number": (["check"], json.dumps({"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": 0.25}]}), {}),
+    "lambda-table-nested": (["check"], json.dumps({"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": [ANTI[:2], ANTI[2:]]}]}), {}),
+    "nan-weight": (["check", "--conditions", "parameter-independence"], json.dumps(_model(float("nan"), 1.0)), {}),
+    "inf-weight": (["check"], json.dumps(_model(float("inf"), 1.0)), {}),
+    "minus-inf-weight": (["check"], json.dumps(_model(1.0, float("-inf"))), {}),
+    "env-tol-nan": (["check"], json.dumps(_model(1.0)), {"LOCALITY_LAB_TOL": "nan"}),
+    "tol-negative": (["check", "--tol", "-1"], json.dumps(_model(1.0)), {}),
+    "tol-inf": (["check", "--tol", "inf"], json.dumps(_model(1.0)), {}),
+    "settings-string": (["check"], json.dumps({"scenario": dict(PARALLEL, settings_a="ab"), "table": ANTI * 2}), {}),
+    "context-string": (["check"], json.dumps({"scenario": dict(PARALLEL, context="lab"), "table": ANTI}), {}),
+    "weight-string": (["check"], json.dumps(_model("1")), {}),
+    "weight-bool": (["check"], json.dumps(_model(True)), {}),
+    "scenario-label-bool": (["check"], json.dumps({"scenario": dict(PARALLEL, settings_a=[True]), "table": ANTI}), {}),
+    "scenario-label-null": (["check"], json.dumps({"scenario": dict(PARALLEL, settings_b=[None]), "table": ANTI}), {}),
+    "context-list": (["check"], json.dumps({"scenario": dict(PARALLEL, context={"k": [1, 2]}), "table": ANTI}), {}),
+    "timeline-int": (["timeline"], json.dumps({"timeline": 5}), {}),
+    "region3-string": (["timeline"], json.dumps(dict(WINGS, region3="0,1")), {}),
+    "region3-three-numbers": (["timeline"], json.dumps(dict(WINGS, region3=[0, 0.5, 1])), {}),
+    "region3-bool": (["timeline"], json.dumps(dict(WINGS, region3=[True, 0.5])), {}),
+    "region3-huge-int": (["timeline"], json.dumps(dict(WINGS, region3=[10**400, 0.5])), {}),
+    "region3-nan": (["timeline"], json.dumps(dict(WINGS, region3=[float("nan"), 0.5])), {}),
+    "coordinate-string": (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], t="1"), WINGS["timeline"][1]]}), {}),
+    "coordinate-bool": (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], x=True), WINGS["timeline"][1]]}), {}),
+    "label-bool": (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], label=True), WINGS["timeline"][1]]}), {}),
+    "label-object": (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], label={"k": [1]}), WINGS["timeline"][1]]}), {}),
+    "role-number": (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], role=5), WINGS["timeline"][1]]}), {}),
+    "signmodel-nan-angle": (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,nan"], None, {}),
+    "signmodel-inf-angle": (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,inf"], None, {}),
+    "grid-over-row-cap": (["chsh", "--grid", "--step", "0.006"], None, {}),
+    "grid-step-subnormal": (["chsh", "--grid", "--step", "5e-324"], None, {}),
+    "classical-format-json": (["chsh", "--classical", "--format", "json"], None, {}),
+    "grid-format-json": (["chsh", "--grid", "--format", "json"], None, {}),
+    # 10,000 lambdas of 1,000 x 1,000 settings: a 298 GiB stack, refused before allocation
+    "model-over-cell-cap": (["check"], json.dumps({"scenario": WIDE, "lambdas": [{}] * 10_000}), {}),
+    "check-deep-json": (["check"], "[" * 100_000, {}),
+    "timeline-deep-json": (["timeline"], "[" * 100_000, {}),
+}
+
+
 class TestInputContract:
-    @pytest.mark.parametrize(
-        "argv, payload, env",
-        [
-            (["check"], json.dumps({"scenario": PARALLEL, "table": {"x": 1}}), {}),
-            (["check"], json.dumps({"scenario": PARALLEL, "table": ["x", 0.5, 0.5, 0.0]}), {}),
-            (["check"], json.dumps({"scenario": PARALLEL, "table": [[0.0, 0.5], [0.5, 0.0]]}), {}),
-            (["check"], json.dumps({"scenario": PARALLEL, "lambdas": 5}), {}),
-            (["check"], json.dumps({"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": 0.25}]}), {}),
-            (["check"], json.dumps({"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": [ANTI[:2], ANTI[2:]]}]}), {}),
-            (["check", "--conditions", "parameter-independence"], json.dumps(_model(float("nan"), 1.0)), {}),
-            (["check"], json.dumps(_model(float("inf"), 1.0)), {}),
-            (["check"], json.dumps(_model(1.0, float("-inf"))), {}),
-            (["check"], json.dumps(_model(1.0)), {"LOCALITY_LAB_TOL": "nan"}),
-            (["check", "--tol", "-1"], json.dumps(_model(1.0)), {}),
-            (["check", "--tol", "inf"], json.dumps(_model(1.0)), {}),
-            (["check"], json.dumps({"scenario": dict(PARALLEL, settings_a="ab"), "table": ANTI * 2}), {}),
-            (["check"], json.dumps({"scenario": dict(PARALLEL, context="lab"), "table": ANTI}), {}),
-            (["check"], json.dumps(_model("1")), {}),
-            (["check"], json.dumps(_model(True)), {}),
-            (["check"], json.dumps({"scenario": dict(PARALLEL, settings_a=[True]), "table": ANTI}), {}),
-            (["check"], json.dumps({"scenario": dict(PARALLEL, settings_b=[None]), "table": ANTI}), {}),
-            (["check"], json.dumps({"scenario": dict(PARALLEL, context={"k": [1, 2]}), "table": ANTI}), {}),
-            (["timeline"], json.dumps({"timeline": 5}), {}),
-            (["timeline"], json.dumps(dict(WINGS, region3="0,1")), {}),
-            (["timeline"], json.dumps(dict(WINGS, region3=[0, 0.5, 1])), {}),
-            (["timeline"], json.dumps(dict(WINGS, region3=[True, 0.5])), {}),
-            (["timeline"], json.dumps(dict(WINGS, region3=[10**400, 0.5])), {}),
-            (["timeline"], json.dumps(dict(WINGS, region3=[float("nan"), 0.5])), {}),
-            (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], t="1"), WINGS["timeline"][1]]}), {}),
-            (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], x=True), WINGS["timeline"][1]]}), {}),
-            (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], label=True), WINGS["timeline"][1]]}), {}),
-            (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], label={"k": [1]}), WINGS["timeline"][1]]}), {}),
-            (["timeline"], json.dumps({"timeline": [dict(WINGS["timeline"][0], role=5), WINGS["timeline"][1]]}), {}),
-            (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,nan"], None, {}),
-            (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,inf"], None, {}),
-            (["chsh", "--grid", "--step", "0.006"], None, {}),
-            (["chsh", "--grid", "--step", "5e-324"], None, {}),
-            (["chsh", "--classical", "--format", "json"], None, {}),
-            (["chsh", "--grid", "--format", "json"], None, {}),
-            # 10,000 lambdas of 1,000 x 1,000 settings: a 298 GiB stack, refused before allocation
-            (["check"], json.dumps({"scenario": WIDE, "lambdas": [{}] * 10_000}), {}),
-            (["check"], "[" * 100_000, {}),
-            (["timeline"], "[" * 100_000, {}),
-        ],
-        ids=[
-            "table-object",
-            "table-strings",
-            "table-nested",
-            "lambdas-int",
-            "lambda-table-number",
-            "lambda-table-nested",
-            "nan-weight",
-            "inf-weight",
-            "minus-inf-weight",
-            "env-tol-nan",
-            "tol-negative",
-            "tol-inf",
-            "settings-string",
-            "context-string",
-            "weight-string",
-            "weight-bool",
-            "scenario-label-bool",
-            "scenario-label-null",
-            "context-list",
-            "timeline-int",
-            "region3-string",
-            "region3-three-numbers",
-            "region3-bool",
-            "region3-huge-int",
-            "region3-nan",
-            "coordinate-string",
-            "coordinate-bool",
-            "label-bool",
-            "label-object",
-            "role-number",
-            "signmodel-nan-angle",
-            "signmodel-inf-angle",
-            "grid-over-row-cap",
-            "grid-step-subnormal",
-            "classical-format-json",
-            "grid-format-json",
-            "model-over-cell-cap",
-            "check-deep-json",
-            "timeline-deep-json",
-        ],
-    )
+    @pytest.mark.parametrize("argv, payload, env", CONTRACT_CASES.values(), ids=list(CONTRACT_CASES))
     def test_exits_two_with_one_error_line(self, argv, payload, env, tmp_path, capsys, monkeypatch):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
@@ -513,15 +480,8 @@ class TestTimeline:
         assert out.count("PASS") == 3
 
     def test_failing_predicate_exits_one(self, tmp_path, capsys):
-        payload = {
-            "timeline": [
-                {"t": 1, "x": -2, "role": "measurement-a"},
-                {"t": 1, "x": 2, "role": "measurement-b"},
-                {"t": 2, "x": 0, "role": "comparison"},
-            ]
-        }
         path = tmp_path / "early.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(TIMELINES["early-comparison"]))
         assert main(["timeline", str(path)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -641,3 +601,86 @@ class TestParser:
         (entry,) = [e for e in self.GOLDENS["invocations"] if e["argv"] == ["everett", "--theta", "0"]]
         assert main(entry["argv"]) == entry["exit"]
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == entry["stdout_sha256"]
+
+
+# -- the committed byte sweep ---------------------------------------------------------
+
+SWEEP_FILE = Path(__file__).with_name("cli_sweep.json")
+SWEEP = json.loads(SWEEP_FILE.read_text(encoding="utf-8"))
+TIMELINES = {
+    "compared": {
+        "timeline": [
+            {"t": 1, "x": -2, "role": "measurement-a", "label": "A"},
+            {"t": 1, "x": 2, "role": "measurement-b", "label": "B"},
+            {"t": 4, "x": 0, "role": "comparison", "label": "C"},
+        ]
+    },
+    "early-comparison": {
+        "timeline": [
+            {"t": 1, "x": -2, "role": "measurement-a"},
+            {"t": 1, "x": 2, "role": "measurement-b"},
+            {"t": 2, "x": 0, "role": "comparison"},
+        ]
+    },
+    "wings": WINGS,
+    "region3-screened": dict(WINGS, region3=[0.5, 1]),
+    "region3-touching": dict(WINGS, region3=[0, 1]),
+    "region3-after": dict(WINGS, region3=[2, 3]),
+    "far-in-t": {"timeline": [dict(WINGS["timeline"][0], t=1e200), WINGS["timeline"][1]]},
+}
+
+
+@functools.cache
+def sweep_inputs() -> dict[str, str]:
+    """Input file text of the sweep, by the name that a row's argv gives in braces."""
+    files = {f"check-{name}": json.dumps(build()) for name, build in CHECK_INPUTS.items()}
+    files |= {f"timeline-{name}": json.dumps(obj) for name, obj in TIMELINES.items()}
+    files |= {f"contract-{name}": payload for name, (_, payload, _) in CONTRACT_CASES.items() if payload is not None}
+    return files | {"truncated": '{"scenario": '}
+
+
+def replay(row: dict, workdir: Path) -> dict:
+    """Exit code and stdout/stderr sha256 of one sweep row run in-process.
+
+    An argv entry ``{name}`` is the path of that input file, written to
+    ``workdir``; stderr names it as ``{name}`` again, so the digest does not
+    depend on where the file was written. The environment holds the row's
+    variables and no LOCALITY_LAB_TOL of its own.
+    """
+    paths = {arg: workdir / f"{arg[1:-1]}.json" for arg in row["argv"] if arg.startswith("{")}
+    for arg, path in paths.items():
+        path.write_text(sweep_inputs()[arg[1:-1]], encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, row["env"]), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if "LOCALITY_LAB_TOL" not in row["env"]:
+            os.environ.pop("LOCALITY_LAB_TOL", None)
+        try:
+            code = main([str(paths.get(arg, arg)) for arg in row["argv"]])
+        except SystemExit as exc:
+            code = exc.code
+    stderr = err.getvalue()
+    for arg, path in paths.items():
+        stderr = stderr.replace(str(path), arg)
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    return {"exit": code, "stdout_sha256": digest(out.getvalue()), "stderr_sha256": digest(stderr)}
+
+
+@pytest.mark.parametrize("row", SWEEP, ids=[row["id"] for row in SWEEP])
+def test_sweep_row_replays_its_recorded_bytes(row, tmp_path):
+    assert replay(row, tmp_path) == {key: row[key] for key in ("exit", "stdout_sha256", "stderr_sha256")}
+
+
+def record_sweep(ids: list[str]) -> None:
+    """Re-record the results of the named sweep rows, or of every row when none is named."""
+    unknown = set(ids) - {row["id"] for row in SWEEP}
+    if unknown:
+        raise SystemExit(f"no sweep rows named {sorted(unknown)}")
+    with tempfile.TemporaryDirectory() as workdir:
+        for row in SWEEP:
+            if not ids or row["id"] in ids:
+                row.update(replay(row, Path(workdir)))
+    SWEEP_FILE.write_text("[\n" + ",\n".join(json.dumps(row) for row in SWEEP) + "\n]\n", encoding="utf-8")
+
+
+if __name__ == "__main__":  # PYTHONPATH=src python tests/test_cli.py [row id ...]
+    record_sweep(sys.argv[1:])

@@ -58,6 +58,12 @@ Claims covered:
     2 pi, log-spaced small angles and seeded angles in [-10, 10]; on the
     two-box trace it conditions on the detector readings `d_L` and `d_R`
     and matches a hand-derived matrix;
+  - CHSH from local traces: four `_run` traces of the singlet (A at 0 or
+    pi/2, B at pi/4 or 3 pi/4, then the comparer) give comparer branch
+    weights equal to `joint_probability_table` to ALG_TOL, |S| = 2 sqrt(2),
+    a behaviour that passes no-signalling and parameter independence and
+    fails outcome independence and factorizability, while every stage passes
+    the far-wing and listing-order oracles;
   - one `everett` invocation builds at most two pointer bases.
 """
 
@@ -70,12 +76,21 @@ import math
 import numpy as np
 import pytest
 
-from locality_lab.behavior import Behavior
+from locality_lab.behavior import Behavior, HiddenVariableModel, Scenario, angle_label, validate
+from locality_lab.causality import (
+    check_factorizability,
+    check_no_signalling,
+    check_outcome_independence,
+    check_parameter_independence,
+)
 from locality_lab.cli import main
 from locality_lab.everett import (
     BRANCH_CUTOFF,
+    COMPARER_POINTER,
     DEFINITE_TOL,
+    SPIN_POINTER,
     WINGS,
+    _COMPARER,
     ComparerStateError,
     EmptyBranchError,
     PointerBasis,
@@ -95,6 +110,7 @@ from locality_lab.qstate import (
     StateVector,
     SubsystemError,
     born_joint,
+    joint_probability_table,
     ket,
     measurement_unitary,
     rotated_basis_matrix,
@@ -102,7 +118,8 @@ from locality_lab.qstate import (
     tensor,
     up,
 )
-from locality_lab.spacetime import Role, boost, validate_protocol
+from locality_lab.inequalities import chsh
+from locality_lab.spacetime import Event, Role, boost, validate_protocol
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 THETAS = [0.3, math.pi / 4, math.pi / 3, math.pi / 2, 2.5]
@@ -346,7 +363,8 @@ class TestComparisonMeasurement:
 
 class TestEinsteinBoxes:
     def test_branches_and_behaviour(self):
-        trace, induced, oi_report = einstein_boxes()
+        trace, induced = einstein_boxes()
+        oi_report = check_outcome_independence(HiddenVariableModel(induced.scenario, [(1.0, induced)]))
         weights = sorted(b.weight for b in trace.final_branches)
         assert weights == pytest.approx([0.5, 0.5], abs=1e-12)
         assert isinstance(induced, Behavior)
@@ -358,7 +376,7 @@ class TestEinsteinBoxes:
         assert oi_report.max_violation == pytest.approx(0.5, abs=1e-12)
 
     def test_branches_strictly_anticorrelated(self):
-        trace, _, _ = einstein_boxes()
+        trace, _ = einstein_boxes()
         for branch in trace.final_branches:
             assert {branch.labels["d_L"], branch.labels["d_R"]} == {"empty", "found"}
             side = "L" if branch.labels["d_L"] == "found" else "R"
@@ -590,6 +608,53 @@ class TestListingOrder:
         assert view.event.t == traces[-1].stage("preparation").event.t  # strict t order keeps a shared time legal
 
 
+CHSH_A = (0.0, math.pi / 2)
+CHSH_B = (math.pi / 4, 3 * math.pi / 4)
+
+
+def local_chsh_trace(a, b):
+    """The singlet measured by A at ``a`` and by B at ``b``, then compared: four stages through `_run`."""
+    psi0 = tensor(up("m_A"), singlet(), up("m_B"))
+    bases = dict.fromkeys(psi0.labels, SPIN_POINTER)
+    return _run(
+        psi0,
+        (
+            ("preparation", Event(0.0, 0.0, Role.PREPARATION), None, bases),
+            ("measurement-a", Event(3.0, -2.0, Role.MEASUREMENT_A), measurement_unitary(psi0.dims, a, "s1", "m_A"), bases),
+            ("measurement-b", Event(3.0, 2.0, Role.MEASUREMENT_B), measurement_unitary(psi0.dims, b, "s2", "m_B"), bases),
+            ("comparison", Event(7.0, 0.0, Role.COMPARISON), _COMPARER, {**bases, "C": COMPARER_POINTER}),
+        ),
+    )
+
+
+class TestChshFromLocalTraces:
+    """The correlations that violate local causality come from traces in which no stage acts at a distance."""
+
+    def test_comparer_weights_violate_chsh_from_local_stages(self):
+        traces = {(i, j): local_chsh_trace(a, b) for i, a in enumerate(CHSH_A) for j, b in enumerate(CHSH_B)}
+        table = np.zeros((2, 2, 2, 2))
+        for (i, j), trace in traces.items():
+            for branch in trace.final_branches:  # comparer label c = 2 x + y for readings (x, y), 0 = up
+                c = COMPARER_POINTER.labels.index(branch.labels["C"])
+                table[i, j, c >> 1, c & 1] += branch.weight
+            for stage in trace.stages:
+                reached = {label for label, _ in stage.operator.dims} if stage.operator else set()
+                assert not reached & set(FAR_WING.get(stage.event.role, ())), stage.name
+            events = [stage.event for stage in trace.stages]
+            pairs = [(e, f) for k, e in enumerate(events) for f in events[k + 1 :]]
+            assert not any(e.t > f.t and (e.t - f.t) ** 2 >= (e.x - f.x) ** 2 for e, f in pairs)
+        assert np.max(np.abs(table - joint_probability_table(singlet(), CHSH_A, CHSH_B))) <= ALG_TOL
+
+        scenario = Scenario(tuple(map(angle_label, CHSH_A)), tuple(map(angle_label, CHSH_B)))
+        behavior = validate(Behavior(scenario, table))
+        assert abs(chsh(behavior, 0, 1, 0, 1).magnitude - 2.0 * math.sqrt(2.0)) <= ALG_TOL
+        model = HiddenVariableModel(scenario, [(1.0, behavior)])
+        assert check_no_signalling(behavior, ALG_TOL).passed
+        assert check_parameter_independence(model, ALG_TOL).passed
+        assert check_outcome_independence(model, ALG_TOL).passed is False
+        assert check_factorizability(model, ALG_TOL).passed is False
+
+
 def oracle_expansion(state, bases):
     """Amplitude tensor in the pointer bases: one Kronecker product of B^H applied to the amplitudes."""
     big = np.ones((1, 1))
@@ -670,7 +735,7 @@ class TestExpansionOracles:
             assert_matches_oracles(stage.state, stage.pointer_bases)
 
     def test_einstein_boxes(self):
-        trace, _, _ = einstein_boxes()
+        trace, _ = einstein_boxes()
         for stage in trace.stages:
             assert_matches_oracles(stage.state, stage.pointer_bases, conditioning_sizes=(1, 2))
 

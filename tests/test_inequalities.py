@@ -22,7 +22,11 @@ Claims covered:
   - singlet correlators obey E(a, b) = -cos(a - b) on a grid;
   - the correlator CSV equals, byte for byte, a per-cell ``format(E, ".17g")``
     emitter, also for labels holding ``%`` or braces and for -0.0, NaN and
-    subnormal values.
+    subnormal values; it formats each distinct bit pattern once, so the
+    oracle also runs on grids drawn from a small pool with many repeats
+    (-0.0 beside 0.0, NaNs of both signs, subnormals), on an all-distinct
+    random grid, and on the singlet at the `chsh --grid` steps the benchmark
+    uses.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from locality_lab import inequalities
 from locality_lab.behavior import Behavior, HiddenVariableModel, Scenario, average, sign_model, validate
@@ -339,3 +345,31 @@ class TestCsvEmission:
         corr = CorrelatorSet.from_state(singlet(), angles_a, angles_b)
         assert correlators_to_csv(corr) == self.per_cell_csv(corr)
 
+    # A few values, each bit pattern distinct: repeats are the rule, and a
+    # value-keyed merge of -0.0 and 0.0 or of the two NaNs would show.
+    POOL = (0.0, -0.0, 1.0, -1.0, 0.5, -1 / 3, 5e-324, -5e-324, 2.0**-1022 * 0.75, float("nan"), -float("nan"),
+            np.uint64(0x7FF8000000000001).view(np.float64).item())
+    LABELS = hst.text(alphabet="%sd{}ab0,", min_size=1, max_size=4)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=hst.data())
+    def test_pooled_grids_equal_per_cell_formatting(self, data):
+        labels_a = data.draw(hst.lists(self.LABELS, min_size=1, max_size=6, unique=True))
+        labels_b = data.draw(hst.lists(self.LABELS, min_size=1, max_size=6, unique=True))
+        cells = hst.lists(hst.sampled_from(self.POOL), min_size=len(labels_b), max_size=len(labels_b))
+        values = data.draw(hst.lists(cells, min_size=len(labels_a), max_size=len(labels_a)))
+        corr = CorrelatorSet(tuple(labels_a), tuple(labels_b), values)
+        assert correlators_to_csv(corr) == self.per_cell_csv(corr)
+
+    def test_all_distinct_random_grid_equals_per_cell_formatting(self):
+        values = np.random.default_rng(26).uniform(-1.0, 1.0, (37, 41))
+        corr = CorrelatorSet(tuple(f"a{k}%" for k in range(37)), tuple(f"b{k}" for k in range(41)), values)
+        assert len(np.unique(corr.values)) == corr.values.size
+        assert correlators_to_csv(corr) == self.per_cell_csv(corr)
+
+    @pytest.mark.parametrize("step", [0.04, 0.05, 0.065])
+    def test_singlet_grid_at_bench_steps_equals_per_cell_formatting(self, step):
+        # the angles `chsh --grid --step` builds
+        angles = [k * step for k in range(math.ceil(2.0 * math.pi / step) + 1)]
+        corr = CorrelatorSet.from_state(singlet(), angles, angles)
+        assert correlators_to_csv(corr) == self.per_cell_csv(corr)

@@ -12,6 +12,12 @@ Claims covered:
   - no module reads another package module's private (underscore) name, by
     attribute on the imported module or by `from .module import _name`, so
     every rule a module needs from another is public there;
+  - each module's top-level statements import exactly the pinned package
+    modules: none for `__init__`, `qstate` and `spacetime`; `qstate` for
+    `behavior`; `behavior` for `causality`; `behavior` and `qstate` for
+    `inequalities`; `behavior`, `qstate` and `spacetime` for `everett`; and
+    `behavior`, `inequalities` and `qstate` for `cli`, which imports the rest
+    inside the subcommands that use them;
   - in a fresh interpreter, `locality_lab.__all__` is sorted and has no
     duplicates, `dir(locality_lab)` lists every name in it before any is
     read, `from locality_lab import *` binds every name to the object its
@@ -21,7 +27,8 @@ Claims covered:
     `signmodel` load `qstate`, `behavior`, `inequalities` and `cli`, and
     `python -m locality_lab.cli bell1964` reads the code of those four
     modules and `__init__` only; `check` adds `causality`, `timeline` adds
-    `spacetime`, and `everett` and `boxes` load all seven.
+    `spacetime`, `everett` loads all but `causality`, and `boxes` loads
+    all seven.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import pytest
 import locality_lab
 
 OPTIONS = 15
-SRC_LINES = 2501
+SRC_LINES = 2502
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -174,6 +181,51 @@ def test_no_module_reads_another_modules_private_names():
     assert {name: reads for name, reads in found.items() if reads} == {}
 
 
+def package_imports(source: str) -> list[str]:
+    """Package modules that a module's top-level statements import, by `from . import m` or `from .m import x`.
+
+    Imports inside a function or under `if TYPE_CHECKING:` are not top-level
+    statements, so they are not counted.
+    """
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+    return sorted(found)
+
+
+def test_import_finder_follows_the_rule():
+    source = '''
+from typing import TYPE_CHECKING
+from . import behavior as bh, qstate
+from .spacetime import Event
+
+if TYPE_CHECKING:
+    from . import everett
+
+def f():
+    from .causality import check_no_signalling
+'''
+    assert package_imports(source) == ["behavior", "qstate", "spacetime"]
+
+
+IMPORTS = {
+    "__init__": [],
+    "behavior": ["qstate"],
+    "causality": ["behavior"],
+    "cli": ["behavior", "inequalities", "qstate"],
+    "everett": ["behavior", "qstate", "spacetime"],
+    "inequalities": ["behavior", "qstate"],
+    "qstate": [],
+    "spacetime": [],
+}
+
+
+def test_module_level_imports_pinned():
+    package = Path(locality_lab.__file__).parent
+    assert {path.stem: package_imports(path.read_text()) for path in sorted(package.glob("*.py"))} == IMPORTS
+
+
 MODULES = ("qstate", "behavior", "causality", "inequalities", "everett", "spacetime", "cli")
 BELL_LAYERS = ["behavior", "cli", "inequalities", "qstate"]
 BELL1964 = ["bell1964", "--a", "0", "--b", "1.0471975511965976", "--c", "2.0943951023931953"]
@@ -229,7 +281,7 @@ INPUTS = {
         (["signmodel", "--n", "100", "--seed", "1", "--settings", "0,1"], BELL_LAYERS),
         (["check", "behavior.json"], sorted(BELL_LAYERS + ["causality"])),
         (["timeline", "timeline.json"], sorted(BELL_LAYERS + ["spacetime"])),
-        (["everett", "--theta", "1.0472"], sorted(MODULES)),
+        (["everett", "--theta", "1.0472"], sorted(set(MODULES) - {"causality"})),
         (["boxes"], sorted(MODULES)),
     ],
     ids=["import", "bell1964", "chsh", "signmodel", "check", "timeline", "everett", "boxes"],
