@@ -35,6 +35,7 @@ import numpy as np
 from .qstate import ALG_TOL, StateVector, joint_probability_table
 
 _CHUNK = 1 << 17  # draws per child seed: it fixes the random stream, so changing it changes every sampled output
+_BLOCK = 1 << 12  # rows drawn and projected at a time within a chunk; it bounds memory, not the stream
 MAX_MODEL_CELLS = 1 << 24  # lambdas x table cells a model file may declare: one 128 MiB float64 stack
 
 
@@ -233,12 +234,12 @@ class HiddenVariableModel:
 def average(model: HiddenVariableModel) -> Behavior:
     """Mixture behaviour P(A,B|a,b) = sum_lambda w P(A,B|a,b,lambda).
 
-    Accumulates term by term in lambda order so the result is bitwise equal
-    to a naive per-cell loop over the same order.
+    One reduction over the lambda axis of the C-contiguous weighted stack,
+    which adds whole tables from 0.0 in lambda order, so the result is
+    bitwise equal to a naive per-cell loop over the same order.
     """
-    acc = np.zeros(model.scenario.shape, dtype=np.float64)
-    for w, t in zip(model.weights().tolist(), model.stacked_tables()):
-        acc += w * t
+    w = model.weights()[:, None, None, None, None]
+    acc = np.add.reduce(w * model.stacked_tables(), axis=0, initial=0.0)
     return validate(Behavior(model.scenario, acc))
 
 
@@ -281,7 +282,8 @@ def sign_model(
     into at most 2(k_a + k_b) sectors, and (in exact arithmetic) there are
     at most that many strategies. Correlators are summed in int64 over the
     merged strategies' counts and divided by n_samples once; the sums equal
-    the per-sample sums exactly, hence E(a, a) = -1.0 exactly.
+    the per-sample sums exactly, hence E(a, a) = -1.0 exactly. Draws come in
+    blocks of _BLOCK rows: the blocks bound memory, _CHUNK fixes the stream.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -297,6 +299,10 @@ def sign_model(
 
     pattern_counts: dict[int, int] = {}
     pow2 = 2.0 ** np.arange(ka + kb)
+    dirs = np.concatenate([dirs_a, dirs_b]).T  # (3, ka + kb), wing A first
+    signed_pow2 = np.concatenate([pow2[:ka], -pow2[ka:]])
+    draws = np.empty((min(_BLOCK, n_samples), 3))  # buffers reused by every block of every chunk
+    proj, packed = np.empty((len(draws), ka + kb)), np.empty(min(_CHUNK, n_samples))
     root = np.random.SeedSequence(seed)  # one child per chunk, spawned when needed (as spawn(n_chunks) would)
     remaining = n_samples
     while remaining:
@@ -306,12 +312,18 @@ def sign_model(
         # Signs depend only on the draw's direction, so the isotropic
         # gaussian can be used unnormalised. Per sample only the strategy
         # key is formed: bit j is set when the j-th answer (wing A first) is
-        # +1, with sign(0) := +1 and wing B negated. The two partial sums
-        # cover disjoint bits below 2**40, so the float64 key is exact.
+        # +1, with sign(0) := +1 and wing B negated. The 0/1 answers are dotted
+        # with (pow2_A, -pow2_B), plus sum(pow2_B) once per chunk; every partial sum
+        # is an integer below 2**41, so the float64 key is exact.
         # Correlators are summed later over the merged strategies' counts.
-        draws = rng.standard_normal((m, 3))
-        packed = (draws @ dirs_a.T >= 0.0) @ pow2[:ka] + (draws @ dirs_b.T < 0.0) @ pow2[ka:]
-        keys, counts = np.unique(packed, return_counts=True)
+        for lo in range(0, m, _BLOCK):
+            n = min(_BLOCK, m - lo)
+            rng.standard_normal(out=draws[:n])
+            np.matmul(draws[:n], dirs, out=proj[:n])
+            np.greater_equal(proj[:n], 0.0, out=proj[:n])
+            np.matmul(proj[:n], signed_pow2, out=packed[lo : lo + n])
+        packed[:m] += pow2[ka:].sum()
+        keys, counts = np.unique(packed[:m], return_counts=True)
         for key, count in zip(keys.astype(np.int64).tolist(), counts.tolist()):
             pattern_counts[key] = pattern_counts.get(key, 0) + count
 

@@ -173,12 +173,14 @@ def _scan(e: np.ndarray) -> tuple[int, int, int, int]:
     # For fixed (a, a'), S = plus[b] + minus[b'], so the largest |S| over (b, b')
     # is a separable bound. A four-term sum rounds by under 3e-15, so a pair
     # whose bound falls 1e-12 below the best bound cannot hold the maximum.
-    plus = e[:, None, :] + e[None, :, :]  # E(a,b) + E(a',b) over (a, a', b)
-    top, bottom = plus.max(axis=2), plus.min(axis=2)
+    # Terms are laid out (b, a, a'), so each max and min reduces whole (a, a')
+    # slabs; min over b' of E(a',b') - E(a,b') is -high.T, as negation is exact.
+    et = e.T
+    plus = et[:, :, None] + et[:, None, :]  # E(a,b) + E(a',b) over (b, a, a')
+    top, bottom = plus.max(axis=0), plus.min(axis=0)
     del plus
-    minus = e[None, :, :] - e[:, None, :]  # E(a',b') - E(a,b') over (a, a', b')
-    bound = np.maximum(top + minus.max(axis=2), -(bottom + minus.min(axis=2)))
-    del minus
+    high = (et[:, None, :] - et[:, :, None]).max(axis=0)  # max over b' of E(a',b') - E(a,b')
+    bound = np.maximum(top + high, -(bottom - high.T))
     candidates = bound >= bound.max() - 1e-12
     # Candidates are summed as in the full scan, one (a', b, b') block per a;
     # a block's first maximum replaces the best only when strictly larger.

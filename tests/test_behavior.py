@@ -5,8 +5,9 @@ Claims covered:
   - from_quantum reproduces the parallel-setting anticorrelation halves, the
     matched-setting perfect correlation of the symmetric entangled state, and
     product-state factorisation;
-  - average is the convex combination, bitwise equal to a naive loop, and
-    always valid;
+  - average is the convex combination, bitwise equal to a naive per-cell
+    loop in lambda order (up to 300 lambdas at 2x2 and 3x3 settings, tables
+    holding exact 0.0 and -0.0), and always valid;
   - the sign-strategy ensemble anticorrelates equal settings exactly, tracks
     the closed-form correlator (validated against an independent spherical
     quadrature), each sampled strategy is a deterministic product, and a
@@ -14,6 +15,12 @@ Claims covered:
   - two-chunk samples at 20+20 and 9+31 settings (the 40-bit key limit) list
     their strategies in ascending key order, and their weights, tables and
     correlators equal a per-sample recomputation from the child seeds;
+  - at 3+2 and 20+20 settings and n in {1, 4095, 4096, 4097, 2**17 - 1,
+    2**17, 2**17 + 1} (the edges of the 4096-row draw block and the
+    2**17-draw chunk), keys, weights and correlators equal the same
+    recomputation, which draws each chunk whole and projects each wing on its
+    own; one 2**17 chunk at 20+20 settings peaks below 8 MiB of traced
+    allocation;
   - against the exact planar ensemble (sectors cut by the answer boundaries
     theta +/- pi/2, each with probability length / 2 pi), every sampled
     strategy lies in the support and every support weight is within |z| <= 5
@@ -108,6 +115,30 @@ def sampled_keys(model):
     tables = model.stacked_tables()  # (L, n_a, n_b, 2, 2); outcome index 0 is +1
     plus = np.concatenate([tables[:, :, 0, 0, :].sum(axis=-1), tables[:, 0, :, :, 0].sum(axis=-1)], axis=1) == 1.0
     return (plus.astype(np.int64) @ (np.int64(1) << np.arange(plus.shape[1], dtype=np.int64))).tolist()
+
+
+def spawned_children_oracle(angles_a, angles_b, n, seed):
+    """Correlators, ascending strategy keys and their counts of `sign_model`, recomputed per sample.
+
+    Each 2**17-draw chunk is drawn whole from its child of SeedSequence(seed)
+    and each wing is projected on its own; bit j of a key is set when the
+    j-th answer (wing A first) is +1.
+    """
+    ka, kb, chunk = len(angles_a), len(angles_b), 1 << 17
+    dirs_a = np.stack([np.sin(angles_a), np.zeros(ka), np.cos(angles_a)], axis=1)
+    dirs_b = np.stack([np.sin(angles_b), np.zeros(kb), np.cos(angles_b)], axis=1)
+    sizes = [chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)
+    prod = np.zeros((ka, kb), dtype=np.int64)
+    keys = []
+    for child, m in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes):
+        draws = np.random.default_rng(child).standard_normal((m, 3))
+        resp_a = np.where(draws @ dirs_a.T >= 0.0, 1, -1).astype(np.int64)
+        resp_b = -np.where(draws @ dirs_b.T >= 0.0, 1, -1).astype(np.int64)
+        prod += resp_a.T @ resp_b
+        bits = np.concatenate([resp_a, resp_b], axis=1) > 0
+        keys.append(bits.astype(np.int64) @ (np.int64(1) << np.arange(ka + kb, dtype=np.int64)))
+    want_keys, want_counts = np.unique(np.concatenate(keys), return_counts=True)
+    return prod / float(n), want_keys, want_counts
 
 
 def loop_validate(sc, t, tol=1e-12):
@@ -222,27 +253,34 @@ class TestAverage:
         avg = average(model)
         assert avg.table[0, 0].tolist() == [[0.0, 0.5], [0.5, 0.0]]
 
-    @given(hst.integers(min_value=1, max_value=5), hst.randoms(use_true_random=False))
+    @given(
+        hst.integers(min_value=1, max_value=300),
+        hst.sampled_from([BINARY, Scenario(("a0", "a1", "a2"), ("b0", "b1", "b2"))]),
+        hst.randoms(use_true_random=False),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_matches_naive_loop_bitwise(self, n_lambda, pyrandom):
+    def test_matches_naive_loop_bitwise(self, n_lambda, scenario, pyrandom):
+        # Tables hold exact 0.0 and -0.0 entries (never at outcome (0, 0), so
+        # every row normalises); the sums compare bit by bit, sign of zero included.
         rng = np.random.default_rng(pyrandom.randrange(2**32))
         raw = rng.random(n_lambda) + 0.1
         weights = raw / raw.sum()
         weights[-1] = 1.0 - float(weights[:-1].sum())
-        lams = []
-        for w in weights:
-            t = rng.random(BINARY.shape)
-            t /= t.sum(axis=(2, 3), keepdims=True)
-            lams.append((float(w), validate(Behavior(BINARY, t))))
-        model = HiddenVariableModel(BINARY, lams)
+        tables = rng.random((n_lambda, *scenario.shape))
+        zeros = rng.random(tables.shape) < 0.3
+        zeros[..., 0, 0] = False
+        tables[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+        tables /= tables.sum(axis=(3, 4), keepdims=True)
+        lams = [(float(w), validate(Behavior(scenario, t))) for w, t in zip(weights, tables)]
+        model = HiddenVariableModel(scenario, lams)
         avg = average(model)
-        naive = np.zeros(BINARY.shape)
-        for ia, ib, iA, iB in np.ndindex(*BINARY.shape):
+        naive = np.zeros(scenario.shape)
+        for cell in np.ndindex(*scenario.shape):
             acc = 0.0
-            for w, b in model.lambdas:
-                acc += w * b.table[ia, ib, iA, iB]
-            naive[ia, ib, iA, iB] = acc
-        assert np.array_equal(avg.table, naive)
+            for w, b in lams:
+                acc += w * float(b.table[cell])
+            naive[cell] = acc
+        assert np.array_equal(avg.table.view(np.uint64), naive.view(np.uint64))
         assert validate(avg) is not None
 
 
@@ -313,25 +351,13 @@ class TestSignModel:
     @pytest.mark.parametrize("ka, kb", [(20, 20), (9, 31)], ids=["20+20", "9+31"])
     def test_strategies_in_key_order_at_40_bits(self, ka, kb):
         # Two chunks; every answer is recomputed from the spawned child seeds.
-        chunk, seed = 1 << 17, 4040 + ka
-        n = chunk + 500
+        n, seed = (1 << 17) + 500, 4040 + ka
         rng = np.random.default_rng(ka)
         angles_a = rng.uniform(0.0, 2 * math.pi, ka)
         angles_b = np.concatenate([angles_a[: min(ka, kb) // 2], rng.uniform(0.0, 2 * math.pi, kb)])[:kb]
         model, corr = sign_model(angles_a.tolist(), angles_b.tolist(), n, seed=seed)
-        dirs_a = np.stack([np.sin(angles_a), np.zeros(ka), np.cos(angles_a)], axis=1)
-        dirs_b = np.stack([np.sin(angles_b), np.zeros(kb), np.cos(angles_b)], axis=1)
-        prod = np.zeros((ka, kb), dtype=np.int64)
-        keys = []
-        for child, m in zip(np.random.SeedSequence(seed).spawn(2), (chunk, n - chunk)):
-            draws = np.random.default_rng(child).standard_normal((m, 3))
-            resp_a = np.where(draws @ dirs_a.T >= 0.0, 1, -1).astype(np.int64)
-            resp_b = -np.where(draws @ dirs_b.T >= 0.0, 1, -1).astype(np.int64)
-            prod += resp_a.T @ resp_b
-            bits = np.concatenate([resp_a, resp_b], axis=1) > 0
-            keys.append(bits.astype(np.int64) @ (np.int64(1) << np.arange(ka + kb, dtype=np.int64)))
-        want_keys, want_counts = np.unique(np.concatenate(keys), return_counts=True)
-        assert np.array_equal(corr, prod / float(n))
+        want_corr, want_keys, want_counts = spawned_children_oracle(angles_a, angles_b, n, seed)
+        assert np.array_equal(corr, want_corr)
         # lambda l is the l-th strategy in ascending key order, with weight count / n
         assert np.array_equal(model.weights(), want_counts / n)
         tables = model.stacked_tables()
@@ -339,6 +365,31 @@ class TestSignModel:
         for table, key in zip(tables, want_keys.tolist()):
             idx = [1 - ((key >> j) & 1) for j in range(ka + kb)]  # bit set: answer +1, outcome index 0
             assert np.array_equal(table, _deterministic(model.scenario, idx[:ka], idx[ka:]).table)
+
+    @pytest.mark.parametrize("ka, kb", [(3, 2), (20, 20)], ids=["3+2", "20+20"])
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, (1 << 17) - 1, 1 << 17, (1 << 17) + 1])
+    def test_block_edges_equal_spawned_children(self, n, ka, kb):
+        # Sizes around the 4096-row draw block and the 2**17-draw chunk.
+        rng = np.random.default_rng([n, ka])
+        angles_a, angles_b = rng.uniform(0.0, 2 * math.pi, ka), rng.uniform(0.0, 2 * math.pi, kb)
+        angles_b[0] = angles_a[0]
+        model, corr = sign_model(angles_a.tolist(), angles_b.tolist(), n, seed=31 * n + ka)
+        want_corr, want_keys, want_counts = spawned_children_oracle(angles_a, angles_b, n, 31 * n + ka)
+        assert np.array_equal(corr, want_corr)
+        assert corr[0, 0] == -1.0
+        assert sampled_keys(model) == want_keys.tolist()
+        assert np.array_equal(model.weights(), want_counts / n)
+
+    def test_one_chunk_at_40_settings_peaks_below_8_mib(self):
+        angles = np.linspace(0.0, math.pi, 20, endpoint=False).tolist()
+        sign_model(angles, angles, 1000, seed=1)  # warm-up: first-call allocations are not the sampler's
+        tracemalloc.start()
+        try:
+            sign_model(angles, angles, 1 << 17, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):

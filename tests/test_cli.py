@@ -21,7 +21,8 @@ Claims covered:
   - check's exit code and stdout sha256, recorded before the checker table
     and the tolerance reader were rewritten, are pinned for a behaviour, a
     one-lambda model and a sign-model file, in table, json and csv, for each
-    of the five conditions, for `all`, and for all five at --tol 0.3;
+    of the five conditions, for `all`, and for all five at --tol 0.3; each pin
+    equals the sweep row that replays the invocation;
   - chsh emits the 16-strategy table, the (ceil(2 pi / step) + 1)^2-row
     correlator grid (below 33 MiB of traced allocation at 500 x 500 rows),
     and the optimisation summary;
@@ -45,7 +46,9 @@ Claims covered:
     to its recorded exit code and stdout and stderr sha256: every subcommand
     in every format, every `check` condition selection on the three input
     kinds, `everett` at 81 angles k pi / 40, `chsh --grid` at steps 0.5, 0.04,
-    0.05, 0.065 and 0.0126 (500 angles per axis), the input-contract exit-2
+    0.05, 0.065 and 0.0126 (500 angles per axis), `signmodel --format json`
+    at n = 4095, 4096, 4097 and 131073 (the edges of the sampler's 4096-row
+    block and 2**17-draw chunk), the input-contract exit-2
     cases above and argparse usage errors. A file argument is written as
     `{name}` and read from `sweep_inputs()`; stderr names it the same way.
     `PYTHONPATH=src python tests/test_cli.py [row id ...]` re-records the
@@ -195,7 +198,13 @@ CHECK_SELECTIONS = {
 
 
 class TestCheckPinned:
-    """`check` exit code and stdout sha256 for every input kind, condition selection and format."""
+    """`check` exit code and stdout sha256 for every input kind, condition selection and format.
+
+    The pins were recorded before the checker table and the tolerance reader
+    were rewritten. The sweep row ``check/<key>`` runs each invocation and
+    replays its recorded bytes; here each pin only has to equal that row, so
+    a re-recorded row cannot drift from its pin and no invocation runs twice.
+    """
 
     PINS = {
         "behavior/no-signalling/table": (0, "6d3c7998695c4399eea332113b50a8baa839935648c8eb623a26de4c504902f1"),
@@ -264,14 +273,12 @@ class TestCheckPinned:
     }
 
     @pytest.mark.parametrize("key", ["/".join(k) for k in itertools.product(CHECK_INPUTS, CHECK_SELECTIONS, ("table", "json", "csv"))])
-    def test_stdout_pinned(self, key, tmp_path, capsys):
+    def test_stdout_pinned(self, key):
         inp, selection, fmt = key.split("/")
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(CHECK_INPUTS[inp]()))
-        code = main(["check", *CHECK_SELECTIONS[selection], "--format", fmt, str(path)])
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert (code, hashlib.sha256(captured.out.encode()).hexdigest()) == self.PINS[key]
+        (row,) = [row for row in SWEEP if row["id"] == f"check/{key}"]
+        assert row["argv"] == ["check", *CHECK_SELECTIONS[selection], "--format", fmt, f"{{check-{inp}}}"]
+        assert row["env"] == {} and row["stderr_sha256"] == hashlib.sha256(b"").hexdigest()
+        assert (row["exit"], row["stdout_sha256"]) == self.PINS[key]
 
     def test_checker_table_follows_the_condition_order(self):
         # the unknown-condition error lists the known names in this order

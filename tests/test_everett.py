@@ -109,7 +109,6 @@ from locality_lab.qstate import (
     Operator,
     StateVector,
     SubsystemError,
-    born_joint,
     joint_probability_table,
     ket,
     measurement_unitary,
@@ -123,6 +122,7 @@ from locality_lab.spacetime import Event, Role, boost, validate_protocol
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 THETAS = [0.3, math.pi / 4, math.pi / 3, math.pi / 2, 2.5]
+OUTCOME_INDEX = {"up": 0, "down": 1}  # joint_probability_table's outcome axes
 
 
 def branch_map(branches):
@@ -148,11 +148,10 @@ class TestParallelProtocol:
     def test_weights_match_born_rule(self):
         trace = run_parallel_epr()
         psi = singlet()
+        table = joint_probability_table(psi, [0.0], [0.0])
         for branch in trace.final_branches:
-            expected = born_joint(
-                psi, ("s1", branch.labels["s1"], 0.0), ("s2", branch.labels["s2"], 0.0)
-            )
-            assert branch.weight == pytest.approx(expected, abs=1e-12)
+            p, q = OUTCOME_INDEX[branch.labels["s1"]], OUTCOME_INDEX[branch.labels["s2"]]
+            assert branch.weight == pytest.approx(table[0, 0, p, q], abs=1e-12)
 
     def test_cross_wing_definiteness_at_final_stage(self):
         stage = run_parallel_epr().stages[-1]
@@ -206,11 +205,10 @@ class TestNonParallelProtocol:
         assert len(branches) == 4
         assert sum(b.weight for b in branches) == pytest.approx(1.0, abs=1e-12)
         psi = singlet()
+        table = joint_probability_table(psi, [0.0], [theta])
         for branch in branches:
-            expected = born_joint(
-                psi, ("s1", branch.labels["s1"], 0.0), ("s2", branch.labels["s2"], theta)
-            )
-            assert branch.weight == pytest.approx(expected, abs=1e-12)
+            p, q = OUTCOME_INDEX[branch.labels["s1"]], OUTCOME_INDEX[branch.labels["s2"]]
+            assert branch.weight == pytest.approx(table[0, 0, p, q], abs=1e-12)
 
     def test_comparer_labels_track_apparatus_pair(self):
         for branch in run_nonparallel(0.9).final_branches:
