@@ -6,8 +6,9 @@ probability table P(A, B | a, b) stored dense as a (n_a, n_b, k_A, k_B)
 array. A `HiddenVariableModel` is a finite weighted ensemble of behaviours
 sharing one scenario, stored as one read-only (L, n_a, n_b, k_A, k_B) table
 stack and a weight vector of length L; `average` recovers the observable
-behaviour. `validate` checks a table and the model paths check a whole stack
-with the same first-bad-cell search.
+behaviour and `marginals` the stack's one-sided marginals; a model derives
+both once, on first use, and keeps them. `validate` checks a table and the
+model paths check a whole stack with the same first-bad-cell search.
 
 Generators:
   * `from_quantum` packages the Born rule over an angle grid for a two-qubit
@@ -165,6 +166,20 @@ def validate(behavior: Behavior) -> Behavior:
     return behavior
 
 
+def marginals(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided marginals of a table stack: (L, n_a, n_b, k_A) and (L, n_a, n_b, k_B).
+
+    Bit for bit ``tables.sum(axis=4)`` and ``tables.sum(axis=3)``. Numpy adds
+    fewer than eight terms in order from +0.0, so adding the outcome slices
+    to 0.0 repeats its sums without its slow reduction over a short axis;
+    from eight terms on it may add them pairwise, so those sums stay its own.
+    """
+    k_a, k_b = tables.shape[3:]
+    marg_a = tables.sum(axis=4) if k_b >= 8 else sum((tables[..., ib] for ib in range(k_b)), 0.0)
+    marg_b = tables.sum(axis=3) if k_a >= 8 else sum((tables[..., ia, :] for ia in range(k_a)), 0.0)
+    return marg_a, marg_b
+
+
 class HiddenVariableModel:
     """Finite weighted ensemble of conditional behaviours over one scenario.
 
@@ -173,10 +188,11 @@ class HiddenVariableModel:
     stack directly. Build a model from (weight, Behavior) pairs or, with
     `from_arrays`, from a weight vector and a table stack. The constructors
     check the weights (finite, non-negative, summing to 1) but not the
-    tables; those are validated by whoever produces them.
+    tables; those are validated by whoever produces them. The one-sided
+    marginals and the average are derived on first use and kept.
     """
 
-    __slots__ = ("scenario", "_weights", "_tables")
+    __slots__ = ("scenario", "_weights", "_tables", "_marginals", "_average")
 
     def __init__(self, scenario: Scenario, lambdas: Iterable[tuple[float, Behavior]]):
         pairs = list(lambdas)
@@ -188,8 +204,13 @@ class HiddenVariableModel:
     @classmethod
     def from_arrays(cls, scenario: Scenario, weights: Sequence[float], tables: np.ndarray) -> HiddenVariableModel:
         """Model from a weight vector and a (L, n_a, n_b, k_A, k_B) table stack (both copied)."""
+        return cls._owning(scenario, weights, np.array(tables, dtype=np.float64))
+
+    @classmethod
+    def _owning(cls, scenario: Scenario, weights, tables: np.ndarray) -> HiddenVariableModel:
+        """Model that keeps ``tables``, a fresh float64 stack no caller holds, without copying it."""
         model = cls.__new__(cls)
-        model._store(scenario, weights, np.array(tables, dtype=np.float64))
+        model._store(scenario, weights, tables)
         return model
 
     def _store(self, scenario: Scenario, weights, tables: np.ndarray) -> None:
@@ -210,6 +231,8 @@ class HiddenVariableModel:
         object.__setattr__(self, "scenario", scenario)
         object.__setattr__(self, "_weights", w)
         object.__setattr__(self, "_tables", tables)
+        object.__setattr__(self, "_marginals", None)
+        object.__setattr__(self, "_average", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HiddenVariableModel is immutable")
@@ -227,6 +250,15 @@ class HiddenVariableModel:
         """The read-only weight vector, in lambda order."""
         return self._weights
 
+    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stack's read-only one-sided marginals, by `marginals`; derived on first use, then the same arrays."""
+        if self._marginals is None:
+            pair = marginals(self._tables)
+            for m in pair:
+                m.setflags(write=False)
+            object.__setattr__(self, "_marginals", pair)
+        return self._marginals
+
     def __repr__(self) -> str:
         return f"HiddenVariableModel(n_lambda={self._weights.size}, shape={self.scenario.shape})"
 
@@ -236,11 +268,15 @@ def average(model: HiddenVariableModel) -> Behavior:
 
     One reduction over the lambda axis of the C-contiguous weighted stack,
     which adds whole tables from 0.0 in lambda order, so the result is
-    bitwise equal to a naive per-cell loop over the same order.
+    bitwise equal to a naive per-cell loop over the same order. The model
+    keeps the validated result and returns it on later calls; a table that
+    fails validation is not kept.
     """
-    w = model.weights()[:, None, None, None, None]
-    acc = np.add.reduce(w * model.stacked_tables(), axis=0, initial=0.0)
-    return validate(Behavior(model.scenario, acc))
+    if model._average is None:
+        w = model.weights()[:, None, None, None, None]
+        acc = np.add.reduce(w * model.stacked_tables(), axis=0, initial=0.0)
+        object.__setattr__(model, "_average", validate(Behavior(model.scenario, acc)))
+    return model._average
 
 
 def from_quantum(state: StateVector, settings_a: Sequence[float], settings_b: Sequence[float]) -> Behavior:
@@ -445,5 +481,5 @@ def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
             tables[k] = flat
         tables = tables.reshape(len(entries), *scenario.shape)
         _check_stack(scenario, tables)
-        return HiddenVariableModel.from_arrays(scenario, weights, tables)
+        return HiddenVariableModel._owning(scenario, weights, tables)
     raise BehaviorError("object carries neither 'table' nor 'lambdas'")

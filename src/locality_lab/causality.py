@@ -25,7 +25,8 @@ as vacuous passes. Reports carry the maximal violation and a witness for it
 
 Every checker works on the model's (L, n_a, n_b, k_A, k_B) table stack at
 once; lambda is the leading axis, so the lexicographic order of a witness is
-lambda first, then the cell. Each check takes the one-sided marginals once.
+lambda first, then the cell. A model derives its one-sided marginals and its
+average once, on first use (`behavior`), so the checkers of one model share them.
 The far-setting shift of no-signalling and parameter independence is the
 largest spread max - min over the far setting of a (lambda, near setting,
 outcome) group, O(L n_a n_b k) work, with the exact first witness cell.
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import Behavior, HiddenVariableModel, Scenario, average
+from .behavior import Behavior, HiddenVariableModel, Scenario, average, marginals
 
 DEFAULT_TOL = 1e-9
 DEFAULT_DET_TOL = 1e-6
@@ -99,20 +100,6 @@ def _argmax_cell(arr: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(arr.reshape(-1)[flat]), tuple(int(i) for i in np.unravel_index(flat, arr.shape))
 
 
-def _marginals(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided marginals of a table stack: (L, n_a, n_b, k_A) and (L, n_a, n_b, k_B).
-
-    Bit for bit ``tables.sum(axis=4)`` and ``tables.sum(axis=3)``. Numpy adds
-    fewer than eight terms in order from +0.0, so adding the outcome slices
-    to 0.0 repeats its sums without its slow reduction over a short axis;
-    from eight terms on it may add them pairwise, so those sums stay its own.
-    """
-    k_a, k_b = tables.shape[3:]
-    marg_a = tables.sum(axis=4) if k_b >= 8 else sum((tables[..., ib] for ib in range(k_b)), 0.0)
-    marg_b = tables.sum(axis=3) if k_a >= 8 else sum((tables[..., ia, :] for ia in range(k_a)), 0.0)
-    return marg_a, marg_b
-
-
 def _spread(far_major: np.ndarray) -> np.ndarray:
     """max - min over the leading axis; numpy reduces a contiguous leading axis fastest."""
     far_major = np.ascontiguousarray(far_major)
@@ -120,7 +107,7 @@ def _spread(far_major: np.ndarray) -> np.ndarray:
 
 
 def _marginal_shift(scenario: Scenario, marg_a: np.ndarray, marg_b: np.ndarray) -> tuple[float, int, dict]:
-    """Largest far-setting shift of a one-sided marginal, from `_marginals`.
+    """Largest far-setting shift of a one-sided marginal, from `marginals`.
 
     A group (lambda, near setting, outcome) shifts by at most its spread
     max - min over the far setting, and as rounding is monotone the largest
@@ -171,13 +158,13 @@ def _product_gap(tables: np.ndarray, marg_a: np.ndarray, marg_b: np.ndarray) -> 
 
 def check_no_signalling(behavior: Behavior, tol: float = DEFAULT_TOL) -> CheckReport:
     """Observable-level marginal independence of the far setting."""
-    value, _, witness = _marginal_shift(behavior.scenario, *_marginals(behavior.table[None]))
+    value, _, witness = _marginal_shift(behavior.scenario, *marginals(behavior.table[None]))
     return CheckReport(Condition.NO_SIGNALLING, value <= tol, value, tol, witness)
 
 
 def check_parameter_independence(model: HiddenVariableModel, tol: float = DEFAULT_TOL) -> CheckReport:
     """Lambda-conditional marginal independence of the far setting."""
-    value, il, witness = _marginal_shift(model.scenario, *_marginals(model.stacked_tables()))
+    value, il, witness = _marginal_shift(model.scenario, *model.marginals())
     return CheckReport(Condition.PARAMETER_INDEPENDENCE, value <= tol, value, tol, {"lambda": il, **witness})
 
 
@@ -188,9 +175,8 @@ def check_outcome_independence(model: HiddenVariableModel, tol: float = DEFAULT_
     skipped and counted in the report.
     """
     sc = model.scenario
-    tables = model.stacked_tables()
-    joint = tables.transpose(3, 4, 0, 1, 2).copy()  # (k_A, k_B, L, n_a, n_b)
-    marg_a, marg_b = (m.transpose(3, 0, 1, 2).copy() for m in _marginals(tables))
+    joint = model.stacked_tables().transpose(3, 4, 0, 1, 2).copy()  # (k_A, k_B, L, n_a, n_b)
+    marg_a, marg_b = (m.transpose(3, 0, 1, 2).copy() for m in model.marginals())
     gaps, skipped = [], 0  # side A |P(A,B)/P(B) - P(A)|, then side B in joint's buffer
     for cond, base, out in ((marg_b[None], marg_a[:, None], None), (marg_a[:, None], marg_b[None], joint)):
         skip = ~(cond > ZERO_CUTOFF)
@@ -227,9 +213,8 @@ def check_factorizability(model: HiddenVariableModel, tol: float = DEFAULT_TOL) 
     used as a diagnostic.
     """
     sc = model.scenario
-    tables = model.stacked_tables()
-    marg_a, marg_b = _marginals(tables)
-    value, (il, ia, ib, iA, iB) = _product_gap(tables, marg_a, marg_b)
+    marg_a, marg_b = model.marginals()
+    value, (il, ia, ib, iA, iB) = _product_gap(model.stacked_tables(), marg_a, marg_b)
     witness = {
         "lambda": il,
         "a": sc.settings_a[ia],
@@ -295,9 +280,8 @@ def suppes_zanotti_reduction(model: HiddenVariableModel, tol: float = DEFAULT_TO
         raise ValueError("anticorrelation needs index-matched outcome lists of equal length")
     pairs = _parallel_pairs(model)
 
-    tables = model.stacked_tables()
-    marg_a, marg_b = _marginals(tables)
-    fact, _ = _product_gap(tables, marg_a, marg_b)
+    marg_a, marg_b = model.marginals()
+    fact, _ = _product_gap(model.stacked_tables(), marg_a, marg_b)
     avg = average(model)
     same = [float(sum(avg.table[ia, ib, i, i] for i in range(len(sc.outcomes_a)))) for ia, ib in pairs]
     deficit = max(same)

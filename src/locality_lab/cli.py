@@ -132,7 +132,7 @@ def cmd_check(args) -> int:
     if is_model:
         model, observable = obj, (bh.average(obj) if "no-signalling" in names else None)
     else:
-        model, observable = bh.HiddenVariableModel(obj.scenario, [(1.0, obj)]), obj
+        model, observable = bh.HiddenVariableModel.from_arrays(obj.scenario, [1.0], obj.table[None]), obj
     reports = [_CHECKS[name](ca, model, observable, tol) for name in names]
     if args.format == "json":
         _print_json(

@@ -7,7 +7,8 @@ Claims covered:
     product-state factorisation;
   - average is the convex combination, bitwise equal to a naive per-cell
     loop in lambda order (up to 300 lambdas at 2x2 and 3x3 settings, tables
-    holding exact 0.0 and -0.0), and always valid;
+    holding exact 0.0 and -0.0), always valid, and kept by the model, so a
+    second call returns the same object;
   - the sign-strategy ensemble anticorrelates equal settings exactly, tracks
     the closed-form correlator (validated against an independent spherical
     quadrature), each sampled strategy is a deterministic product, and a
@@ -31,6 +32,14 @@ Claims covered:
     normalisation), and a model file reports its first bad lambda;
   - a model stores one read-only table stack and weight vector, and rejects
     non-finite weights;
+  - the one-sided marginals, by `marginals` and by the model's method, equal
+    numpy's outcome sums bit for bit, signed zeros included, at 1, 2, 7, 8
+    and 9 outcomes per side (numpy adds eight or more terms of a contiguous
+    axis pairwise);
+  - a model derives nothing when built (pairs, `from_arrays`, `from_dict`,
+    `sign_model`); its marginals are derived on first use, read-only, and
+    the same arrays on later calls; an average that fails validation is not
+    kept; and two models built from the same arrays share no derived array;
   - JSON round-trips preserve behaviours and models, malformed objects
     (numbers too large for a float among them, and scenario label fields
     or a context of the wrong JSON type, named in the error) are rejected
@@ -39,6 +48,7 @@ Claims covered:
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -60,6 +70,7 @@ from locality_lab.behavior import (
     behavior_to_dict,
     from_dict,
     from_quantum,
+    marginals,
     model_to_dict,
     sign_model,
     validate,
@@ -282,6 +293,7 @@ class TestAverage:
             naive[cell] = acc
         assert np.array_equal(avg.table.view(np.uint64), naive.view(np.uint64))
         assert validate(avg) is not None
+        assert average(model) is avg
 
 
 class TestSignModel:
@@ -482,6 +494,77 @@ class TestModelInvariants:
         other = Scenario(("x0", "x1"), ("b0", "b1"))
         with pytest.raises(ModelError):
             HiddenVariableModel(other, [(1.0, b)])
+
+
+def outcome_stack(k_a, k_b):
+    """20 lambdas of 3x2 settings with k_a x k_b outcomes, one table all -0.0 (not a valid table)."""
+    rng = np.random.default_rng([k_a, k_b])
+    tables = rng.dirichlet(np.ones(k_a * k_b), size=(20, 3, 2)).reshape(20, 3, 2, k_a, k_b)
+    tables[0, 0, 0] = -0.0
+    sc = Scenario(("a0", "a1", "a2"), ("b0", "b1"), [f"A{i}" for i in range(k_a)], [f"B{i}" for i in range(k_b)])
+    return sc, tables
+
+
+def assert_bitwise_equal(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def derived_nothing_yet(model) -> bool:
+    """The model's derived-array slots are still empty."""
+    return model._marginals is None and model._average is None
+
+
+class TestMarginals:
+    @pytest.mark.parametrize("k_a, k_b", list(itertools.product((1, 2, 7, 8, 9), repeat=2)))
+    def test_rule_and_model_equal_numpy_sums_bit_for_bit(self, k_a, k_b):
+        sc, tables = outcome_stack(k_a, k_b)
+        model = HiddenVariableModel.from_arrays(sc, np.full(20, 0.05), tables)
+        for got_a, got_b in (marginals(tables), model.marginals()):
+            assert_bitwise_equal(got_a, tables.sum(axis=4))
+            assert_bitwise_equal(got_b, tables.sum(axis=3))
+
+
+class TestDerivedOnce:
+    def test_marginals_read_only_and_kept(self):
+        model, _ = sign_model([0.0, 1.0], [0.5, 2.0], 400, seed=4)
+        marg_a, marg_b = model.marginals()
+        again = model.marginals()
+        assert again[0] is marg_a and again[1] is marg_b
+        assert not marg_a.flags.writeable and not marg_b.flags.writeable
+        with pytest.raises(ValueError):
+            marg_a[0, 0, 0, 0] = 0.5
+
+    def test_failed_average_keeps_nothing(self):
+        tables = np.full((2, *BINARY.shape), 0.25)
+        tables[1, 0, 1, 1, 0] = np.nan
+        model = HiddenVariableModel.from_arrays(BINARY, [0.5, 0.5], tables)
+        for _ in range(2):
+            with pytest.raises(BehaviorError, match="non-finite"):
+                average(model)
+            assert model._average is None
+
+    def test_constructors_derive_nothing(self):
+        b = validate(Behavior(BINARY, np.full(BINARY.shape, 0.25)))
+        sampled, _ = sign_model([0.0, 1.0], [0.5], 400, seed=4)
+        built = (
+            HiddenVariableModel(BINARY, [(0.5, b), (0.5, b)]),
+            HiddenVariableModel.from_arrays(BINARY, [1.0], b.table[None]),
+            from_dict(model_to_dict(sampled)),
+            sampled,
+        )
+        for model in built:
+            assert derived_nothing_yet(model)
+
+    def test_models_from_the_same_arrays_share_nothing_derived(self):
+        tables = np.stack([_deterministic(BINARY, [0, 1], [1, 0]).table, np.full(BINARY.shape, 0.25)])
+        first, second = (HiddenVariableModel.from_arrays(BINARY, [0.5, 0.5], tables) for _ in range(2))
+        marg_first, avg_first = first.marginals(), average(first)
+        assert derived_nothing_yet(second)
+        marg_second, avg_second = second.marginals(), average(second)
+        assert not any(np.shares_memory(x, y) for x in marg_first for y in marg_second)
+        assert avg_second is not avg_first and not np.shares_memory(avg_second.table, avg_first.table)
+        assert all(np.array_equal(x, y) for x, y in zip(marg_first, marg_second))
 
 
 class TestJson:

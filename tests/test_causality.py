@@ -25,14 +25,22 @@ Claims covered:
     one-lambda models, unequal outcome counts, all-skipped OI cells and a
     4x5-setting scenario where many groups and pairs tie at the maximal
     shift;
-  - the one-sided marginals equal numpy's outcome sums bit for bit, signed
-    zeros included, at 1, 2, 7, 8 and 9 outcomes per side (numpy adds eight
-    or more terms of a contiguous axis pairwise);
+  - the one-sided marginals that a checker leaves on a model equal numpy's
+    outcome sums bit for bit, signed zeros included, at 1, 2, 7, 8 and 9
+    outcomes per side (numpy adds eight or more terms of a contiguous axis
+    pairwise);
+  - on deterministic, product, Born, NaN-entry and all-skipped
+    outcome-independence models, each checker's report (or error) on a fresh
+    model equals its report after the other four have filled the model's
+    derived marginals and average, and the Jarrett check gives the same
+    verdict either way;
   - a NaN entry fails every checker with a NaN max_violation, and outcome
     independence counts the cells conditioned on a NaN marginal as skipped;
   - the parameter-independence, factorizability and outcome-independence
-    checks of a 2000-lambda 8x8 model stay within tracemalloc peaks of 8, 10
-    and 20 MiB, below the pair tensor's and the stacked conditionals' sizes;
+    checks of a fresh 2000-lambda 8x8 model stay within tracemalloc peaks of
+    8, 10 and 20 MiB, below the pair tensor's and the stacked conditionals'
+    sizes; after four checkers, the model holds its marginals and average,
+    one stack's bytes (4 MiB), and the checkers keep nothing else;
   - with a zero cutoff of 0.5, wholly skipped (lambda, side) blocks sit next
     to partly skipped ones, and the outcome-independence report still
     equals the loop's.
@@ -41,6 +49,7 @@ Claims covered:
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -62,7 +71,6 @@ from locality_lab.behavior import (
 from locality_lab.causality import (
     Condition,
     PositivityError,
-    _marginals,
     check_factorizability,
     check_no_signalling,
     check_outcome_independence,
@@ -172,37 +180,119 @@ def traced_peak(call):
 class TestPeakMemory:
     # On 2000 lambdas at 8x8 settings the table stack takes 4 MB, and an
     # (L, n, n, n, k) tensor of far-setting pairs for one side takes 16 MB.
-    @pytest.fixture(scope="class")
+    # Each peak is taken on a fresh model, so it includes deriving the marginals.
+    @pytest.fixture
     def model(self):
         return deterministic_stack_model(2000, 8, seed=31)
 
     def test_parameter_independence_peak(self, model):
+        assert traced_peak(lambda: check_parameter_independence(model)) < 8 * 2**20
         report = check_parameter_independence(model)
         assert report.passed and report.max_violation == 0.0
-        assert traced_peak(lambda: check_parameter_independence(model)) < 8 * 2**20
 
     def test_factorizability_peak(self, model):
+        assert traced_peak(lambda: check_factorizability(model)) < 10 * 2**20
         report = check_factorizability(model)
         assert report.passed and report.max_violation == 0.0 and report.notes == ()
-        assert traced_peak(lambda: check_factorizability(model)) < 10 * 2**20
 
     def test_outcome_independence_peak(self, model):
         # Two (L, n, n, 2, 2) arrays of 4 MB, never the doubled stacks of both sides.
+        assert traced_peak(lambda: check_outcome_independence(model)) < 20 * 2**20
         report = check_outcome_independence(model)
         assert report.passed and report.max_violation == 0.0 and report.skipped_cells == 2 * 2000 * 64 * 2
-        assert traced_peak(lambda: check_outcome_independence(model)) < 20 * 2**20
+
+    def test_checkers_keep_only_the_derived_marginals_and_average(self, model):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for check in (check_parameter_independence, check_outcome_independence, check_factorizability,
+                          suppes_zanotti_reduction):
+                assert check(model).passed
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        marg_a, marg_b = model.marginals()
+        assert marg_a.nbytes + marg_b.nbytes == model.stacked_tables().nbytes == 4_096_000
+        kept = marg_a.nbytes + marg_b.nbytes + average(model).table.nbytes
+        assert kept <= held < kept + 16 * 2**10
 
 
 class TestMarginals:
     @pytest.mark.parametrize("k_a, k_b", list(itertools.product((1, 2, 7, 8, 9), repeat=2)))
     def test_equal_numpy_sums_bit_for_bit(self, k_a, k_b):
+        # The marginals every checker reads: those parameter independence leaves on the model.
         rng = np.random.default_rng([k_a, k_b])
         tables = rng.dirichlet(np.ones(k_a * k_b), size=(20, 3, 2)).reshape(20, 3, 2, k_a, k_b)
         tables[0, 0, 0] = -0.0
-        got_a, got_b = _marginals(tables)
+        outcomes = ([f"A{i}" for i in range(k_a)], [f"B{i}" for i in range(k_b)])
+        model = HiddenVariableModel.from_arrays(Scenario(("a0", "a1", "a2"), ("b0", "b1"), *outcomes),
+                                                np.full(20, 0.05), tables)
+        check_parameter_independence(model)
+        got_a, got_b = model._marginals
         for got, want in ((got_a, tables.sum(axis=4)), (got_b, tables.sum(axis=3))):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+ORDER_LABELS = ("s0", "s1", "s2")
+CHECKS = {
+    "ns": lambda model: check_no_signalling(average(model)),
+    "pi": check_parameter_independence,
+    "oi": check_outcome_independence,
+    "fact": check_factorizability,
+    "sz": suppes_zanotti_reduction,
+}
+
+
+def order_model(kind):
+    """A fresh model of a kind, with shared setting labels so the determinism reduction applies."""
+    sc = Scenario(ORDER_LABELS, ORDER_LABELS)
+    rng = np.random.default_rng(17)
+    if kind == "deterministic":
+        return deterministic_stack_model(6, 3, seed=17)
+    if kind == "born":
+        angles = [0.0, 0.9, 2.3]
+        born = [from_quantum(state, angles, angles) for state in (singlet(), tensor(up("s1"), up("s2")))]
+        return HiddenVariableModel.from_arrays(born[0].scenario, [0.75, 0.25], np.stack([b.table for b in born]))
+    pa, pb = rng.uniform(0.1, 0.9, size=(2, 4, 3))
+    tables = np.einsum("lax,lby->labxy", np.stack([pa, 1 - pa], axis=2), np.stack([pb, 1 - pb], axis=2))
+    if kind == "nan-entry":
+        tables[2, 1, 0, 1, 1] = np.nan
+    return HiddenVariableModel.from_arrays(sc, [0.25] * 4, tables)
+
+
+def check_outcome(check, model):
+    """A check's result as text (a report's JSON, a verdict or the error it raised), so NaN compares equal."""
+    try:
+        result = check(model)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps(result.to_dict() if hasattr(result, "to_dict") else result, sort_keys=True)
+
+
+class TestReportsIndependentOfCheckOrder:
+    @pytest.mark.parametrize("kind", ["deterministic", "product", "born", "nan-entry", "all-oi-skipped"])
+    def test_first_run_equals_last_run(self, kind, monkeypatch):
+        if kind == "all-oi-skipped":
+            monkeypatch.setattr(causality, "ZERO_CUTOFF", 1.0)
+        for name, check in CHECKS.items():
+            first = check_outcome(check, order_model(kind))
+            warm = order_model(kind)
+            for other in CHECKS.values():
+                if other is not check:
+                    check_outcome(other, warm)
+            assert warm._marginals is not None
+            assert check_outcome(check, warm) == first, name
+        warm = order_model(kind)
+        for check in CHECKS.values():
+            check_outcome(check, warm)
+        assert check_outcome(jarrett_equivalence, warm) == check_outcome(jarrett_equivalence, order_model(kind))
+
+    def test_models_cover_the_cases(self, monkeypatch):
+        assert "BehaviorError" in check_outcome(CHECKS["sz"], order_model("nan-entry"))
+        assert json.loads(check_outcome(CHECKS["oi"], order_model("born")))["passed"] is False
+        monkeypatch.setattr(causality, "ZERO_CUTOFF", 1.0)
+        assert json.loads(check_outcome(CHECKS["oi"], order_model("product")))["witness"] is None
 
 
 class TestNonFiniteTables:

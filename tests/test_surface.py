@@ -45,7 +45,7 @@ import pytest
 import locality_lab
 
 OPTIONS = 15
-SRC_LINES = 2516
+SRC_LINES = 2536
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
