@@ -26,12 +26,12 @@ _EXPORTS = {  # defining module -> its public names
     "causality": ("CheckReport", "Condition", "check_factorizability", "check_no_signalling",
                   "check_outcome_independence", "check_parameter_independence", "jarrett_equivalence",
                   "suppes_zanotti_reduction"),
-    "everett": ("Branch", "PointerBasis", "ProtocolTrace", "Stage", "comparison_measurement", "decompose",
-                "einstein_boxes", "is_definite_relative", "relative_state", "run_nonparallel", "run_parallel_epr"),
+    "everett": ("Branch", "PointerBasis", "ProtocolTrace", "Stage", "decompose", "einstein_boxes",
+                "is_definite_relative", "relative_state", "run_nonparallel", "run_parallel_epr"),
     "inequalities": ("Bell1964Result", "ChshResult", "ClassicalBound", "CorrelatorSet", "bell_1964", "chsh",
                      "classical_bound", "quantum_max"),
-    "qstate": ("Operator", "StateVector", "born_joint", "correlator_matrix", "joint_probability_table",
-               "measurement_unitary", "singlet", "tensor"),
+    "qstate": ("Operator", "StateVector", "correlator_matrix", "joint_probability_table", "measurement_unitary",
+               "singlet", "tensor"),
     "spacetime": ("Event", "IntervalClass", "Role", "boost", "in_future_lightcone", "interval_class", "region3_screens",
                   "validate_protocol"),
 }

@@ -118,31 +118,23 @@ def _marginal_shift(scenario: Scenario, marg_a: np.ndarray, marg_b: np.ndarray) 
     the witness without that index.
     """
     sc = scenario
-    _, n_a, n_b, k_a = marg_a.shape
-    k_b = marg_b.shape[3]
-    spread_a = _spread(marg_a.transpose(2, 0, 1, 3))  # (l, a, A) over b
-    spread_b = _spread(marg_b.transpose(1, 0, 2, 3))  # (l, b, B) over a
-    max_a, max_b = float(spread_a.max()), float(spread_b.max())
-    if max_a >= max_b:
-        il, ia = divmod(int(np.argmax(spread_a == max_a)) // k_a, n_a)
-        block = marg_a[il, ia]  # (b, A)
-        _, (ib, ibp, iA) = _argmax_cell(np.abs(block[:, None] - block[None]))
-        return max_a, il, {
-            "side": "A",
-            "a": sc.settings_a[ia],
-            "b": sc.settings_b[ib],
-            "b_prime": sc.settings_b[ibp],
-            "outcome": sc.outcomes_a[iA],
-        }
-    il, jb = divmod(int(np.argmax(spread_b == max_b)) // k_b, n_b)
-    block = marg_b[il, :, jb]  # (a, B)
-    _, (ja, jap, jB) = _argmax_cell(np.abs(block[:, None] - block[None]))
-    return max_b, il, {
-        "side": "B",
-        "b": sc.settings_b[jb],
-        "a": sc.settings_a[ja],
-        "a_prime": sc.settings_a[jap],
-        "outcome": sc.outcomes_b[jB],
+    sides = [  # (side, (lambda, near, far, outcome) marginal, near and far setting names, near outcomes)
+        ("A", marg_a, ("a", sc.settings_a), ("b", sc.settings_b), sc.outcomes_a),
+        ("B", marg_b.transpose(0, 2, 1, 3), ("b", sc.settings_b), ("a", sc.settings_a), sc.outcomes_b),
+    ]
+    spreads = [_spread(marg.transpose(2, 0, 1, 3)) for _, marg, *_ in sides]  # (lambda, near, outcome) over far
+    maxima = [float(spread.max()) for spread in spreads]
+    k = 0 if maxima[0] >= maxima[1] else 1
+    (side, marg, (near, near_names), (far, far_names), outcomes), value = sides[k], maxima[k]
+    il, i_near = divmod(int(np.argmax(spreads[k] == value)) // marg.shape[3], marg.shape[1])
+    block = marg[il, i_near]  # (far, outcome)
+    _, (i_far, i_far2, i_out) = _argmax_cell(np.abs(block[:, None] - block[None]))
+    return value, il, {
+        "side": side,
+        near: near_names[i_near],
+        far: far_names[i_far],
+        f"{far}_prime": far_names[i_far2],
+        "outcome": outcomes[i_out],
     }
 
 

@@ -65,10 +65,6 @@ class EmptyBranchError(ValueError):
     """Conditioning basis state has (numerically) zero overlap."""
 
 
-class ComparerStateError(ValueError):
-    """Comparison pointer has the wrong dimension or is not ready (an absent one raises SubsystemError)."""
-
-
 @dataclass(frozen=True)
 class PointerBasis:
     """Labelled orthonormal basis; columns of ``matrix`` are the basis states."""
@@ -320,7 +316,7 @@ _EV_B = spacetime.Event(3.0, 2.0, spacetime.Role.MEASUREMENT_B, "measurement B")
 _EV_COMPARE = spacetime.Event(7.0, 0.0, spacetime.Role.COMPARISON, "comparison")
 _FAR_WING = {spacetime.Role.MEASUREMENT_A: WINGS["B-side"], spacetime.Role.MEASUREMENT_B: WINGS["A-side"]}
 
-_j = np.arange(16)  # basis index 8x + 4y + c of (m_A, m_B, C): reading pair (x, y), comparer c
+_j = np.arange(16)  # basis index 8x + 4y + c of (m_A, m_B, C); the comparison permutes c -> c XOR (2x + y)
 _COMPARER = Operator((("m_A", 2), ("m_B", 2), ("C", 4)), np.eye(16)[:, (_j & 12) | ((_j & 3) ^ (_j >> 2))])
 
 
@@ -355,25 +351,6 @@ def run_parallel_epr() -> ProtocolTrace:
             ("measurement-b", _EV_B, measurement_unitary(psi0.dims, 0.0, "s2", "m_B"), bases),
         ),
     )
-
-
-def comparison_measurement(state: StateVector) -> StateVector:
-    """Unitarily copy the apparatus readings ``m_A`` and ``m_B`` into the four-state pointer ``C``.
-
-    The comparer must be present (else SubsystemError), four-dimensional, and
-    entirely in its ready (first) indicator state; the interaction is the
-    permutation c -> c XOR (reading pair), a two-bit generalisation of a CNOT.
-    """
-    ax_c = state.axis("C")
-    if state.dims[ax_c][1] != 4:
-        raise ComparerStateError("comparer 'C' must have dimension 4")
-    probe = np.moveaxis(state.as_tensor(), ax_c, 0)
-    stray = float(np.sqrt(np.sum(np.abs(probe[1:]) ** 2)))
-    if stray > BRANCH_CUTOFF:
-        raise ComparerStateError(
-            f"comparer 'C' is not in its ready state (stray amplitude {stray:.3g})"
-        )
-    return _COMPARER.apply(state)
 
 
 def run_nonparallel(theta: float) -> ProtocolTrace:

@@ -6,10 +6,10 @@ subsystems (a few dozen joint dimensions at most), basis order is
 lexicographic with the first subsystem most significant, and norms/unitarity
 are enforced at ``ALG_TOL``; an operator acts only on the subsystems it names.
 
-The Born-rule entry points (`born_joint`, `joint_probability_table`,
-`correlator_matrix`) compute joint outcome probabilities for two spin-1/2
-subsystems measured along rotated directions. Measurement directions are
-parametrised by a single angle via the real rotation
+The one Born-rule path, `joint_probability_table` (which `correlator_matrix`
+reads), gives joint outcome probabilities for two spin-1/2 subsystems
+measured along rotated directions. Measurement directions are parametrised
+by a single angle via the real rotation
 
     up(theta)   = cos(theta/2) |up> + sin(theta/2) |down>
     down(theta) = -sin(theta/2) |up> + cos(theta/2) |down>
@@ -209,48 +209,15 @@ def measurement_unitary(
     return Operator(((system, 2), (apparatus, 2)), block)
 
 
-_EIGENVALUE_COLUMN = {"up": 0, "down": 1}
-
-Outcome = tuple[str, str, float]  # (subsystem label, "up"|"down", angle in radians)
-
-
-def _outcome_vector(spec: Outcome) -> tuple[str, np.ndarray]:
-    label, eigenvalue, angle = spec
-    if eigenvalue not in _EIGENVALUE_COLUMN:
-        raise ValueError(f"rotated eigenvalue must be 'up' or 'down', got {eigenvalue!r}")
-    return str(label), rotated_basis_matrix(float(angle))[:, _EIGENVALUE_COLUMN[eigenvalue]]
-
-
-def born_joint(state: StateVector, outcome_a: Outcome, outcome_b: Outcome) -> float:
-    """Joint probability of two rotated spin outcomes on a shared state.
-
-    Projects the state onto both outcome eigenstates and returns the squared
-    norm of the result. The four probabilities at a fixed angle pair sum to 1.
-    """
-    label_a, vec_a = _outcome_vector(outcome_a)
-    label_b, vec_b = _outcome_vector(outcome_b)
-    ax_a, ax_b = state.axis(label_a), state.axis(label_b)
-    if label_a == label_b:
-        raise LabelCollisionError("joint outcomes must address two distinct subsystems")
-    for label, ax in ((label_a, ax_a), (label_b, ax_b)):
-        if state.dims[ax][1] != 2:
-            raise SubsystemError(f"subsystem {label!r} must be a qubit")
-    t = state.as_tensor()
-    # Contract the higher axis first so the lower index stays valid.
-    (ax1, v1), (ax2, v2) = sorted(((ax_a, vec_a), (ax_b, vec_b)), key=lambda p: -p[0])
-    t = np.tensordot(np.conjugate(v1), t, axes=([0], [ax1]))
-    t = np.tensordot(np.conjugate(v2), t, axes=([0], [ax2]))
-    return float(np.sum(np.abs(t) ** 2))
-
-
 def joint_probability_table(
     state: StateVector, angles_a: Sequence[float], angles_b: Sequence[float]
 ) -> np.ndarray:
     """Born probabilities of a two-qubit state over an angle grid, shape (n_a, n_b, 2, 2).
 
-    Entry ``[i, j, p, q]`` equals ``born_joint`` at angles ``(angles_a[i],
-    angles_b[j])`` on the first and second subsystem for outcomes (up,
-    down)[p] and (up, down)[q]; the two routes agree to rounding. Each (p, q) plane sums
+    Entry ``[i, j, p, q]`` is the probability of outcomes (up, down)[p] on the
+    first subsystem at angle ``angles_a[i]`` and (up, down)[q] on the second
+    at angle ``angles_b[j]``, the squared norm of the state's projection onto
+    those two rotated spin states. Each (p, q) plane sums
     ``(wa[:, k, p] * t[k, l]) * wb[:, l, q]`` over (k, l) = (0,0), (0,1), (1,0), (1,1) in that
     order, which makes the table bitwise equal to ``abs(einsum("akp,kl,blq->abpq", wa, t, wb)) ** 2``.
     """

@@ -11,10 +11,10 @@ Claims covered:
     the definiteness transition: cross-wing definiteness holds at the
     aligned protocol's final stage, fails after non-aligned local
     measurements, and holds for every branch after the comparison;
-  - the comparison interaction requires a ready four-state pointer (an
-    absent one raises SubsystemError, a busy or wrong-dimension one
-    ComparerStateError), labels single branches consistently, and on random
-    states equals the index permutation C <- 2 m_A + m_B of the ready slice;
+  - the comparison interaction `_COMPARER` needs a four-state pointer C (an
+    absent or wrong-dimension one raises SubsystemError), labels single
+    branches consistently, and on random states equals the index
+    permutation C <- 2 m_A + m_B of the ready slice;
   - the one-particle box protocol yields equal-weight strictly
     anticorrelated branches and its induced behaviour violates outcome
     independence by exactly 1/2;
@@ -43,8 +43,21 @@ Claims covered:
     order, and across every measurement stage the far wing's reduced density
     matrix, an explicit einsum partial trace equal to M M^H, is unchanged to
     ALG_TOL; B's unitary alone leaves the A-side matrix unchanged (a B
-    unitary that measures A's spin moves it), and boosts of rapidity +/-0.3
-    that put either measurement first both give a valid causal layout;
+    unitary that measures A's spin moves it);
+  - no action at a distance, state-independently (the Heisenberg picture of
+    Deutsch & Hayden 2000): at every measurement stage of every protocol and
+    of `_run` traces on a 7 x 7 grid of angles (a, b) in [-3, 3], the stage's
+    operator embedded by `full_space_matrix` (kron with the identity and an
+    axis permutation, not `Operator.apply`) maps the previous state to the
+    stage's state, and U^H P U = P to ALG_TOL for P = X, Y, Z on every qubit
+    of the far wing; B measuring s1 fails that check;
+  - frames: boosts of rapidity +/-0.3 and +/-0.9 put either measurement
+    first, the sign of the rapidity choosing which, and give a valid causal
+    layout; each protocol's steps at the boosted events, stably sorted by
+    boosted time and rebuilt through `_run`, are accepted in that listing
+    order and give the rest frame's final state bytes and final branches,
+    and each wing's reduced density matrix at its own measurement stage is
+    the rest frame's to ALG_TOL;
   - branches and definiteness agree with oracles built independently of
     the package's pointer expansion: the Kronecker product of the
     conjugate-transposed basis matrices applied to the amplitudes, branches
@@ -91,12 +104,10 @@ from locality_lab.everett import (
     SPIN_POINTER,
     WINGS,
     _COMPARER,
-    ComparerStateError,
     EmptyBranchError,
     PointerBasis,
     ProtocolTrace,
     _run,
-    comparison_measurement,
     decompose,
     einstein_boxes,
     is_definite_relative,
@@ -119,6 +130,8 @@ from locality_lab.qstate import (
 )
 from locality_lab.inequalities import chsh
 from locality_lab.spacetime import Event, Role, boost, validate_protocol
+
+from test_qstate import full_space_matrix
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 THETAS = [0.3, math.pi / 4, math.pi / 3, math.pi / 2, 2.5]
@@ -306,23 +319,20 @@ class TestDefinitenessTransition:
 
 
 class TestComparisonMeasurement:
-    def test_requires_ready_comparer(self):
-        busy = tensor(up("m_A"), up("m_B"), ket("C", [0.0, 1.0, 0.0, 0.0]))
-        with pytest.raises(ComparerStateError):
-            comparison_measurement(busy)
+    """The comparison interaction `_COMPARER`, which `_run` applies with C adjoined in its ready state."""
 
     def test_absent_comparer_raises_subsystem_error(self):
         with pytest.raises(SubsystemError, match="unknown subsystem 'C'"):
-            comparison_measurement(tensor(up("m_A"), up("m_B")))
+            _COMPARER.apply(tensor(up("m_A"), up("m_B")))
 
     def test_requires_four_state_comparer(self):
         wrong = tensor(up("m_A"), up("m_B"), ket("C", [1.0, 0.0]))
-        with pytest.raises(ComparerStateError):
-            comparison_measurement(wrong)
+        with pytest.raises(SubsystemError, match="subsystem 'C' has dimension 2, operator expects 4"):
+            _COMPARER.apply(wrong)
 
     def test_single_branch_labelled_consistently(self):
         psi = tensor(up("m_A"), ket("m_B", [0.0, 1.0]), ket("C", [1.0, 0.0, 0.0, 0.0]))
-        out = comparison_measurement(psi)
+        out = _COMPARER.apply(psi)
         spin = PointerBasis.computational(("up", "down"))
         bases = {"m_A": spin, "m_B": spin, "C": PointerBasis.computational(("uu", "ud", "du", "dd"))}
         (branch,) = decompose(out, bases)
@@ -347,7 +357,7 @@ class TestComparisonMeasurement:
             rest = StateVector(dims, amps / np.linalg.norm(amps))
             ready = ket("C", [1.0, 0.0, 0.0, 0.0])
             psi = tensor(ready, rest) if comparer_first else tensor(rest, ready)
-            got = comparison_measurement(psi)
+            got = _COMPARER.apply(psi)
             # Oracle: in (m_A, m_B, C, others) axis order, copy the ready slice to C = 2x + y.
             labels = list(psi.labels)
             order = [labels.index(s) for s in ("m_A", "m_B", "C")] + [k for k, s in enumerate(labels) if s not in ("m_A", "m_B", "C")]
@@ -440,13 +450,29 @@ class TestFrameOrder:
         assert b_first.amps.tobytes() == a_first.amps.tobytes()
         assert decompose(b_first, b.pointer_bases) == decompose(a_first, b.pointer_bases) == b.branches
 
-    @pytest.mark.parametrize("rapidity, first", [(0.3, Role.MEASUREMENT_B), (-0.3, Role.MEASUREMENT_A)])
+    @pytest.mark.parametrize(
+        "rapidity, first",
+        [(0.3, Role.MEASUREMENT_B), (-0.3, Role.MEASUREMENT_A), (0.9, Role.MEASUREMENT_B), (-0.9, Role.MEASUREMENT_A)],
+    )
     def test_both_time_orders_are_valid_frames(self, rapidity, first):
-        for trace in (run_nonparallel(1.0472), run_parallel_epr()):
+        for trace in (run_nonparallel(1.0472), run_parallel_epr(), einstein_boxes()[0]):
             events = [boost(stage.event, rapidity) for stage in trace.stages]
             measurements = [e for e in events if e.role in (Role.MEASUREMENT_A, Role.MEASUREMENT_B)]
             assert min(measurements, key=lambda e: e.t).role is first
             assert validate_protocol(events).passed
+            # The frame's trace: its steps, at the boosted events, listed by boosted time (a stable sort).
+            plan = sorted(
+                ((name, boosted, operator, bases) for (name, _, operator, bases), boosted in zip(steps(trace), events)),
+                key=lambda step: step[1].t,
+            )
+            frame = _run(trace.stages[0].state, plan)
+            assert [stage.event.role for stage in frame.stages if stage.event.role in FAR_WING][0] is first
+            assert frame.stages[-1].state.amps.tobytes() == trace.stages[-1].state.amps.tobytes()
+            assert frame.final_branches == trace.final_branches
+            for role, near in ((Role.MEASUREMENT_A, WINGS["A-side"]), (Role.MEASUREMENT_B, WINGS["B-side"])):
+                (here,) = [stage.state for stage in frame.stages if stage.event.role is role]
+                (rest,) = [stage.state for stage in trace.stages if stage.event.role is role]
+                assert np.max(np.abs(einsum_density(here, near) - einsum_density(rest, near))) <= ALG_TOL
 
 
 PROTOCOLS = {
@@ -482,6 +508,21 @@ def steps(trace):
     return [(stage.name, stage.event, stage.operator, stage.pointer_bases) for stage in trace.stages]
 
 
+PAULIS = {"X": np.array([[0.0, 1.0], [1.0, 0.0]]), "Y": np.array([[0.0, -1j], [1j, 0.0]]), "Z": np.diag([1.0, -1.0])}
+GRID = np.linspace(-3.0, 3.0, 7)
+
+
+def assert_heisenberg_local(before, operator, after, far):
+    """U, embedded by `full_space_matrix`, maps before to after, and U^H P U = P for P = X, Y, Z on each far qubit."""
+    u = full_space_matrix(before.dims, [label for label, _ in operator.dims], operator.matrix)
+    assert np.max(np.abs(u @ before.amps - after.amps)) <= ALG_TOL
+    for sub in (sub for sub in far if sub in before.labels):
+        for name, pauli in PAULIS.items():
+            p = full_space_matrix(before.dims, [sub], pauli)
+            shift = np.max(np.abs(u.conj().T @ p @ u - p))
+            assert shift <= ALG_TOL, f"U^H {name}({sub}) U moved by {shift:.3g}"
+
+
 class TestLocalOperators:
     """Each stage records the local operator that made it, and no measurement stage acts at a distance."""
 
@@ -498,7 +539,6 @@ class TestLocalOperators:
             assert tuple(label for label, _ in stage.operator.dims) == OPERATOR_SUBSYSTEMS[stage.name]
             if stage.name == "comparison":
                 state = tensor(state, ket("C", [1.0, 0.0, 0.0, 0.0]))
-                assert comparison_measurement(state).amps.tobytes() == stage.state.amps.tobytes()
             after = stage.operator.apply(state)
             assert after.dims == stage.state.dims
             assert after.amps.tobytes() == stage.state.amps.tobytes()
@@ -514,6 +554,29 @@ class TestLocalOperators:
             assert np.max(np.abs(rho - wing_density(stage.state, far))) <= ALG_TOL
             shift = np.max(np.abs(rho - einsum_density(before.state, far)))
             assert shift <= ALG_TOL, f"{stage.name}: far-wing density matrix moved by {shift:.3g}"
+
+    @staticmethod
+    def assert_measurements_heisenberg_local(trace):
+        stages = trace.stages
+        measured = [(before, stage) for before, stage in zip(stages, stages[1:]) if stage.event.role in FAR_WING]
+        assert len(measured) == 2
+        for before, stage in measured:
+            assert_heisenberg_local(before.state, stage.operator, stage.state, FAR_WING[stage.event.role])
+
+    @pytest.mark.parametrize("build", PROTOCOLS.values(), ids=PROTOCOLS.keys())
+    def test_heisenberg_picture_far_wing_observables_unchanged(self, build):
+        self.assert_measurements_heisenberg_local(build())
+
+    def test_heisenberg_picture_on_an_angle_grid(self):
+        for a, b in itertools.product(GRID, GRID):
+            self.assert_measurements_heisenberg_local(local_chsh_trace(float(a), float(b)))
+
+    def test_heisenberg_check_catches_b_measuring_the_a_spin(self):
+        for a, b in itertools.product(GRID, GRID):
+            after_a = local_chsh_trace(float(a), float(b)).stage("measurement-a").state
+            mutant = measurement_unitary(after_a.dims, float(b), "s1", "m_B")
+            with pytest.raises(AssertionError, match=r"U\^H [XYZ]\(s1\) U moved"):
+                assert_heisenberg_local(after_a, mutant, mutant.apply(after_a), WINGS["A-side"])
 
     @pytest.mark.parametrize("build", PROTOCOLS.values(), ids=PROTOCOLS.keys())
     def test_own_steps_rebuild_the_trace(self, build):

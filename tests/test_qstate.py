@@ -8,8 +8,9 @@ Claims covered:
   - the measurement unitary realises the pointer-copy action on the ready
     sector, is unitary, and two aligned measurements produce the two-branch
     anticorrelated state;
-  - born_joint agrees with an independent dense projector-matrix computation
-    and with the closed singlet form (1/2)sin^2(theta/2);
+  - Born table entries agree with an independent dense projector-matrix
+    computation and with the closed singlet form (1/2)sin^2(theta/2), and
+    each angle pair's four entries sum to 1;
   - measurement order on distinct wings is immaterial;
   - an operator acts on the subsystems it names, in its own label order and
     wherever they sit in the state, like the full-space matrix built from
@@ -23,6 +24,7 @@ Claims covered:
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -36,7 +38,6 @@ from locality_lab.qstate import (
     Operator,
     StateVector,
     SubsystemError,
-    born_joint,
     correlator_matrix,
     joint_probability_table,
     ket,
@@ -176,15 +177,17 @@ class TestMeasurementUnitary:
 
 
 class TestBornJoint:
+    """`joint_probability_table` entries against the dense projector oracle and the singlet closed form."""
+
     def test_parallel_same_outcomes_vanish(self):
-        psi = singlet()
-        assert born_joint(psi, ("s1", "up", 0.0), ("s2", "up", 0.0)) < ALG_TOL
-        assert born_joint(psi, ("s1", "down", 0.0), ("s2", "down", 0.0)) < ALG_TOL
+        table = joint_probability_table(singlet(), [0.0], [0.0])
+        assert table[0, 0, 0, 0] < ALG_TOL
+        assert table[0, 0, 1, 1] < ALG_TOL
 
     @pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 2, math.pi])
     def test_singlet_closed_form_and_projector_oracle(self, theta):
         psi = singlet()
-        p = born_joint(psi, ("s1", "up", 0.0), ("s2", "up", theta))
+        p = joint_probability_table(psi, [0.0], [theta])[0, 0, 0, 0]
         assert p == pytest.approx(0.5 * math.sin(theta / 2) ** 2, abs=ALG_TOL)
         assert p == pytest.approx(projector_probability(psi, 0.0, 0, theta, 0), abs=ALG_TOL)
 
@@ -193,40 +196,19 @@ class TestBornJoint:
         for _ in range(20):
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi = StateVector((("s1", 2), ("s2", 2)), amps / np.linalg.norm(amps))
-            ta, tb = rng.uniform(0, 2 * math.pi, size=2)
-            for col_a, out_a in enumerate(("up", "down")):
-                for col_b, out_b in enumerate(("up", "down")):
-                    p = born_joint(psi, ("s1", out_a, float(ta)), ("s2", out_b, float(tb)))
-                    assert p == pytest.approx(
-                        projector_probability(psi, float(ta), col_a, float(tb), col_b), abs=ALG_TOL
+            angles_a, angles_b = rng.uniform(0, 2 * math.pi, size=(2, 3))
+            table = joint_probability_table(psi, angles_a, angles_b)
+            for (ia, ta), (ib, tb) in itertools.product(enumerate(angles_a), enumerate(angles_b)):
+                for p, q in itertools.product(range(2), repeat=2):
+                    assert table[ia, ib, p, q] == pytest.approx(
+                        projector_probability(psi, float(ta), p, float(tb), q), abs=ALG_TOL
                     )
 
     def test_completeness(self):
         rng = np.random.default_rng(9)
-        psi = singlet()
-        for _ in range(10):
-            ta, tb = rng.uniform(-math.pi, math.pi, size=2)
-            total = sum(
-                born_joint(psi, ("s1", oa, float(ta)), ("s2", ob, float(tb)))
-                for oa in ("up", "down")
-                for ob in ("up", "down")
-            )
-            assert total == pytest.approx(1.0, abs=ALG_TOL)
-
-    def test_table_matches_scalar_route(self):
-        rng = np.random.default_rng(3)
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi = StateVector((("s1", 2), ("s2", 2)), amps / np.linalg.norm(amps))
-        angles_a = [0.0, 0.7, 2.1]
-        angles_b = [0.4, 1.9]
-        table = joint_probability_table(psi, angles_a, angles_b)
-        for ia, ta in enumerate(angles_a):
-            for ib, tb in enumerate(angles_b):
-                for p, oa in enumerate(("up", "down")):
-                    for q, ob in enumerate(("up", "down")):
-                        assert table[ia, ib, p, q] == pytest.approx(
-                            born_joint(psi, ("s1", oa, ta), ("s2", ob, tb)), abs=ALG_TOL
-                        )
+        angles_a, angles_b = rng.uniform(-math.pi, math.pi, size=(2, 10))
+        totals = joint_probability_table(singlet(), angles_a, angles_b).sum(axis=(2, 3))
+        assert np.max(np.abs(totals - 1.0)) <= ALG_TOL
 
 
 class TestMeasurementOrder:

@@ -5,6 +5,8 @@ Claims covered:
     default, counted with `ast` over every module. A `field(init=False)` is
     derived, not set by a caller, so it is not counted. A new option shows
     up as a deliberate edit of OPTIONS;
+  - the package exports EXPORTS public names, so a change to the export
+    list shows up as a deliberate edit of EXPORTS;
   - the package's modules hold SRC_LINES lines in total, so growth or
     shrinkage shows up as a deliberate edit of SRC_LINES;
   - every `Stage(...)` call in the package lies inside `everett._run`, the
@@ -45,7 +47,8 @@ import pytest
 import locality_lab
 
 OPTIONS = 15
-SRC_LINES = 2536
+EXPORTS = 49
+SRC_LINES = 2472
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -99,6 +102,10 @@ class Plain:
 def test_option_count_pinned():
     package = Path(locality_lab.__file__).parent
     assert sum(count_options(path.read_text()) for path in sorted(package.glob("*.py"))) == OPTIONS
+
+
+def test_export_count_pinned():
+    assert len(locality_lab.__all__) == EXPORTS
 
 
 def test_src_line_count_pinned():
