@@ -224,8 +224,8 @@ def check_factorizability(model: HiddenVariableModel, tol: float = DEFAULT_TOL) 
     return CheckReport(Condition.FACTORIZABILITY, value <= tol, value, tol, witness, 0, notes)
 
 
-def jarrett_equivalence(model: HiddenVariableModel, tol: float = DEFAULT_TOL) -> bool:
-    """factorizability <=> (parameter independence and outcome independence).
+def jarrett_equivalence(model: HiddenVariableModel) -> bool:
+    """factorizability <=> (parameter independence and outcome independence), each checked at DEFAULT_TOL.
 
     Requires strictly positive tables so every conditional is defined; on
     such tables the equivalence is an algebraic identity.
@@ -241,9 +241,9 @@ def jarrett_equivalence(model: HiddenVariableModel, tol: float = DEFAULT_TOL) ->
             f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}, "
             f"A={sc.outcomes_a[iA]!r}, B={sc.outcomes_b[iB]!r})"
         )
-    fact = check_factorizability(model, tol).passed
-    pi = check_parameter_independence(model, tol).passed
-    oi = check_outcome_independence(model, tol).passed
+    fact = check_factorizability(model).passed
+    pi = check_parameter_independence(model).passed
+    oi = check_outcome_independence(model).passed
     return fact == (pi and oi)
 
 

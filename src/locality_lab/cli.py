@@ -127,8 +127,6 @@ def cmd_check(args) -> int:
     is_model = isinstance(obj, bh.HiddenVariableModel)
     tol = _tolerance(args.tol)
     names = _parse_conditions(args.conditions, is_model)
-    if not is_model and any(n not in ("no-signalling",) for n in names):
-        print("input is a behaviour; lambda-level checks use the empty hidden variable")
     if is_model:
         model, observable = obj, (bh.average(obj) if "no-signalling" in names else None)
     else:
@@ -151,6 +149,8 @@ def cmd_check(args) -> int:
                 f"{r.skipped_cells},{format(r.tol, '.17g')}"
             )
     else:
+        if not is_model and any(n != "no-signalling" for n in names):
+            print("input is a behaviour; lambda-level checks use the empty hidden variable")
         _print_reports_table(reports)
     return 0 if all(r.passed is not False for r in reports) else 1
 
@@ -206,18 +206,13 @@ def cmd_chsh(args) -> int:
 
 def cmd_bell1964(args) -> int:
     corr = ineq.CorrelatorSet.from_state(singlet(), [args.a, args.b, args.c], [args.a, args.b, args.c])
-    result = ineq.bell_1964(corr, 0, 1, 2)
+    result = ineq.bell_1964(corr)
     if args.format == "json":
         _print_json(result.to_dict())
         return 0
     print(f"slack = {bh.angle_label(result.slack)}  ({'satisfied' if result.satisfied else 'VIOLATED'})")
     for key in ("E(b,c)", "E(a,b)", "E(a,c)"):
         print(f"{key} = {bh.angle_label(result.terms[key])}")
-    if not result.anticorrelation_ok:
-        print(
-            "warning: perfect anticorrelation at equal settings fails "
-            f"(max deviation {bh.angle_label(result.max_equal_setting_deviation)}); slack computed anyway"
-        )
     return 0
 
 

@@ -12,8 +12,10 @@ grid scan of the four measurement angles, pruned by a separable bound on
 each (a, a') pair, plus see-saw refinement that reaches the in-plane
 closed form 2 ||T||_F.
 
-`bell_1964` evaluates the original-form slack 1 + E(b,c) - |E(a,b) - E(a,c)|,
-which presupposes perfect anticorrelation at equal settings; the slack is
+`chsh` evaluates S over the two settings of each wing. `bell_1964` evaluates
+the original-form slack 1 + E(b,c) - |E(a,b) - E(a,c)| over a 3x3 grid
+whose wing A holds a first and wing B holds b and c second and third; it
+presupposes perfect anticorrelation at equal settings, and the slack is
 still computed when that precondition fails, but the result is flagged.
 """
 
@@ -79,14 +81,6 @@ class CorrelatorSet:
             correlator_matrix(state, [float(t) for t in angles_a], [float(t) for t in angles_b]),
         )
 
-    def value(self, a: int, b: int) -> float:
-        """E at the a-th setting of wing A and the b-th setting of wing B."""
-        return float(self.values[a, b])
-
-
-def _as_correlators(source: Behavior | CorrelatorSet) -> CorrelatorSet:
-    return source if isinstance(source, CorrelatorSet) else CorrelatorSet.from_behavior(source)
-
 
 @dataclass(frozen=True)
 class ChshResult:
@@ -113,21 +107,13 @@ class ChshResult:
         }
 
 
-def chsh(
-    source: Behavior | CorrelatorSet,
-    a: int,
-    a_prime: int,
-    b: int,
-    b_prime: int,
-) -> ChshResult:
-    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') for the settings at these positions."""
-    corr = _as_correlators(source)
-    e_ab = corr.value(a, b)
-    e_abp = corr.value(a, b_prime)
-    e_apb = corr.value(a_prime, b)
-    e_apbp = corr.value(a_prime, b_prime)
-    names = (corr.settings_a[a], corr.settings_a[a_prime], corr.settings_b[b], corr.settings_b[b_prime])
-    return ChshResult(e_ab - e_abp + e_apb + e_apbp, names, (e_ab, e_abp, e_apb, e_apbp))
+def chsh(source: Behavior | CorrelatorSet) -> ChshResult:
+    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b'), with (a, a') wing A's two settings and (b, b') wing B's."""
+    corr = source if isinstance(source, CorrelatorSet) else CorrelatorSet.from_behavior(source)
+    if corr.values.shape != (2, 2):
+        raise ScenarioShapeError(f"CHSH needs two settings on each wing, got {corr.values.shape}")
+    terms = tuple(corr.values.ravel().tolist())
+    return ChshResult(_chsh_from_grid(corr.values, 0, 1, 0, 1), corr.settings_a + corr.settings_b, terms)
 
 
 @dataclass(frozen=True)
@@ -151,16 +137,16 @@ def classical_bound() -> ClassicalBound:
     The enumeration itself is the oracle: it returns max |S| = 2 together
     with every strategy row, so mixtures can be checked against it.
     """
-    rows = []
-    for ra in product((1, -1), repeat=2):
-        for rb in product((1, -1), repeat=2):
-            e = lambda i, j: float(ra[i] * rb[j])
-            s = e(0, 0) - e(0, 1) + e(1, 0) + e(1, 1)
-            rows.append(StrategyRow(ra, rb, s))
-    return ClassicalBound(max(abs(r.s) for r in rows), tuple(rows))
+    rows = tuple(
+        StrategyRow(ra, rb, _chsh_from_grid(np.outer(ra, rb), 0, 1, 0, 1))
+        for ra in product((1, -1), repeat=2)
+        for rb in product((1, -1), repeat=2)
+    )
+    return ClassicalBound(max(abs(r.s) for r in rows), rows)
 
 
 def _chsh_from_grid(e: np.ndarray, ia: int, iap: int, ib: int, ibp: int) -> float:
+    """S at positions (a, a', b, b') of a correlator grid: the one scalar CHSH sum."""
     return float(e[ia, ib] - e[ia, ibp] + e[iap, ib] + e[iap, ibp])
 
 
@@ -210,7 +196,8 @@ def quantum_max(state: StateVector) -> ChshResult:
     (a, a', b, b'); then up to SEESAW_ROUNDS see-saw rounds (Werner & Wolf
     2001) each set one pair of directions to its optimum given the other. A
     round is kept only when it raises |S|; from the grid's best quadruple the
-    rounds reach the in-plane optimum 2 ||T||_F (Horodecki 1995).
+    rounds reach the in-plane optimum 2 ||T||_F (Horodecki 1995). The result
+    is `chsh` of the correlators at the best angles.
     """
     e = correlator_matrix(state, SCAN_GRID, SCAN_GRID)
     quad = _scan(e)
@@ -232,9 +219,7 @@ def quantum_max(state: StateVector) -> ChshResult:
         if not abs(val) > abs(best_val):
             break  # a round that does not raise |S| would repeat itself from the same angles
         best, best_val = trial, val
-    angles = [float(x) for x in best]
-    em = correlator_matrix(state, angles[:2], angles[2:])
-    return ChshResult(best_val, tuple(map(angle_label, angles)), tuple(map(float, em.flat)))
+    return chsh(CorrelatorSet.from_state(state, best[:2], best[2:]))
 
 
 @dataclass(frozen=True)
@@ -263,25 +248,23 @@ class Bell1964Result:
         }
 
 
-def bell_1964(
-    corr: CorrelatorSet,
-    a: int,
-    b: int,
-    c_setting: int,
-) -> Bell1964Result:
-    """Original-form three-setting slack at positions ``a`` (wing A), ``b`` and ``c_setting`` (wing B).
+def bell_1964(corr: CorrelatorSet) -> Bell1964Result:
+    """Original-form slack over a 3x3 grid: a is wing A's first setting, b and c wing B's second and third.
 
-    The derivation presupposes E(s, s) = -1 at every setting label present on
-    both sides; the worst deviation from that is reported, and a violation of
-    the precondition flags (but does not suppress) the computed slack.
+    That is the grid ``CorrelatorSet.from_state(state, [a, b, c], [a, b, c])``
+    builds. The derivation presupposes E(s, s) = -1 at every setting label
+    present on both sides; the worst deviation from that is reported, and a
+    violation of the precondition flags (but does not suppress) the computed
+    slack.
     """
+    if corr.values.shape != (3, 3):
+        raise ScenarioShapeError(f"the 1964 form needs three settings on each wing, got {corr.values.shape}")
+    e = corr.values.tolist()
     shared = [(corr.settings_a.index(s), corr.settings_b.index(s)) for s in corr.settings_a if s in corr.settings_b]
-    deviation = max((abs(corr.value(ia, ib) + 1.0) for ia, ib in shared), default=math.inf)
-    e_bc = corr.value(b, c_setting)
-    e_ab = corr.value(a, b)
-    e_ac = corr.value(a, c_setting)
+    deviation = max((abs(e[ia][ib] + 1.0) for ia, ib in shared), default=math.inf)
+    e_bc, e_ab, e_ac = e[1][2], e[0][1], e[0][2]
     slack = 1.0 + e_bc - abs(e_ab - e_ac)
-    names = (corr.settings_a[a], corr.settings_b[b], corr.settings_b[c_setting])
+    names = (corr.settings_a[0], corr.settings_b[1], corr.settings_b[2])
     return Bell1964Result(
         slack,
         names,

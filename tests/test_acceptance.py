@@ -150,7 +150,7 @@ def test_c05_classical_bound():
                 )
             )
         model = HiddenVariableModel(scenario, lams)
-        worst = max(worst, abs(chsh(average(model), 0, 1, 0, 1).value))
+        worst = max(worst, abs(chsh(average(model)).value))
     report(
         5,
         "classical bound: enumeration exact, 1000 factorizable mixtures below 2",
@@ -161,7 +161,7 @@ def test_c05_classical_bound():
 
 def test_c06_quantum_chsh_value():
     b = from_quantum(singlet(), [0.0, math.pi / 2], [math.pi / 4, 3 * math.pi / 4])
-    fixed = chsh(b, 0, 1, 0, 1)
+    fixed = chsh(b)
     at_angles = abs(fixed.magnitude - SQRT8) <= 1e-9
     start = time.perf_counter()
     found = quantum_max(singlet())
@@ -210,7 +210,7 @@ def test_c08_jarrett_decomposition():
                 t = t + 0.05 * np.array([[1.0, -1.0], [-1.0, 1.0]])
                 lam = validate(Behavior(scenario, t))
             lams.append((float(w), lam))
-        ok &= jarrett_equivalence(HiddenVariableModel(scenario, lams), tol=1e-9)
+        ok &= jarrett_equivalence(HiddenVariableModel(scenario, lams))
     report(8, "factorizability <=> (PI and OI) on 200 positive models", ok)
 
 

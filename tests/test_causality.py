@@ -432,7 +432,7 @@ class TestJarrettDecomposition:
                 model = positive_arbitrary_model(rng)
             else:
                 model = pi_passing_oi_failing_model(rng)
-            assert jarrett_equivalence(model, tol=1e-9)
+            assert jarrett_equivalence(model)
 
     def test_pi_passing_oi_failing_breaks_factorizability(self):
         model = pi_passing_oi_failing_model(np.random.default_rng(7))

@@ -9,7 +9,14 @@ Claims covered:
     past the cell cap (refused before its stack is allocated), JSON nested
     past the parser's depth, a scenario label field or context of the wrong
     JSON type, a label or context value that is not a JSON string, or a
-    `table` of nested lists (behaviour or lambda); timeline, signmodel and chsh --grid hold the same contract on deep
+    `table` of nested lists (behaviour or lambda), a NaN, out-of-range or
+    unnormalised table, weights that do not sum to 1 or are negative, a
+    table of the wrong size, a lambda that is not an object or has no
+    weight, an empty lambda list, neither table nor lambdas, a missing or
+    non-object scenario or label field, empty or duplicate setting labels,
+    and `--conditions determinism` on unequal outcome lists or with no shared
+    setting label; each case has exactly one sweep row, and each
+    `contract/*` row a case; timeline, signmodel and chsh --grid hold the same contract on deep
     JSON, a non-list timeline, an event coordinate that is a string or a
     boolean, an event label or role that is not a JSON string (an absent
     one stays empty or "other"), a "region3" slab that is not two finite numbers, non-finite
@@ -18,15 +25,19 @@ Claims covered:
   - --tol wins over LOCALITY_LAB_TOL, which is read only without it: a
     malformed LOCALITY_LAB_TOL does not stop `--tol 0.6`, and `--tol -1`
     exits 2 with one line although LOCALITY_LAB_TOL is valid;
-  - check's exit code and stdout sha256, recorded before the checker table
-    and the tolerance reader were rewritten, are pinned for a behaviour, a
+  - check's exit code and stdout sha256 are pinned for a behaviour, a
     one-lambda model and a sign-model file, in table, json and csv, for each
     of the five conditions, for `all`, and for all five at --tol 0.3; each pin
-    equals the sweep row that replays the invocation;
+    equals the sweep row that replays the invocation. The note that a
+    behaviour's lambda-level checks use the empty hidden variable is printed
+    with the table format only, so json stdout parses and csv stdout starts
+    with its header;
   - chsh emits the 16-strategy table, the (ceil(2 pi / step) + 1)^2-row
     correlator grid (below 33 MiB of traced allocation at 500 x 500 rows),
     and the optimisation summary;
-  - bell1964 reports the canonical negative slack;
+  - bell1964 reports the canonical negative slack, and perfect
+    anticorrelation at equal settings on huge, subnormal and
+    12-digit-colliding angle triples;
   - everett prints two branches at theta = 0, the {3/8, 1/8} weight multiset
     near theta = pi/3, and the documented CSV columns;
   - boxes and signmodel render their reports, signmodel finds the six
@@ -49,7 +60,10 @@ Claims covered:
     0.05, 0.065 and 0.0126 (500 angles per axis), `signmodel --format json`
     at n = 4095, 4096, 4097 and 131073 (the edges of the sampler's 4096-row
     block and 2**17-draw chunk), the input-contract exit-2
-    cases above and argparse usage errors. A file argument is written as
+    cases above and argparse usage errors. On every row's live output, an
+    exit-2 row writes nothing to stdout, a `--format json` row that exits 0
+    or 1 prints JSON, and a `check --format csv` row starts with its header.
+    A file argument is written as
     `{name}` and read from `sweep_inputs()`; stderr names it the same way.
     `PYTHONPATH=src python tests/test_cli.py [row id ...]` re-records the
     named rows, or every row.
@@ -201,7 +215,9 @@ class TestCheckPinned:
     """`check` exit code and stdout sha256 for every input kind, condition selection and format.
 
     The pins were recorded before the checker table and the tolerance reader
-    were rewritten. The sweep row ``check/<key>`` runs each invocation and
+    were rewritten, except the behaviour's json and csv pins of the
+    lambda-level selections, re-recorded when the empty-hidden-variable note
+    left those formats. The sweep row ``check/<key>`` runs each invocation and
     replays its recorded bytes; here each pin only has to equal that row, so
     a re-recorded row cannot drift from its pin and no invocation runs twice.
     """
@@ -211,23 +227,23 @@ class TestCheckPinned:
         "behavior/no-signalling/json": (0, "9fe6b7ff1ad5a27c80a018490e2c0d8a7ce26da292e8ceb57843d4e7b0b9aaab"),
         "behavior/no-signalling/csv": (0, "59b179d457e043d8c160b481c5ecad2fc58cda47f89664bd289781d128b29fd5"),
         "behavior/parameter-independence/table": (0, "e887ccc5dbb8c4de36ee32ca20a0ea56896ae8cd3e302a3d8a720b02fd983ae0"),
-        "behavior/parameter-independence/json": (0, "fea1f87a494038b21c9698421c9608b7d6d300863198da11e3871ce7d364a86e"),
-        "behavior/parameter-independence/csv": (0, "bb9e9f09bbf4936f65a02f36b9fa4978ede60de440eb97c6a81a116ea503906a"),
+        "behavior/parameter-independence/json": (0, "0a1c593f61cc08c06174e4433f488d2eeab6dc9869448b0d1a86c7ccd9717276"),
+        "behavior/parameter-independence/csv": (0, "a849cafae938617738fe4217d7a0131a05301fc31c2f733aa152210d81957ea0"),
         "behavior/outcome-independence/table": (1, "f082533274aace80e4fe6a908ccafbf0f3169fbd10c895017e9e3c9589327aa9"),
-        "behavior/outcome-independence/json": (1, "f158bd4ab2198668e915dfd31e2697eab039337907551dbac1b488d1bb1423a7"),
-        "behavior/outcome-independence/csv": (1, "770929862664146f268e0c28b922cabf97c87ff008ce77595ad7486c222f6607"),
+        "behavior/outcome-independence/json": (1, "5761ef91f84ca5a00a2212ca5be4153785f7d8ff20c773fe2371f13016a41370"),
+        "behavior/outcome-independence/csv": (1, "73cc0c60f97032b7b7f9017fbe4d2bafa84dc4ca5369f9a4f2d985ebc51a21e2"),
         "behavior/factorizability/table": (1, "20944567880e34d0a8419ac5b0fcbb02cd6da1c796095221432383f614496cd2"),
-        "behavior/factorizability/json": (1, "5d4339693bd99df6e7c2dc83df0f9157568d2a8783bb4d6e4d823ed5b51b4ab6"),
-        "behavior/factorizability/csv": (1, "2fd8d044f90aeca699e8a732b8612d6b5b6d50af957054f73e8dc51ad4706e06"),
+        "behavior/factorizability/json": (1, "4473960795e30e7a21a4396a78b4e165338542fffbd23d4150db29034005ed0a"),
+        "behavior/factorizability/csv": (1, "9e5b8b6e05ad4cba912635a6599a2ee8507262bf4fdc0476090c487ebe6ed089"),
         "behavior/determinism/table": (0, "e974f688ea47d9cc27dd0c4e5ca1428bedb14ce2b32a377007fd94d100b3c07d"),
-        "behavior/determinism/json": (0, "d05995ca630ff0244247ab00f9b3cfe8745a5b6d8b0746fce91be54ae4ec0b64"),
-        "behavior/determinism/csv": (0, "7743708b7bc6e243ed1cb874a9a8f94dfc85ad974df7cfa93fa66612b6c9dd68"),
+        "behavior/determinism/json": (0, "92a1b838acd394087367ffb6c73bfb2de3f7cfc3a7cf9753775f7d5736d16a53"),
+        "behavior/determinism/csv": (0, "9e259cc58ecf8c837808d3593489e5f1f5591016def1720c9560eb2a2739746e"),
         "behavior/all/table": (0, "6d3c7998695c4399eea332113b50a8baa839935648c8eb623a26de4c504902f1"),
         "behavior/all/json": (0, "9fe6b7ff1ad5a27c80a018490e2c0d8a7ce26da292e8ceb57843d4e7b0b9aaab"),
         "behavior/all/csv": (0, "59b179d457e043d8c160b481c5ecad2fc58cda47f89664bd289781d128b29fd5"),
         "behavior/all-five-tol-0.3/table": (1, "6fcc65fb5123113f0022aec5091cd74c52373a9db4ad2cd4fa15c197ade11563"),
-        "behavior/all-five-tol-0.3/json": (1, "aab3f613e9574fcfd62b01f372ad145fa7a41173c41dccbf84edadc0c461e674"),
-        "behavior/all-five-tol-0.3/csv": (1, "149ab4e47bdd94b258ea7f06f743419f163c6dab939fa5ede3df553ac9c99f4d"),
+        "behavior/all-five-tol-0.3/json": (1, "22043f6c9211edfabb1ab440be2bdedc2c8eff29b1036b4a23cc0a0b97cac010"),
+        "behavior/all-five-tol-0.3/csv": (1, "b99515ad14053421624ab53eae32ffe1f12f83d8a675fbdc377c7a13c338e0a3"),
         "one-lambda/no-signalling/table": (0, "f8bd9463f86b314bca01f3577c6694df60542fed24339550ec7ec7327428f6f0"),
         "one-lambda/no-signalling/json": (0, "b2c5a4c69ea6de271ce230cfff6a1c83c09b5987dbcbab65a2746ff5878b8b97"),
         "one-lambda/no-signalling/csv": (0, "38411f9c480877c1cae057a0afe3d7ba41d578b8bbb4886e2e6c0ce0b91c9e85"),
@@ -342,6 +358,32 @@ CONTRACT_CASES = {
     "model-over-cell-cap": (["check"], json.dumps({"scenario": WIDE, "lambdas": [{}] * 10_000}), {}),
     "check-deep-json": (["check"], "[" * 100_000, {}),
     "timeline-deep-json": (["timeline"], "[" * 100_000, {}),
+    "table-nan-entry": (["check"], json.dumps({"scenario": PARALLEL, "table": [float("nan"), 0.5, 0.5, 0.0]}), {}),
+    "table-entry-out-of-range": (["check"], json.dumps({"scenario": PARALLEL, "table": [-0.5, 1.0, 0.5, 0.0]}), {}),
+    "table-unnormalised": (["check"], json.dumps({"scenario": PARALLEL, "table": [0.25, 0.5, 0.5, 0.5]}), {}),
+    "weights-sum-half": (["check"], json.dumps(_model(0.25, 0.25)), {}),
+    "weight-negative": (["check"], json.dumps(_model(-0.5, 1.5)), {}),
+    "table-wrong-size": (["check"], json.dumps({"scenario": PARALLEL, "table": ANTI[:3]}), {}),
+    "lambda-table-wrong-size": (["check"], json.dumps({"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": ANTI * 2}]}), {}),
+    "lambda-without-weight": (["check"], json.dumps({"scenario": PARALLEL, "lambdas": [{"table": ANTI}]}), {}),
+    "lambda-not-object": (["check"], json.dumps({"scenario": PARALLEL, "lambdas": [5]}), {}),
+    "lambdas-empty": (["check"], json.dumps({"scenario": PARALLEL, "lambdas": []}), {}),
+    "neither-table-nor-lambdas": (["check"], json.dumps({"scenario": PARALLEL}), {}),
+    "scenario-absent": (["check"], json.dumps({"table": ANTI}), {}),
+    "scenario-list": (["check"], json.dumps({"scenario": [["0"], ["0"]], "table": ANTI}), {}),
+    "settings-b-absent": (["check"], json.dumps({"scenario": {"settings_a": ["0"]}, "table": ANTI}), {}),
+    "settings-empty": (["check"], json.dumps({"scenario": dict(PARALLEL, settings_a=[]), "table": []}), {}),
+    "settings-duplicate": (["check"], json.dumps({"scenario": dict(PARALLEL, settings_b=["0", "0"]), "table": ANTI * 2}), {}),
+    "determinism-unequal-outcomes": (
+        ["check", "--conditions", "determinism"],
+        json.dumps({"scenario": dict(PARALLEL, outcomes_a=["x", "y", "z"]), "table": [0.0, 0.5, 0.5, 0.0, 0.0, 0.0]}),
+        {},
+    ),
+    "determinism-no-shared-setting": (
+        ["check", "--conditions", "determinism"],
+        json.dumps({"scenario": dict(PARALLEL, settings_b=["1"]), "table": ANTI}),
+        {},
+    ),
 }
 
 
@@ -418,6 +460,22 @@ class TestBell1964:
         out = capsys.readouterr().out
         assert code == 0
         assert "slack = -0.5" in out and "VIOLATED" in out
+
+    @pytest.mark.parametrize(
+        "a, b, c",
+        [
+            ("1e300", "-1e300", "0"),
+            ("-1.7976931348623157e308", "1.7976931348623157e308", "5e-324"),
+            ("5e-324", "-5e-324", "0"),
+            ("0.1", "0.1000000000001", "0.2"),  # equal labels at 12 digits
+        ],
+        ids=["huge", "near-max", "subnormal", "labels-collide"],
+    )
+    def test_anticorrelation_holds_on_extreme_and_colliding_triples(self, a, b, c, capsys):
+        # the CLI gives the singlet one triple on both wings, so E(s, s) = -1 at every setting
+        code = main(["bell1964", f"--a={a}", f"--b={b}", f"--c={c}", "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["anticorrelation_ok"] is True
 
 
 class TestEverett:
@@ -646,11 +704,11 @@ def sweep_inputs() -> dict[str, str]:
     return files | {"truncated": '{"scenario": '}
 
 
-def replay(row: dict, workdir: Path) -> dict:
-    """Exit code and stdout/stderr sha256 of one sweep row run in-process.
+def run_row(row: dict, workdir: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one sweep row run in-process.
 
     An argv entry ``{name}`` is the path of that input file, written to
-    ``workdir``; stderr names it as ``{name}`` again, so the digest does not
+    ``workdir``; stderr names it as ``{name}`` again, so its bytes do not
     depend on where the file was written. The environment holds the row's
     variables and no LOCALITY_LAB_TOL of its own.
     """
@@ -668,13 +726,41 @@ def replay(row: dict, workdir: Path) -> dict:
     stderr = err.getvalue()
     for arg, path in paths.items():
         stderr = stderr.replace(str(path), arg)
-    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
-    return {"exit": code, "stdout_sha256": digest(out.getvalue()), "stderr_sha256": digest(stderr)}
+    return code, out.getvalue(), stderr
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def replay(row: dict, workdir: Path) -> dict:
+    """Exit code and stdout/stderr sha256 of one sweep row run in-process."""
+    code, out, err = run_row(row, workdir)
+    return {"exit": code, "stdout_sha256": sha256(out), "stderr_sha256": sha256(err)}
 
 
 @pytest.mark.parametrize("row", SWEEP, ids=[row["id"] for row in SWEEP])
 def test_sweep_row_replays_its_recorded_bytes(row, tmp_path):
-    assert replay(row, tmp_path) == {key: row[key] for key in ("exit", "stdout_sha256", "stderr_sha256")}
+    code, out, err = run_row(row, tmp_path)
+    assert (code, sha256(out), sha256(err)) == (row["exit"], row["stdout_sha256"], row["stderr_sha256"])
+    # the live stdout keeps the contract of its format
+    argv = row["argv"]
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "table"
+    if code == 2:
+        assert out == ""
+    elif fmt == "json":
+        json.loads(out)
+    elif fmt == "csv" and argv[0] == "check":
+        assert out.startswith("condition,passed,")
+
+
+def test_contract_cases_and_sweep_rows_match():
+    """Each input-contract case has exactly one sweep row, and each contract row a case."""
+    for name, (argv, payload, env) in CONTRACT_CASES.items():
+        expected = argv if payload is None else [*argv, f"{{contract-{name}}}"]
+        assert [row["id"] for row in SWEEP if (row["argv"], row["env"]) == (expected, env)] == [f"contract/{name}"]
+    rows = {row["id"] for row in SWEEP if row["id"].startswith("contract/")}
+    assert rows <= {f"contract/{name}" for name in CONTRACT_CASES}
 
 
 def record_sweep(ids: list[str]) -> None:

@@ -708,7 +708,7 @@ class TestChshFromLocalTraces:
 
         scenario = Scenario(tuple(map(angle_label, CHSH_A)), tuple(map(angle_label, CHSH_B)))
         behavior = validate(Behavior(scenario, table))
-        assert abs(chsh(behavior, 0, 1, 0, 1).magnitude - 2.0 * math.sqrt(2.0)) <= ALG_TOL
+        assert abs(chsh(behavior).magnitude - 2.0 * math.sqrt(2.0)) <= ALG_TOL
         model = HiddenVariableModel(scenario, [(1.0, behavior)])
         assert check_no_signalling(behavior, ALG_TOL).passed
         assert check_parameter_independence(model, ALG_TOL).passed

@@ -19,6 +19,8 @@ Claims covered:
   - the original-form slack is -1/2 at the canonical violating triple, zero
     on the a = b boundary, and nonnegative for the sign ensemble up to
     sampling error;
+  - `chsh` takes exactly two settings on each wing and `bell_1964` a 3x3
+    grid: a 2x3 or 3x2 behaviour, or a 2x3 grid, raises ScenarioShapeError;
   - singlet correlators obey E(a, b) = -cos(a - b) on a grid;
   - the correlator CSV equals, byte for byte, a per-cell ``format(E, ".17g")``
     emitter, also for labels holding ``%`` or braces and for -0.0, NaN and
@@ -111,13 +113,13 @@ def all_up_behavior():
 
 class TestChsh:
     def test_all_up_strategy_scores_two(self):
-        result = chsh(all_up_behavior(), 0, 1, 0, 1)
+        result = chsh(all_up_behavior())
         assert result.value == pytest.approx(2.0, abs=1e-15)
         assert result.terms == (1.0, 1.0, 1.0, 1.0)
 
     def test_singlet_at_canonical_quadruple(self):
         corr = CorrelatorSet.from_state(singlet(), CANONICAL[:2], CANONICAL[2:])
-        result = chsh(corr, 0, 1, 0, 1)
+        result = chsh(corr)
         assert result.value == pytest.approx(-SQRT8, abs=1e-9)
         assert result.magnitude == pytest.approx(SQRT8, abs=1e-9)
 
@@ -126,7 +128,7 @@ class TestChsh:
         for _ in range(20):
             t = rng.random(BINARY.shape)
             t /= t.sum(axis=(2, 3), keepdims=True)
-            result = chsh(validate(Behavior(BINARY, t)), 0, 1, 0, 1)
+            result = chsh(validate(Behavior(BINARY, t)))
             assert abs(result.value) <= 4.0 + 1e-12
 
     def test_linear_in_the_behaviour(self):
@@ -138,15 +140,21 @@ class TestChsh:
             tables.append(t)
         w = 0.34
         mixed = validate(Behavior(BINARY, w * tables[0] + (1 - w) * tables[1]))
-        lhs = chsh(mixed, 0, 1, 0, 1).value
-        parts = [chsh(validate(Behavior(BINARY, t)), 0, 1, 0, 1).value for t in tables]
+        lhs = chsh(mixed).value
+        parts = [chsh(validate(Behavior(BINARY, t))).value for t in tables]
         assert lhs == pytest.approx(w * parts[0] + (1 - w) * parts[1], abs=1e-12)
 
     def test_non_binary_outcomes_rejected(self):
-        sc = Scenario(("a0",), ("b0",), outcomes_a=("x", "y", "z"))
+        sc = Scenario(("a0", "a1"), ("b0", "b1"), outcomes_a=("x", "y", "z"))  # two settings a wing: only the outcomes fail
         t = np.full(sc.shape, 1.0 / 6.0)
         with pytest.raises(ScenarioShapeError):
-            chsh(validate(Behavior(sc, t)), 0, 0, 0, 0)
+            chsh(validate(Behavior(sc, t)))
+
+    @pytest.mark.parametrize("n_a, n_b", [(2, 3), (3, 2)])
+    def test_other_setting_counts_rejected(self, n_a, n_b):
+        sc = Scenario(tuple(f"a{i}" for i in range(n_a)), tuple(f"b{i}" for i in range(n_b)))
+        with pytest.raises(ScenarioShapeError):
+            chsh(validate(Behavior(sc, np.full(sc.shape, 0.25))))
 
 
 class TestClassicalBound:
@@ -171,7 +179,7 @@ class TestClassicalBound:
             weights = rng.dirichlet(np.ones(16))
             weights[-1] = 1.0 - float(weights[:-1].sum())
             model = HiddenVariableModel(BINARY, list(zip(map(float, weights), strategies)))
-            assert abs(chsh(average(model), 0, 1, 0, 1).value) <= 2.0 + 1e-12
+            assert abs(chsh(average(model)).value) <= 2.0 + 1e-12
 
 
 class TestQuantumMax:
@@ -258,14 +266,14 @@ class TestBell1964:
     def test_canonical_violating_triple(self):
         # Frozen from the Born oracle: slack = 1 - 1/2 - 1 = -1/2.
         corr = self.triple_correlators(0.0, math.pi / 3, 2 * math.pi / 3)
-        result = bell_1964(corr, 0, 1, 2)
+        result = bell_1964(corr)
         assert result.slack == pytest.approx(-0.5, abs=1e-9)
         assert not result.satisfied
         assert result.anticorrelation_ok
 
     def test_equal_first_settings_boundary(self):
         corr = self.triple_correlators(0.3, 0.3 + 1e-17, 1.2)
-        result = bell_1964(corr, 0, 1, 2)
+        result = bell_1964(corr)
         assert result.slack == pytest.approx(0.0, abs=1e-9)
 
     def test_sign_model_respects_bound_up_to_sampling(self):
@@ -274,18 +282,23 @@ class TestBell1964:
         _, corr_values = sign_model(angles, angles, n, seed=21)
         labels = tuple(format(t, ".12g") for t in angles)
         corr = CorrelatorSet(labels, labels, corr_values)
-        result = bell_1964(corr, 0, 1, 2)
+        result = bell_1964(corr)
         assert result.anticorrelation_ok
         assert result.slack >= -3.0 * (4.0 / math.sqrt(n))
 
     def test_broken_anticorrelation_flagged_but_computed(self):
         sym = StateVector((("s1", 2), ("s2", 2)), np.array([1, 0, 0, 1]) / math.sqrt(2))
         corr = CorrelatorSet.from_state(sym, [0.0, 0.7, 1.9], [0.0, 0.7, 1.9])
-        result = bell_1964(corr, 0, 1, 2)
+        result = bell_1964(corr)
         assert not result.anticorrelation_ok
         assert result.max_equal_setting_deviation == pytest.approx(2.0, abs=1e-12)
         assert isinstance(result, Bell1964Result)
         assert math.isfinite(result.slack)
+
+    def test_other_grid_shapes_rejected(self):
+        corr = CorrelatorSet.from_state(singlet(), [0.0, 0.7], [0.0, 0.7, 1.9])
+        with pytest.raises(ScenarioShapeError):
+            bell_1964(corr)
 
 
 class TestSignModelBound:
@@ -293,7 +306,7 @@ class TestSignModelBound:
         angles = [0.0, math.pi / 2]
         settings_b = [math.pi / 4, 3 * math.pi / 4]
         model, _ = sign_model(angles, settings_b, 50_000, seed=6)
-        result = chsh(average(model), 0, 1, 0, 1)
+        result = chsh(average(model))
         assert abs(result.value) <= 2.0 + 1e-9
 
 

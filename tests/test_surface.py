@@ -1,7 +1,7 @@
 """The package's public surface: its option count and its export list.
 
 Claims covered:
-  - the package has 15 options: parameters and dataclass fields with a
+  - the package has 14 options: parameters and dataclass fields with a
     default, counted with `ast` over every module. A `field(init=False)` is
     derived, not set by a caller, so it is not counted. A new option shows
     up as a deliberate edit of OPTIONS;
@@ -24,6 +24,8 @@ Claims covered:
     duplicates, `dir(locality_lab)` lists every name in it before any is
     read, `from locality_lab import *` binds every name to the object its
     defining module holds, and the seven module names resolve;
+  - the README's library example runs as written, and the |S| it prints
+    first equals 2 sqrt(2) to ALG_TOL;
   - each entry point loads only the modules it uses, each counted in a fresh
     interpreter: `import locality_lab` loads none; `bell1964`, `chsh` and
     `signmodel` load `qstate`, `behavior`, `inequalities` and `cli`, and
@@ -36,8 +38,12 @@ Claims covered:
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,10 +51,11 @@ from pathlib import Path
 import pytest
 
 import locality_lab
+from locality_lab.qstate import ALG_TOL
 
-OPTIONS = 15
+OPTIONS = 14
 EXPORTS = 49
-SRC_LINES = 2472
+SRC_LINES = 2450
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -269,6 +276,15 @@ print(json.dumps({{
         "not_the_defining_object": [],
         "unresolved_modules": [],
     }
+
+
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert abs(float(out.getvalue().splitlines()[0]) - 2.0 * math.sqrt(2.0)) <= ALG_TOL
 
 
 INPUTS = {
