@@ -23,13 +23,14 @@ it. `WINGS` names each wing's subsystems (``particle`` and ``C`` belong to
 neither), and a trace refuses a measurement-a (measurement-b) stage whose
 operator names any B-side (A-side) subsystem, so no stage acts at a distance.
 
-Branches and definiteness are both read off one pointer expansion: the
-state's amplitude tensor after each subsystem is rewritten in its declared
-pointer basis; each stage keeps its tensor. Branches are the cells of that
-tensor with |amplitude| above a cutoff. A region is definite relative to a
-conditioning branch iff the support of the tensor sliced at the branch's
-labels and normalised (cells with |amplitude| > DEFINITE_TOL), projected
-onto the region's subsystems, is a single pointer-label combination.
+Branches and definiteness are read off one pointer expansion: the state's
+amplitude tensor with each subsystem rewritten in its declared pointer basis
+by `qstate.contract`; each stage keeps its tensor. Branches are its cells
+with |amplitude| above a cutoff. Conditioning on a branch slices an expansion
+at the branch's labels and normalises; a relative state expands only the
+conditioned subsystems. A region is definite relative to a branch iff the
+support of the conditioned stage tensor (cells with |amplitude| >
+DEFINITE_TOL), projected onto the region's subsystems, is one label pattern.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .qstate import (
     Operator,
     StateVector,
     SubsystemError,
+    contract,
     ket,
     measurement_unitary,
     rotated_basis_matrix,
@@ -91,9 +93,6 @@ class PointerBasis:
     def spin(cls, theta: float) -> "PointerBasis":
         return cls(("up", "down"), rotated_basis_matrix(theta))
 
-    def column(self, label: str) -> np.ndarray:
-        return self.matrix[:, self._index(label)]
-
     def _index(self, label: str) -> int:
         try:
             return self.labels.index(str(label))
@@ -129,13 +128,13 @@ def _pointer(label: str, dim: int, pointer_bases: Mapping[str, PointerBasis]) ->
     return basis
 
 
-def _expand(state: StateVector, pointer_bases: Mapping[str, PointerBasis]) -> tuple[np.ndarray, list[PointerBasis]]:
-    """Amplitude tensor of the state in its pointer bases, and those bases in axis order."""
-    bases = [_pointer(label, dim, pointer_bases) for label, dim in state.dims]
+def _expand(state: StateVector, pointer_bases: Mapping[str, PointerBasis], labels: Collection[str]) -> np.ndarray:
+    """Amplitude tensor of the state with each subsystem in ``labels`` rewritten in its pointer basis."""
     t = state.as_tensor()
-    for axis, basis in enumerate(bases):
-        t = np.moveaxis(np.tensordot(basis.matrix.conj().T, t, axes=([1], [axis])), 0, axis)
-    return t, bases
+    for axis, (label, dim) in enumerate(state.dims):
+        if label in labels:
+            t = contract(_pointer(label, dim, pointer_bases).matrix.conj().T, t, [axis])
+    return t
 
 
 def decompose(state: StateVector, pointer_bases: Mapping[str, PointerBasis]) -> tuple[Branch, ...]:
@@ -144,49 +143,39 @@ def decompose(state: StateVector, pointer_bases: Mapping[str, PointerBasis]) -> 
     Components with |amplitude| <= BRANCH_CUTOFF are dropped; the surviving
     weights sum to 1 up to the discarded mass.
     """
-    return _branches(state, *_expand(state, pointer_bases))
+    return _branches(state, _expand(state, pointer_bases, state.labels), pointer_bases)
 
 
-def _branches(state: StateVector, t: np.ndarray, bases: Sequence[PointerBasis]) -> tuple[Branch, ...]:
+def _branches(state: StateVector, t: np.ndarray, pointer_bases: Mapping[str, PointerBasis]) -> tuple[Branch, ...]:
     return tuple(
-        Branch(
-            {label: basis.labels[i] for label, basis, i in zip(state.labels, bases, idx)},
-            complex(t[tuple(idx)]),
-        )
+        Branch({label: pointer_bases[label].labels[i] for label, i in zip(state.labels, idx)}, complex(t[tuple(idx)]))
         for idx in np.argwhere(np.abs(t) > BRANCH_CUTOFF).tolist()
     )
 
 
 def relative_state(
-    state: StateVector,
-    conditioning: Mapping[str, str],
-    pointer_bases: Mapping[str, PointerBasis],
+    state: StateVector, conditioning: Mapping[str, str], pointer_bases: Mapping[str, PointerBasis]
 ) -> StateVector:
     """Normalised state of the remaining subsystems relative to a branch.
 
-    ``conditioning`` maps subsystem labels to pointer labels; the partial
-    inner product with that basis state is taken and renormalised.
+    ``conditioning`` maps subsystem labels to pointer labels; only those subsystems are rewritten in their
+    pointer bases before the tensor is sliced at the labels and renormalised.
     """
-    t, remaining = _condition(state.as_tensor(), state, conditioning, pointer_bases, contract=True)
+    t, remaining = _condition(_expand(state, pointer_bases, conditioning), state, conditioning, pointer_bases)
     return StateVector(remaining, t.reshape(-1))
 
 
 def _condition(
-    t: np.ndarray, state: StateVector, conditioning: Mapping[str, str], bases: Mapping[str, PointerBasis], contract: bool
+    t: np.ndarray, state: StateVector, conditioning: Mapping[str, str], bases: Mapping[str, PointerBasis]
 ) -> tuple[np.ndarray, DimSpec]:
-    """The branch part of ``t``, normalised, and the remaining dims; ``t`` is the expansion unless ``contract``."""
+    """The branch slice of ``t`` (conditioned axes in their pointer bases), normalised, and the remaining dims."""
     if not conditioning:
         raise ValueError("conditioning must name at least one subsystem")
     picks = {}
     for sub, lab in conditioning.items():
         axis = state.axis(sub)  # SubsystemError for an unknown subsystem, before its basis is looked up
-        basis = _pointer(sub, state.dims[axis][1], bases)
-        picks[axis] = basis.column(lab) if contract else basis._index(lab)
-    if contract:
-        for axis in sorted(picks, reverse=True):
-            t = np.tensordot(np.conjugate(picks[axis]), t, axes=([0], [axis]))
-    else:
-        t = t[tuple(picks.get(axis, slice(None)) for axis in range(t.ndim))]
+        picks[axis] = _pointer(sub, state.dims[axis][1], bases)._index(lab)
+    t = t[tuple(picks.get(axis, slice(None)) for axis in range(t.ndim))]
     norm = float(np.sqrt(np.sum(np.abs(t) ** 2)))
     if norm <= BRANCH_CUTOFF:
         raise EmptyBranchError(f"conditioning {dict(conditioning)!r} has zero overlap")
@@ -207,7 +196,7 @@ def is_definite_relative(
     projected onto the region's axes, is one cell, i.e. the relative state
     factors as |region pattern> (x) |rest>.
     """
-    return _definite(_expand(state, pointer_bases)[0], state, pointer_bases, list(region), conditioning)
+    return _definite(_expand(state, pointer_bases, state.labels), state, pointer_bases, list(region), conditioning)
 
 
 def _definite(
@@ -218,7 +207,7 @@ def _definite(
     conditioning: Mapping[str, str],
 ) -> bool:
     """`is_definite_relative` on ``t``, the state's expansion in ``pointer_bases``."""
-    t, remaining = _condition(t, state, conditioning, pointer_bases, contract=False)
+    t, remaining = _condition(t, state, conditioning, pointer_bases)
     labels = [label for label, _ in remaining]
     if unknown := [sub for sub in region if sub not in labels]:  # unknown, or conditioned away
         raise SubsystemError(f"unknown subsystem {unknown[0]!r}; have {tuple(labels)}")
@@ -239,10 +228,10 @@ class Stage:
     expansion: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t, bases = _expand(self.state, self.pointer_bases)
+        t = _expand(self.state, self.pointer_bases, self.state.labels)
         t.setflags(write=False)
         object.__setattr__(self, "expansion", t)
-        object.__setattr__(self, "branches", _branches(self.state, t, bases))
+        object.__setattr__(self, "branches", _branches(self.state, t, self.pointer_bases))
 
 
 @dataclass(frozen=True)

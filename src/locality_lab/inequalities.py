@@ -252,16 +252,15 @@ def bell_1964(corr: CorrelatorSet) -> Bell1964Result:
     """Original-form slack over a 3x3 grid: a is wing A's first setting, b and c wing B's second and third.
 
     That is the grid ``CorrelatorSet.from_state(state, [a, b, c], [a, b, c])``
-    builds. The derivation presupposes E(s, s) = -1 at every setting label
-    present on both sides; the worst deviation from that is reported, and a
-    violation of the precondition flags (but does not suppress) the computed
-    slack.
+    builds. The derivation presupposes E(s, s) = -1 on the grid's diagonal,
+    the k-th setting of wing A against the k-th of wing B, whatever their
+    labels; the worst deviation from that is reported, and a violation of the
+    precondition flags (but does not suppress) the computed slack.
     """
     if corr.values.shape != (3, 3):
         raise ScenarioShapeError(f"the 1964 form needs three settings on each wing, got {corr.values.shape}")
     e = corr.values.tolist()
-    shared = [(corr.settings_a.index(s), corr.settings_b.index(s)) for s in corr.settings_a if s in corr.settings_b]
-    deviation = max((abs(e[ia][ib] + 1.0) for ia, ib in shared), default=math.inf)
+    deviation = max(abs(e[k][k] + 1.0) for k in range(3))
     e_bc, e_ab, e_ac = e[1][2], e[0][1], e[0][2]
     slack = 1.0 + e_bc - abs(e_ab - e_ac)
     names = (corr.settings_a[0], corr.settings_b[1], corr.settings_b[2])

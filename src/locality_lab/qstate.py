@@ -5,6 +5,8 @@ operators are dense ``complex128`` arrays over a handful of labelled
 subsystems (a few dozen joint dimensions at most), basis order is
 lexicographic with the first subsystem most significant, and norms/unitarity
 are enforced at ``ALG_TOL``; an operator acts only on the subsystems it names.
+`contract` is the one amplitude contraction (`Operator.apply`, `everett`'s
+pointer expansions): a fixed order of float64 operations and no BLAS call.
 
 The one Born-rule path, `joint_probability_table` (which `correlator_matrix`
 reads), gives joint outcome probabilities for two spin-1/2 subsystems
@@ -130,10 +132,26 @@ class Operator:
         for (label, d), k in zip(self.dims, pos):
             if state.dims[k][1] != d:
                 raise SubsystemError(f"subsystem {label!r} has dimension {state.dims[k][1]}, operator expects {d}")
-        n = len(pos)
         block = self.matrix.reshape([d for _, d in self.dims] * 2)
-        t = np.tensordot(block, state.as_tensor(), axes=(list(range(n, 2 * n)), pos))
-        return StateVector(state.dims, np.moveaxis(t, range(n), pos))
+        return StateVector(state.dims, contract(block, state.as_tensor(), pos))
+
+
+def contract(block: np.ndarray, t: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """``block``, laid out as output axes then input axes, applied to the ``axes`` of ``t``, whose places they take.
+
+    Each product is formed from real and imaginary parts by float64 multiplies and adds (a complex multiply may fuse
+    them on one CPU and not on another), and the products are summed over the input multi-index in C order, with no
+    BLAS call, so the bytes of the result do not depend on the BLAS kernel or on numpy's SIMD dispatch.
+    """
+    order = [*axes, *(a for a in range(t.ndim) if a not in axes)]
+    src = t.transpose(order)
+    n = math.prod(t.shape[a] for a in axes)
+    b, s = block.reshape(-1, n).T[:, :, None], src.reshape(n, 1, -1)  # [i, o, 0] and [i, 0, r]; r: the other axes
+    terms = np.empty((n, b.shape[1], s.shape[2]), dtype=np.complex128)
+    terms.real = b.real * s.real - b.imag * s.imag
+    terms.imag = b.real * s.imag + b.imag * s.real
+    out = np.add.accumulate(terms)[-1]  # ((term 0 + term 1) + term 2) + ...
+    return out.reshape(block.shape[: len(axes)] + src.shape[len(axes) :]).transpose(np.argsort(order))
 
 
 def ket(label: str, amps: Sequence[complex]) -> StateVector:

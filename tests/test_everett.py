@@ -11,6 +11,14 @@ Claims covered:
     the definiteness transition: cross-wing definiteness holds at the
     aligned protocol's final stage, fails after non-aligned local
     measurements, and holds for every branch after the comparison;
+  - at every stage of the general protocol at theta = 0.3, pi/3 and 2, the
+    pointer expansion of the state relative to each branch of one or two
+    subsystems equals the stage's stored expansion sliced at that branch and
+    normalised, to ALG_TOL (a zero-norm slice raises EmptyBranchError);
+  - each single fault in a `relative_state` call keeps its error: empty
+    conditioning (ValueError), an unknown subsystem or an undeclared pointer
+    basis (SubsystemError), a wrong-dimension basis (ValueError), an unknown
+    pointer label (KeyError), a zero-overlap branch (EmptyBranchError);
   - the comparison interaction `_COMPARER` needs a four-state pointer C (an
     absent or wrong-dimension one raises SubsystemError), labels single
     branches consistently, and on random states equals the index
@@ -280,6 +288,35 @@ class TestRelativeState:
     def test_empty_conditioning_rejected(self):
         with pytest.raises(ValueError):
             relative_state(singlet(), {}, {})
+
+    @pytest.mark.parametrize("theta", [0.3, math.pi / 3, 2.0])
+    def test_pointer_expansion_is_the_normalised_slice_of_the_stage_expansion(self, theta):
+        for stage in run_nonparallel(theta).stages:
+            state, bases = stage.state, stage.pointer_bases
+            for n in (1, 2):
+                for conditioned in itertools.combinations(state.labels, n):
+                    for picks in itertools.product(*(bases[sub].labels for sub in conditioned)):
+                        conditioning = dict(zip(conditioned, picks))
+                        index = tuple(
+                            bases[label].labels.index(conditioning[label]) if label in conditioning else slice(None)
+                            for label in state.labels
+                        )
+                        part = stage.expansion[index]
+                        norm = np.linalg.norm(part)
+                        if norm <= BRANCH_CUTOFF:
+                            with pytest.raises(EmptyBranchError):
+                                relative_state(state, conditioning, bases)
+                            continue
+                        rel = relative_state(state, conditioning, bases)
+                        assert rel.labels == tuple(label for label in state.labels if label not in conditioning)
+                        assert np.max(np.abs(oracle_expansion(rel, bases) - part / norm)) <= ALG_TOL
+
+    def test_unknown_subsystem_and_wrong_dimension_basis_rejected(self):
+        stage = run_parallel_epr().stages[-1]
+        with pytest.raises(SubsystemError, match="unknown subsystem 'nope'"):
+            relative_state(stage.state, {"nope": "up"}, stage.pointer_bases)
+        with pytest.raises(ValueError, match="pointer basis for 'm_A' has wrong dimension"):
+            relative_state(stage.state, {"m_A": "up"}, {**stage.pointer_bases, "m_A": COMPARER_POINTER})
 
 
 class TestDefinitenessTransition:

@@ -19,6 +19,21 @@ Claims covered:
   - the original-form slack is -1/2 at the canonical violating triple, zero
     on the a = b boundary, and nonnegative for the sign ensemble up to
     sampling error;
+  - the anticorrelation precondition reads E(s, s) on the grid's diagonal
+    by position: with the labels ("0", "0", "1") on both wings and E = -1 on
+    the diagonal except +1 at any one diagonal cell, it is reported broken
+    with deviation 2;
+  - Fine's theorem on 2x2 settings, both directions, with a Lawson-Hanson
+    NNLS over the 16 deterministic strategy tables: of the behaviours
+    v Born(singlet, random angles) + (1 - v)/4, v in [0.3, 1], each whose
+    eight CHSH values all have |S| < 2 is a non-negative combination of the
+    strategies to ALG_TOL, the `from_arrays` model of that combination
+    averages back to the table and passes parameter independence, outcome
+    independence and factorizability with violation 0, and `chsh` stays
+    within 2; each with a largest |S| above 2, and the PR box (S = 4), leaves
+    a residual of at least (S - 2)/sqrt(20) - ALG_TOL, the distance to the
+    local cone that the functional c - n/2 (CHSH coefficients c, all-ones n,
+    norm sqrt(20)) bounds;
   - `chsh` takes exactly two settings on each wing and `bell_1964` a 3x3
     grid: a 2x3 or 3x2 behaviour, or a 2x3 grid, raises ScenarioShapeError;
   - singlet correlators obey E(a, b) = -cos(a - b) on a grid;
@@ -42,7 +57,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from locality_lab import inequalities
-from locality_lab.behavior import Behavior, HiddenVariableModel, Scenario, average, sign_model, validate
+from locality_lab.behavior import Behavior, HiddenVariableModel, Scenario, average, from_quantum, sign_model, validate
+from locality_lab.causality import check_factorizability, check_outcome_independence, check_parameter_independence
 from locality_lab.inequalities import (
     SCAN_GRID,
     Bell1964Result,
@@ -55,7 +71,7 @@ from locality_lab.inequalities import (
     quantum_max,
 )
 from locality_lab.inequalities import _scan as scan_kernel
-from locality_lab.qstate import StateVector, correlator_matrix, singlet, tensor, up
+from locality_lab.qstate import ALG_TOL, StateVector, correlator_matrix, singlet, tensor, up
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 CANONICAL = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
@@ -295,6 +311,14 @@ class TestBell1964:
         assert isinstance(result, Bell1964Result)
         assert math.isfinite(result.slack)
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_diagonal_is_read_by_position_under_repeated_labels(self, k):
+        values = -np.eye(3)
+        values[k, k] = 1.0
+        result = bell_1964(CorrelatorSet(("0", "0", "1"), ("0", "0", "1"), values))
+        assert not result.anticorrelation_ok
+        assert result.max_equal_setting_deviation == 2.0
+
     def test_other_grid_shapes_rejected(self):
         corr = CorrelatorSet.from_state(singlet(), [0.0, 0.7], [0.0, 0.7, 1.9])
         with pytest.raises(ScenarioShapeError):
@@ -308,6 +332,80 @@ class TestSignModelBound:
         model, _ = sign_model(angles, settings_b, 50_000, seed=6)
         result = chsh(average(model))
         assert abs(result.value) <= 2.0 + 1e-9
+
+
+def nnls(a, b, tol=1e-13):
+    """Lawson-Hanson non-negative least squares: x >= 0 minimising |a x - b|, and that residual."""
+    n = a.shape[1]
+    x, passive = np.zeros(n), np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        w = a.T @ (b - a @ x)
+        if passive.all() or w[~passive].max() <= tol:
+            break
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if z[passive].min() > 0:
+                break
+            blocked = passive & (z <= 0)
+            x += np.min(x[blocked] / (x[blocked] - z[blocked])) * (z - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+        x = z
+    return x, float(np.linalg.norm(a @ x - b))
+
+
+STRATEGIES = np.array(  # the 16 deterministic tables P(A,B|a,b) = [A = f(a)][B = g(b)], rows in C order of (f, g)
+    [
+        np.einsum("xa,yb->xyab", np.eye(2)[[fa0, fa1]], np.eye(2)[[gb0, gb1]])
+        for fa0, fa1, gb0, gb1 in np.ndindex(2, 2, 2, 2)
+    ]
+)
+
+
+def chsh_values(table):
+    """The eight CHSH values: +/- (sum of the four E(x, y) with one of them negated)."""
+    e = table[:, :, 0, 0] + table[:, :, 1, 1] - table[:, :, 0, 1] - table[:, :, 1, 0]
+    values = [e.sum() - 2 * e[x, y] for x, y in np.ndindex(2, 2)]
+    return values + [-v for v in values]
+
+
+def pr_box():
+    table = np.zeros(BINARY.shape)
+    for x, y, a in np.ndindex(2, 2, 2):
+        table[x, y, a, a ^ (x & y)] = 0.5
+    return table
+
+
+def fine_cases():
+    rng = np.random.default_rng(1982)
+    for _ in range(200):
+        born = from_quantum(singlet(), rng.uniform(0, 2 * math.pi, 2), rng.uniform(0, 2 * math.pi, 2)).table
+        v = rng.uniform(0.3, 1.0)
+        yield v * born + (1 - v) / 4
+    yield pr_box()
+
+
+class TestFineTheorem:
+    def test_local_iff_every_chsh_value_within_two(self):
+        local = nonlocal_ = 0
+        for table in fine_cases():
+            weights, residual = nnls(STRATEGIES.reshape(16, 16).T, table.reshape(-1))
+            s_max = max(chsh_values(table))
+            if s_max < 2:
+                local += 1
+                assert residual <= ALG_TOL
+                behavior = validate(Behavior(BINARY, table))
+                model = HiddenVariableModel.from_arrays(BINARY, weights, STRATEGIES)
+                assert np.max(np.abs(average(model).table - table)) <= ALG_TOL
+                for check in (check_parameter_independence, check_outcome_independence, check_factorizability):
+                    assert check(model).max_violation == 0.0
+                assert abs(chsh(behavior).value) <= 2.0
+            else:
+                nonlocal_ += 1
+                assert residual >= (s_max - 2) / math.sqrt(20) - ALG_TOL
+        assert local and nonlocal_ > 1  # both directions ran, the PR box among the non-local
 
 
 class TestSingletCorrelatorIdentity:
