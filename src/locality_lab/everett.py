@@ -25,17 +25,19 @@ operator names any B-side (A-side) subsystem, so no stage acts at a distance.
 
 Branches and definiteness are read off one pointer expansion: the state's
 amplitude tensor with each subsystem rewritten in its declared pointer basis
-by `qstate.contract`; each stage keeps its tensor. Branches are its cells
-with |amplitude| above a cutoff. Conditioning on a branch slices an expansion
-at the branch's labels and normalises; a relative state expands only the
-conditioned subsystems. A region is definite relative to a branch iff the
-support of the conditioned stage tensor (cells with |amplitude| >
-DEFINITE_TOL), projected onto the region's subsystems, is one label pattern.
+by `qstate.contract`; each stage keeps its tensor. A subsystem whose basis is
+the computational one is read as it is, with no contraction. Branches are
+the expansion's cells with |amplitude| above a cutoff. Conditioning on a
+branch slices an expansion at the branch's labels and normalises; a relative
+state expands only the conditioned subsystems. A region is definite relative
+to a branch iff the support of the conditioned stage tensor (cells with
+|amplitude| > DEFINITE_TOL), projected onto the region's subsystems, is one
+label pattern. The definiteness matrix takes one pass per stage and
+conditioned subsystem, over every pointer label of that subsystem at once.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field, replace
 from typing import Collection, Iterable, Mapping, Sequence
@@ -73,6 +75,7 @@ class PointerBasis:
 
     labels: tuple[str, ...]
     matrix: np.ndarray
+    _adjoint: np.ndarray | None = field(init=False, repr=False, compare=False)  # B^H; None when B is the identity
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=np.complex128)
@@ -84,6 +87,7 @@ class PointerBasis:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        object.__setattr__(self, "_adjoint", None if np.array_equal(mat, np.eye(d)) else mat.conj().T)
 
     @classmethod
     def computational(cls, labels: Sequence[str]) -> "PointerBasis":
@@ -129,12 +133,16 @@ def _pointer(label: str, dim: int, pointer_bases: Mapping[str, PointerBasis]) ->
 
 
 def _expand(state: StateVector, pointer_bases: Mapping[str, PointerBasis], labels: Collection[str]) -> np.ndarray:
-    """Amplitude tensor of the state with each subsystem in ``labels`` rewritten in its pointer basis."""
+    """Amplitude tensor of the state with each subsystem in ``labels`` rewritten in its pointer basis.
+
+    An identity basis is skipped. That drops only multiplies by 1 and adds of 0, which can flip the sign of a zero and
+    change no other bit; the sum with +0.0 makes every zero +0, so the bytes are those of the full rewrite plus +0.0.
+    """
     t = state.as_tensor()
     for axis, (label, dim) in enumerate(state.dims):
-        if label in labels:
-            t = contract(_pointer(label, dim, pointer_bases).matrix.conj().T, t, [axis])
-    return t
+        if label in labels and (adjoint := _pointer(label, dim, pointer_bases)._adjoint) is not None:
+            t = contract(adjoint, t, [axis])
+    return t + 0.0
 
 
 def decompose(state: StateVector, pointer_bases: Mapping[str, PointerBasis]) -> tuple[Branch, ...]:
@@ -147,8 +155,9 @@ def decompose(state: StateVector, pointer_bases: Mapping[str, PointerBasis]) -> 
 
 
 def _branches(state: StateVector, t: np.ndarray, pointer_bases: Mapping[str, PointerBasis]) -> tuple[Branch, ...]:
+    names = [(label, pointer_bases[label].labels) for label in state.labels]
     return tuple(
-        Branch({label: pointer_bases[label].labels[i] for label, i in zip(state.labels, idx)}, complex(t[tuple(idx)]))
+        Branch({label: labs[i] for (label, labs), i in zip(names, idx)}, complex(t[tuple(idx)]))
         for idx in np.argwhere(np.abs(t) > BRANCH_CUTOFF).tolist()
     )
 
@@ -196,23 +205,34 @@ def is_definite_relative(
     projected onto the region's axes, is one cell, i.e. the relative state
     factors as |region pattern> (x) |rest>.
     """
-    return _definite(_expand(state, pointer_bases, state.labels), state, pointer_bases, list(region), conditioning)
-
-
-def _definite(
-    t: np.ndarray,
-    state: StateVector,
-    pointer_bases: Mapping[str, PointerBasis],
-    region: Sequence[str],
-    conditioning: Mapping[str, str],
-) -> bool:
-    """`is_definite_relative` on ``t``, the state's expansion in ``pointer_bases``."""
-    t, remaining = _condition(t, state, conditioning, pointer_bases)
+    region = list(region)
+    t, remaining = _condition(_expand(state, pointer_bases, state.labels), state, conditioning, pointer_bases)
     labels = [label for label, _ in remaining]
     if unknown := [sub for sub in region if sub not in labels]:  # unknown, or conditioned away
         raise SubsystemError(f"unknown subsystem {unknown[0]!r}; have {tuple(labels)}")
     rest = tuple(axis for axis, label in enumerate(labels) if label not in region)
     return int(np.count_nonzero((np.abs(t) > DEFINITE_TOL).any(axis=rest))) == 1
+
+
+def _definite_cells(
+    t: np.ndarray, labels: Sequence[str], sub: str, region: Collection[str], names: Sequence[str]
+) -> dict[str, str]:
+    """Per pointer label in ``names`` of ``sub``: is the region definite relative to that branch ("yes"/"no"), or "-".
+
+    ``t`` is a stage expansion over the subsystems ``labels``; "-" marks an empty branch. One pass serves every label:
+    each row below is one label's slice in C order, so its norm, quotient and support are bitwise those `_condition`
+    gives the slice alone.
+    """
+    axis = labels.index(sub)
+    order = [axis, *(k for k in range(len(labels)) if k != axis)]
+    u = np.ascontiguousarray(t.transpose(order))
+    rows = u.reshape(len(u), -1)
+    norms = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
+    live = norms > BRANCH_CUTOFF
+    support = (np.abs(rows / np.where(live, norms, 1.0)[:, None]) > DEFINITE_TOL).reshape(u.shape)
+    rest = tuple(i for i, k in enumerate(order) if i and labels[k] not in region)
+    single = support.any(axis=rest).reshape(len(u), -1).sum(axis=1) == 1
+    return {lab: ("yes" if one else "no") if ok else "-" for lab, ok, one in zip(names, live.tolist(), single.tolist())}
 
 
 @dataclass(frozen=True)
@@ -285,17 +305,16 @@ class ProtocolTrace:
         ]
         for lab in bases["C"].labels if "C" in bases else ():
             conditionings += [("C", lab, "A-side"), ("C", lab, "B-side")]
+        stages = [(s.expansion, s.state.labels, s.pointer_bases) for s in self.stages]
+        cells = {}  # (subsystem, wing) -> per stage, its cell per pointer label, or None where the subsystem is absent
         rows = []
         for sub, lab, wing in conditionings:
-            row = [wing, f"{sub}={lab}"]
-            for s in self.stages:
-                cell = "-"  # the conditioning subsystem is absent, or its branch is empty
-                if sub in s.state.labels:
-                    region = [label for label in WINGS[wing] if label in s.state.labels]  # drops the box detectors
-                    with contextlib.suppress(EmptyBranchError):
-                        cell = "yes" if _definite(s.expansion, s.state, s.pointer_bases, region, {sub: lab}) else "no"
-                row.append(cell)
-            rows.append(row)
+            if (sub, wing) not in cells:
+                cells[sub, wing] = [
+                    _definite_cells(t, labels, sub, WINGS[wing], pbs[sub].labels) if sub in labels else None
+                    for t, labels, pbs in stages
+                ]
+            rows.append([wing, f"{sub}={lab}"] + ["-" if c is None else c[lab] for c in cells[sub, wing]])
         return ["region", "conditioned-on"] + [s.name for s in self.stages], rows
 
 
@@ -305,6 +324,9 @@ _EV_B = spacetime.Event(3.0, 2.0, spacetime.Role.MEASUREMENT_B, "measurement B")
 _EV_COMPARE = spacetime.Event(7.0, 0.0, spacetime.Role.COMPARISON, "comparison")
 _FAR_WING = {spacetime.Role.MEASUREMENT_A: WINGS["B-side"], spacetime.Role.MEASUREMENT_B: WINGS["A-side"]}
 
+_PSI0 = tensor(up("m_A"), singlet(), up("m_B"))  # the prepared state of both two-wing protocols
+_Z_BASES = dict.fromkeys(_PSI0.labels, SPIN_POINTER)
+_MEASURE_A = measurement_unitary(_PSI0.dims, 0.0, "s1", "m_A")
 _j = np.arange(16)  # basis index 8x + 4y + c of (m_A, m_B, C); the comparison permutes c -> c XOR (2x + y)
 _COMPARER = Operator((("m_A", 2), ("m_B", 2), ("C", 4)), np.eye(16)[:, (_j & 12) | ((_j & 3) ^ (_j >> 2))])
 
@@ -330,14 +352,13 @@ def run_parallel_epr() -> ProtocolTrace:
     flipped pattern. Cross-wing definiteness already holds here: relative to
     either apparatus reading, the far wing shows the opposite outcome.
     """
-    psi0 = tensor(up("m_A"), singlet(), up("m_B"))
-    bases = dict.fromkeys(psi0.labels, SPIN_POINTER)
+    bases = dict(_Z_BASES)
     return _run(
-        psi0,
+        _PSI0,
         (
             ("preparation", _EV_PREP, None, bases),
-            ("measurement-a", _EV_A, measurement_unitary(psi0.dims, 0.0, "s1", "m_A"), bases),
-            ("measurement-b", _EV_B, measurement_unitary(psi0.dims, 0.0, "s2", "m_B"), bases),
+            ("measurement-a", _EV_A, _MEASURE_A, bases),
+            ("measurement-b", _EV_B, measurement_unitary(_PSI0.dims, 0.0, "s2", "m_B"), bases),
         ),
     )
 
@@ -353,16 +374,15 @@ def run_nonparallel(theta: float) -> ProtocolTrace:
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    psi0 = tensor(up("m_A"), singlet(), up("m_B"))
-    z_bases = dict.fromkeys(psi0.labels, SPIN_POINTER)
+    z_bases = dict(_Z_BASES)
     rot_bases = {**z_bases, "s2": PointerBasis.spin(theta)}
     return _run(
-        psi0,
+        _PSI0,
         (
             ("preparation", _EV_PREP, None, z_bases),
             ("rotated-view", spacetime.Event(0.0, 0.0, spacetime.Role.OTHER, "rotated-basis view"), None, rot_bases),
-            ("measurement-a", _EV_A, measurement_unitary(psi0.dims, 0.0, "s1", "m_A"), rot_bases),
-            ("measurement-b", _EV_B, measurement_unitary(psi0.dims, theta, "s2", "m_B"), rot_bases),
+            ("measurement-a", _EV_A, _MEASURE_A, rot_bases),
+            ("measurement-b", _EV_B, measurement_unitary(_PSI0.dims, theta, "s2", "m_B"), rot_bases),
             ("comparison", _EV_COMPARE, _COMPARER, {**rot_bases, "C": COMPARER_POINTER}),
         ),
     )

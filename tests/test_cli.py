@@ -56,11 +56,13 @@ Claims covered:
   - every row of the committed sweep `tests/cli_sweep.json` replays in-process
     to its recorded exit code and stdout and stderr sha256: every subcommand
     in every format, every `check` condition selection on the three input
-    kinds, `everett` at 81 angles k pi / 40, `chsh --grid` at steps 0.5, 0.04,
-    0.05, 0.065 and 0.0126 (500 angles per axis), `signmodel --format json`
-    at n = 4095, 4096, 4097 and 131073 (the edges of the sampler's 4096-row
-    block and 2**17-draw chunk), the input-contract exit-2
-    cases above and argparse usage errors. On every row's live output, an
+    kinds, `everett` at 101 angles k pi / 40 (every k from -40 to 40, and
+    |k| = 41, 45, 60, 75, 90, 105, 119, 135, 150 and 160, beyond pi, where
+    the rotated basis has cos(theta/2) < 0 up to |k| = 119), `chsh --grid`
+    at steps 0.5, 0.04, 0.05, 0.065 and 0.0126 (500 angles per axis),
+    `signmodel --format json` at n = 4095, 4096, 4097 and 131073 (the edges
+    of the sampler's 4096-row block and 2**17-draw chunk), the input-contract
+    exit-2 cases above and argparse usage errors. On every row's live output, an
     exit-2 row writes nothing to stdout, a `--format json` row that exits 0
     or 1 prints JSON, and a `check --format csv` row starts with its header.
     A file argument is written as

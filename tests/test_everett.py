@@ -70,13 +70,28 @@ Claims covered:
     the package's pointer expansion: the Kronecker product of the
     conjugate-transposed basis matrices applied to the amplitudes, branches
     listed cell by cell, and region patterns counted in the normalised
-    conditioned slice; on every protocol stage and on seeded random states
-    in rotated bases;
+    conditioned slice; on every protocol stage, on seeded random real states
+    in rotated bases, and on seeded random complex states whose subsystems of
+    dimension 2, 3 and 4 have complex unitary (QR) or computational bases;
+  - a stage whose pointer bases are all computational keeps the state's
+    amplitude tensor, by value, as its expansion; and skipping the identity
+    bases changes no byte: on every stage of the three protocols (the
+    general one also at angles where cos(theta/2) < 0) and on a random
+    complex state, the expansion's bytes are those of `contract` applied on
+    every axis, identity bases included, plus 0.0;
+  - work counts: `qstate.contract` (wrapped under its `qstate` and `everett`
+    names) runs 7 times per general-protocol trace (three operators, and
+    the rotated `s2` at the four stages after the preparation; 3 at
+    theta = 0, whose rotated basis is the identity), twice for the aligned
+    protocol and for the two-box protocol, and never in `definiteness()`;
   - `ProtocolTrace.definiteness()`, read off each stage's stored
     expansion, equals the same oracle cell by cell ("-" for an absent
     conditioning subsystem or a zero-overlap branch) on the aligned protocol
     and on the general protocol at 1,216 angles: edge values near 0, pi and
-    2 pi, log-spaced small angles and seeded angles in [-10, 10]; on the
+    2 pi, log-spaced small angles and seeded angles in [-10, 10]; its one
+    vectorised pass per stage and conditioned subsystem gives, at every
+    eighth of those angles, the cells of the per-cell query
+    `is_definite_relative` (EmptyBranchError read as "-"); on the
     two-box trace it conditions on the detector readings `d_L` and `d_R`
     and matches a hand-derived matrix;
   - CHSH from local traces: four `_run` traces of the singlet (A at 0 or
@@ -97,6 +112,7 @@ import math
 import numpy as np
 import pytest
 
+from locality_lab import everett, qstate
 from locality_lab.behavior import Behavior, HiddenVariableModel, Scenario, angle_label, validate
 from locality_lab.causality import (
     check_factorizability,
@@ -115,6 +131,7 @@ from locality_lab.everett import (
     EmptyBranchError,
     PointerBasis,
     ProtocolTrace,
+    Stage,
     _run,
     decompose,
     einstein_boxes,
@@ -128,6 +145,7 @@ from locality_lab.qstate import (
     Operator,
     StateVector,
     SubsystemError,
+    contract,
     joint_probability_table,
     ket,
     measurement_unitary,
@@ -847,6 +865,48 @@ class TestExpansionOracles:
             bases["q3"] = PointerBasis.computational(("up", "down"))
             assert_matches_oracles(state, bases, conditioning_sizes=(1, 2))
 
+    def test_random_complex_states_in_complex_and_computational_bases(self):
+        rng = np.random.default_rng(32)
+        dims = (("q0", 2), ("q1", 4), ("q2", 3), ("q3", 2))
+        for _ in range(6):
+            amps = rng.normal(size=48) + 1j * rng.normal(size=48)
+            state = StateVector(dims, amps / np.linalg.norm(amps))
+            bases = {
+                label: PointerBasis(
+                    tuple(f"{label}{i}" for i in range(dim)),
+                    np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0],
+                )
+                for label, dim in (dims[0], dims[2])
+            }
+            bases["q1"] = PointerBasis.computational(("w", "x", "y", "z"))
+            bases["q3"] = PointerBasis.computational(("up", "down"))
+            assert_matches_oracles(state, bases, conditioning_sizes=(1, 2))
+
+    def test_all_computational_stage_keeps_the_amplitude_tensor(self):
+        rng = np.random.default_rng(33)
+        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        state = StateVector((("q0", 2), ("q1", 4), ("q2", 2)), amps / np.linalg.norm(amps))
+        bases = {"q0": SPIN_POINTER, "q1": PointerBasis.computational("wxyz"), "q2": SPIN_POINTER}
+        stages = [*run_parallel_epr().stages, *einstein_boxes()[0].stages, run_nonparallel(1.0).stages[0]]
+        stages.append(Stage("random", state, stages[0].event, bases, None))
+        for stage in stages:
+            assert np.array_equal(stage.expansion, stage.state.as_tensor())
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0472, 4.0, -7.5, 12.0])
+    def test_skipping_identity_bases_changes_no_byte(self, theta):
+        rng = np.random.default_rng(34)
+        amps = rng.normal(size=24) + 1j * rng.normal(size=24)
+        state = StateVector((("q0", 2), ("q1", 4), ("q2", 3)), amps / np.linalg.norm(amps))
+        bases = {"q0": PointerBasis.spin(theta), "q1": PointerBasis.computational("wxyz")}
+        bases["q2"] = PointerBasis.computational("abc")
+        stages = [*run_parallel_epr().stages, *run_nonparallel(theta).stages, *einstein_boxes()[0].stages]
+        stages.append(Stage("random", state, stages[0].event, bases, None))
+        for stage in stages:
+            t = stage.state.as_tensor()
+            for axis, label in enumerate(stage.state.labels):
+                t = contract(stage.pointer_bases[label].matrix.conj().T, t, [axis])
+            assert (t + 0.0).tobytes() == stage.expansion.tobytes()
+
     def test_entangled_pairs_in_rotated_bases(self):
         # two singlets in rotated bases: supports with exact zeros, so definiteness can hold
         pair = singlet().amps
@@ -921,6 +981,23 @@ class TestDefinitenessRows:
                     cells[cell] += 1
         assert all(cells.values())  # every kind of cell occurs: definite, indefinite and empty
 
+    def test_one_pass_per_subsystem_equals_the_per_cell_query(self):
+        for theta in ROW_THETAS[::8]:
+            trace = run_nonparallel(theta)
+            _, rows = trace.definiteness()
+            for wing, conditioned, *cells in rows:
+                sub, lab = conditioned.split("=")
+                for stage, cell in zip(trace.stages, cells):
+                    want = "-"
+                    if sub in stage.state.labels:
+                        region = [label for label in WINGS[wing] if label in stage.state.labels]
+                        try:
+                            definite = is_definite_relative(stage.state, region, {sub: lab}, stage.pointer_bases)
+                            want = "yes" if definite else "no"
+                        except EmptyBranchError:
+                            pass
+                    assert cell == want, (theta, conditioned, stage.name)
+
 
 def test_everett_builds_at_most_two_pointer_bases(monkeypatch, capsys):
     built = []
@@ -934,3 +1011,32 @@ def test_everett_builds_at_most_two_pointer_bases(monkeypatch, capsys):
     assert main(["everett", "--theta", "1.0472"]) == 0
     capsys.readouterr()
     assert len(built) <= 2
+
+
+def contract_calls(monkeypatch, work) -> int:
+    """Calls of `qstate.contract`, under both names it is reached by, while ``work`` runs."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(qstate, "contract", counting)
+    monkeypatch.setattr(everett, "contract", counting)
+    work()
+    return len(calls)
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("theta,calls", [(0.3, 7), (1.0472, 7), (math.pi, 7), (-4.0, 7), (0.0, 3)])
+    def test_nonparallel_trace_contracts_only_the_rotated_basis(self, monkeypatch, theta, calls):
+        assert contract_calls(monkeypatch, lambda: run_nonparallel(theta)) == calls
+
+    @pytest.mark.parametrize("build", [run_parallel_epr, lambda: einstein_boxes()[0]], ids=["parallel", "boxes"])
+    def test_computational_traces_contract_only_their_operators(self, monkeypatch, build):
+        assert contract_calls(monkeypatch, build) == 2
+
+    @pytest.mark.parametrize("build", [run_parallel_epr, lambda: run_nonparallel(1.0472), lambda: einstein_boxes()[0]])
+    def test_definiteness_contracts_nothing(self, monkeypatch, build):
+        trace = build()
+        assert contract_calls(monkeypatch, trace.definiteness) == 0

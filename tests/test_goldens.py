@@ -4,6 +4,10 @@ Claims covered:
   - every criterion-14 CLI invocation gives the exit code and stdout sha256
     stored in ``bench/goldens.json``, with the input files written back
     verbatim from that file; a refactor that changes one output byte fails;
+  - `everett` traces share no mutable state through the module's constant
+    protocol pieces: after the pointer-basis dicts of earlier traces' stages
+    are rewritten, `everett --theta 0` and `everett --theta 1.0472 --format
+    csv` still give their golden bytes;
   - the goldens, every row of the sweep `tests/cli_sweep.json` (exit code,
     stdout and stderr sha256) and the bytes of `contract` on seeded random
     complex input are the same on other numpy and OpenBLAS dispatch paths:
@@ -28,6 +32,7 @@ import pytest
 
 import locality_lab
 from locality_lab.cli import main
+from locality_lab.everett import PointerBasis, run_nonparallel, run_parallel_epr
 from locality_lab.qstate import contract
 from test_cli import SWEEP
 
@@ -46,6 +51,18 @@ def test_stdout_matches_golden(entry, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == entry["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout_sha256"]
+
+
+@pytest.mark.parametrize("argv", [["everett", "--theta", "0"], ["everett", "--theta", "1.0472", "--format", "csv"]])
+def test_rewritten_stage_bases_do_not_reach_a_fresh_trace(argv, capsys):
+    swapped = PointerBasis(("down", "up"), [[0.0, 1.0], [1.0, 0.0]])
+    for trace in (run_parallel_epr(), run_nonparallel(1.0472)):
+        for k, stage in enumerate(trace.stages):  # one subsystem's basis swapped per stage, and m_B's dropped
+            stage.pointer_bases[stage.state.labels[k % 4]] = swapped
+        trace.stages[-1].pointer_bases.pop("m_B")
+    entry = next(e for e in GOLDENS["invocations"] if e["argv"] == argv)
+    assert main(argv) == entry["exit"]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == entry["stdout_sha256"]
 
 
 DISPATCH_SETTINGS = [

@@ -34,6 +34,14 @@ Claims covered:
     a residual of at least (S - 2)/sqrt(20) - ALG_TOL, the distance to the
     local cone that the functional c - n/2 (CHSH coefficients c, all-ones n,
     norm sqrt(20)) bounds;
+  - Fine's theorem and the 1964 form on [a, b, c] x [a, b, c] singlet grids,
+    with the same NNLS over the 64 deterministic strategy tables: of 200
+    seeded random triples, each with `bell_1964` slack < 0 has no
+    decomposition, its residual at least -slack/sqrt(20) - ALG_TOL (the
+    slack is 2 minus a CHSH value of the (a, b) x (b, c) sub-grid, where
+    E(b, b) = -1); grids whose settings differ by multiples of pi, where
+    every E is +/-1, decompose to ALG_TOL, satisfy the 1964 form, and their
+    model passes `suppes_zanotti_reduction` with violation 0 (about 0.15 s);
   - `chsh` takes exactly two settings on each wing and `bell_1964` a 3x3
     grid: a 2x3 or 3x2 behaviour, or a 2x3 grid, raises ScenarioShapeError;
   - singlet correlators obey E(a, b) = -cos(a - b) on a grid;
@@ -58,7 +66,12 @@ from hypothesis import strategies as hst
 
 from locality_lab import inequalities
 from locality_lab.behavior import Behavior, HiddenVariableModel, Scenario, average, from_quantum, sign_model, validate
-from locality_lab.causality import check_factorizability, check_outcome_independence, check_parameter_independence
+from locality_lab.causality import (
+    check_factorizability,
+    check_outcome_independence,
+    check_parameter_independence,
+    suppes_zanotti_reduction,
+)
 from locality_lab.inequalities import (
     SCAN_GRID,
     Bell1964Result,
@@ -356,12 +369,15 @@ def nnls(a, b, tol=1e-13):
     return x, float(np.linalg.norm(a @ x - b))
 
 
-STRATEGIES = np.array(  # the 16 deterministic tables P(A,B|a,b) = [A = f(a)][B = g(b)], rows in C order of (f, g)
-    [
-        np.einsum("xa,yb->xyab", np.eye(2)[[fa0, fa1]], np.eye(2)[[gb0, gb1]])
-        for fa0, fa1, gb0, gb1 in np.ndindex(2, 2, 2, 2)
-    ]
-)
+def strategy_tables(n):
+    """The 4**n deterministic tables P(A,B|x,y) = [A = f(x)][B = g(y)] on n settings a wing, in C order of (f, g)."""
+    return np.array(
+        [np.einsum("xa,yb->xyab", np.eye(2)[list(fg[:n])], np.eye(2)[list(fg[n:])]) for fg in np.ndindex(*[2] * (2 * n))]
+    )
+
+
+STRATEGIES = strategy_tables(2)
+STRATEGIES_3X3 = strategy_tables(3)
 
 
 def chsh_values(table):
@@ -406,6 +422,33 @@ class TestFineTheorem:
                 nonlocal_ += 1
                 assert residual >= (s_max - 2) / math.sqrt(20) - ALG_TOL
         assert local and nonlocal_ > 1  # both directions ran, the PR box among the non-local
+
+    def test_bell_1964_violation_leaves_no_decomposition_on_three_setting_grids(self):
+        rng = np.random.default_rng(1964)
+        violated = 0
+        for _ in range(200):
+            angles = rng.uniform(0, 2 * math.pi, 3)
+            behavior = from_quantum(singlet(), angles, angles)
+            slack = bell_1964(CorrelatorSet.from_behavior(behavior)).slack
+            _, residual = nnls(STRATEGIES_3X3.reshape(64, 36).T, behavior.table.reshape(-1))
+            if slack < 0:
+                violated += 1
+                assert residual > ALG_TOL
+                assert residual >= -slack / math.sqrt(20) - ALG_TOL
+        assert violated
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, -1.0])
+    def test_decomposing_three_setting_grids_pass_suppes_zanotti(self, a):
+        angles = [a, a + math.pi, a + 2 * math.pi]  # every E(s, t) is +/-1
+        behavior = from_quantum(singlet(), angles, angles)
+        weights, residual = nnls(STRATEGIES_3X3.reshape(64, 36).T, behavior.table.reshape(-1))
+        assert residual <= ALG_TOL
+        model = HiddenVariableModel.from_arrays(behavior.scenario, weights, STRATEGIES_3X3)
+        assert np.max(np.abs(average(model).table - behavior.table)) <= ALG_TOL
+        assert bell_1964(CorrelatorSet.from_behavior(behavior)).slack >= -ALG_TOL
+        report = suppes_zanotti_reduction(model)
+        assert report.passed is True
+        assert report.max_violation == 0.0
 
 
 class TestSingletCorrelatorIdentity:
