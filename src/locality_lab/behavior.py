@@ -7,8 +7,11 @@ array. A `HiddenVariableModel` is a finite weighted ensemble of behaviours
 sharing one scenario, stored as one read-only (L, n_a, n_b, k_A, k_B) table
 stack and a weight vector of length L; `average` recovers the observable
 behaviour and `marginals` the stack's one-sided marginals; a model derives
-both once, on first use, and keeps them. `validate` checks a table and the
-model paths check a whole stack with the same first-bad-cell search.
+both once, on first use, and keeps them, as it keeps the far-setting shift
+and product gap of `causality`. `validate` checks a table and the model
+paths check a whole stack with the same first-bad-cell search, which finds
+the bad lambdas from their min, max and pair sums and scans cells in the
+first one only. `from_dict` converts a model's tables in one call.
 
 Generators:
   * `from_quantum` packages the Born rule over an angle grid for a two-qubit
@@ -132,25 +135,31 @@ def _check_stack(scenario: Scenario, tables: np.ndarray) -> None:
 
     Tables are searched in lambda order. Within a table, non-finite entries
     are reported first, then the first entry outside [0, 1], then the first
-    setting pair whose probabilities do not sum to 1.
+    setting pair whose probabilities do not sum to 1. A table is bad if its
+    min or max (NaN propagates) is outside [0, 1] or a pair sum, bitwise
+    ``tables.sum(axis=(3, 4))``, misses 1; only the first gets cell masks.
     """
-    nonfinite = ~np.isfinite(tables)
-    out_of_range = (tables < -ALG_TOL) | (tables > 1.0 + ALG_TOL)
-    sums = tables.sum(axis=(3, 4))
-    unnormalised = np.abs(sums - 1.0) > ALG_TOL
-    bad = (nonfinite | out_of_range).any(axis=(1, 2, 3, 4)) | unnormalised.any(axis=(1, 2))
+    n_l, n_a, n_b, k_a, k_b = tables.shape
+    cells = tables.reshape(n_l, n_a * n_b * k_a * k_b)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and overflow: such tables are out of range
+        sums = _outcome_sum(tables.reshape(n_l, n_a, n_b, k_a * k_b), 3)
+        deviation = np.subtract(sums, 1.0)
+    unnormalised = np.abs(deviation, out=deviation) > ALG_TOL
+    in_range = (np.minimum.reduce(cells, axis=1) >= -ALG_TOL) & (np.maximum.reduce(cells, axis=1) <= 1.0 + ALG_TOL)
+    bad = ~in_range | unnormalised.any(axis=(1, 2))
     if not bad.any():
         return
     il = int(np.argmax(bad))
-    sc = scenario
-    if nonfinite[il].any():
+    sc, table = scenario, tables[il]
+    if not np.isfinite(table).all():
         raise BehaviorError("table contains non-finite entries")
-    if out_of_range[il].any():
-        ia, ib, iA, iB = np.unravel_index(np.argmax(out_of_range[il]), sc.shape)
+    out_of_range = (table < -ALG_TOL) | (table > 1.0 + ALG_TOL)
+    if out_of_range.any():
+        ia, ib, iA, iB = np.unravel_index(np.argmax(out_of_range), sc.shape)
         raise NegativeEntryError(
             "entry out of [0, 1] at cell "
             f"(a={sc.settings_a[ia]!r}, b={sc.settings_b[ib]!r}, "
-            f"A={sc.outcomes_a[iA]!r}, B={sc.outcomes_b[iB]!r}): {float(tables[il, ia, ib, iA, iB])!r}"
+            f"A={sc.outcomes_a[iA]!r}, B={sc.outcomes_b[iB]!r}): {float(table[ia, ib, iA, iB])!r}"
         )
     ia, ib = np.unravel_index(np.argmax(unnormalised[il]), sc.shape[:2])
     total = float(sums[il, ia, ib])
@@ -166,18 +175,29 @@ def validate(behavior: Behavior) -> Behavior:
     return behavior
 
 
+def _outcome_sum(tables: np.ndarray, axis: int) -> np.ndarray:
+    """``tables.sum(axis=axis)`` bit for bit, over a short outcome axis.
+
+    Numpy adds fewer than eight terms in order from +0.0, so adding the
+    slices to 0.0 in place repeats its sums without its slow reduction over a
+    short axis; from eight terms on it may add them pairwise, so those sums
+    stay its own.
+    """
+    if tables.shape[axis] >= 8:
+        return tables.sum(axis=axis)
+    lead = (slice(None),) * axis
+    acc = tables[lead + (0,)] + 0.0
+    for i in range(1, tables.shape[axis]):
+        acc += tables[lead + (i,)]
+    return acc
+
+
 def marginals(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-sided marginals of a table stack: (L, n_a, n_b, k_A) and (L, n_a, n_b, k_B).
 
-    Bit for bit ``tables.sum(axis=4)`` and ``tables.sum(axis=3)``. Numpy adds
-    fewer than eight terms in order from +0.0, so adding the outcome slices
-    to 0.0 repeats its sums without its slow reduction over a short axis;
-    from eight terms on it may add them pairwise, so those sums stay its own.
+    Bit for bit ``tables.sum(axis=4)`` and ``tables.sum(axis=3)``, by `_outcome_sum`.
     """
-    k_a, k_b = tables.shape[3:]
-    marg_a = tables.sum(axis=4) if k_b >= 8 else sum((tables[..., ib] for ib in range(k_b)), 0.0)
-    marg_b = tables.sum(axis=3) if k_a >= 8 else sum((tables[..., ia, :] for ia in range(k_a)), 0.0)
-    return marg_a, marg_b
+    return _outcome_sum(tables, 4), _outcome_sum(tables, 3)
 
 
 class HiddenVariableModel:
@@ -189,10 +209,11 @@ class HiddenVariableModel:
     `from_arrays`, from a weight vector and a table stack. The constructors
     check the weights (finite, non-negative, summing to 1) but not the
     tables; those are validated by whoever produces them. The one-sided
-    marginals and the average are derived on first use and kept.
+    marginals, the average, and the far-setting shift and product gap of
+    `causality` are derived on first use and kept.
     """
 
-    __slots__ = ("scenario", "_weights", "_tables", "_marginals", "_average")
+    __slots__ = ("scenario", "_weights", "_tables", "_marginals", "_average", "_shift", "_gap")
 
     def __init__(self, scenario: Scenario, lambdas: Iterable[tuple[float, Behavior]]):
         pairs = list(lambdas)
@@ -231,11 +252,17 @@ class HiddenVariableModel:
         object.__setattr__(self, "scenario", scenario)
         object.__setattr__(self, "_weights", w)
         object.__setattr__(self, "_tables", tables)
-        object.__setattr__(self, "_marginals", None)
-        object.__setattr__(self, "_average", None)
+        for slot in ("_marginals", "_average", "_shift", "_gap"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HiddenVariableModel is immutable")
+
+    def _kept(self, slot: str, derive, *args):
+        """The value in a derived ``slot``, set to ``derive(*args)`` on first use; a failed derivation keeps nothing."""
+        if getattr(self, slot) is None:
+            object.__setattr__(self, slot, derive(*args))
+        return getattr(self, slot)
 
     @property
     def lambdas(self) -> tuple[tuple[float, Behavior], ...]:
@@ -252,12 +279,13 @@ class HiddenVariableModel:
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         """The stack's read-only one-sided marginals, by `marginals`; derived on first use, then the same arrays."""
-        if self._marginals is None:
+        def derive():
             pair = marginals(self._tables)
             for m in pair:
                 m.setflags(write=False)
-            object.__setattr__(self, "_marginals", pair)
-        return self._marginals
+            return pair
+
+        return self._kept("_marginals", derive)
 
     def __repr__(self) -> str:
         return f"HiddenVariableModel(n_lambda={self._weights.size}, shape={self.scenario.shape})"
@@ -272,11 +300,11 @@ def average(model: HiddenVariableModel) -> Behavior:
     keeps the validated result and returns it on later calls; a table that
     fails validation is not kept.
     """
-    if model._average is None:
+    def derive():
         w = model.weights()[:, None, None, None, None]
-        acc = np.add.reduce(w * model.stacked_tables(), axis=0, initial=0.0)
-        object.__setattr__(model, "_average", validate(Behavior(model.scenario, acc)))
-    return model._average
+        return validate(Behavior(model.scenario, np.add.reduce(w * model.stacked_tables(), axis=0, initial=0.0)))
+
+    return model._kept("_average", derive)
 
 
 def from_quantum(state: StateVector, settings_a: Sequence[float], settings_b: Sequence[float]) -> Behavior:
@@ -451,7 +479,11 @@ def _table_array(raw, what: str) -> np.ndarray:
 
 
 def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
-    """Parse either a behaviour or a model; tables are validated."""
+    """Parse either a behaviour or a model; tables are validated.
+
+    A model's tables are converted in one call; if that fails, one at a time,
+    so the first faulty entry (weight or table) raises its per-entry error.
+    """
     if not isinstance(obj, Mapping) or "scenario" not in obj:
         raise BehaviorError("expected an object with a 'scenario' field")
     scenario = scenario_from_dict(obj["scenario"])
@@ -467,18 +499,31 @@ def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
             raise BehaviorError(f"'lambdas' must be a list of objects, got {type(entries).__name__}")
         if len(entries) * size > MAX_MODEL_CELLS:
             raise BehaviorError(f"{len(entries)} lambdas of {size} cells exceed the limit of {MAX_MODEL_CELLS} cells")
-        weights = np.empty(len(entries))
-        tables = np.empty((len(entries), size))  # filled row by row: no second copy of the input
-        for k, lam in enumerate(entries):
+        weights, rows, malformed, tables = np.empty(len(entries)), [], None, None
+        for k, lam in enumerate(entries):  # weights and rows, up to the first structural fault
             try:
                 weights[k] = json_number(lam["weight"], "'weight' must be a number")
-                raw = lam["table"]
+                rows.append(lam["table"])
             except (KeyError, TypeError, ValueError) as exc:
+                malformed = k, exc
+                break
+            if not (isinstance(rows[-1], list) and len(rows[-1]) == size):
+                break
+        else:
+            try:
+                tables = np.array(rows, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                pass
+        if tables is None or tables.shape != (len(entries), size):
+            tables = np.empty((len(rows), size))  # row by row: the first faulty entry raises its own error
+            for k, raw in enumerate(rows):
+                flat = _table_array(raw, f"lambda {k} table")
+                if flat.size != size:
+                    raise BehaviorError(f"lambda {k} table has {flat.size} entries, needs {size}")
+                tables[k] = flat
+            if malformed is not None:
+                k, exc = malformed
                 raise BehaviorError(f"malformed lambda entry {k}: {exc}") from exc
-            flat = _table_array(raw, f"lambda {k} table")
-            if flat.size != size:
-                raise BehaviorError(f"lambda {k} table has {flat.size} entries, needs {size}")
-            tables[k] = flat
         tables = tables.reshape(len(entries), *scenario.shape)
         _check_stack(scenario, tables)
         return HiddenVariableModel._owning(scenario, weights, tables)

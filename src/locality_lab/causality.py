@@ -27,6 +27,9 @@ Every checker works on the model's (L, n_a, n_b, k_A, k_B) table stack at
 once; lambda is the leading axis, so the lexicographic order of a witness is
 lambda first, then the cell. A model derives its one-sided marginals and its
 average once, on first use (`behavior`), so the checkers of one model share them.
+It keeps the far-setting shift that parameter independence and
+factorizability's note read, and the product gap behind factorizability and
+the determinism reduction, in the same way: each is computed once per model.
 The far-setting shift of no-signalling and parameter independence is the
 largest spread max - min over the far setting of a (lambda, near setting,
 outcome) group, O(L n_a n_b k) work, with the exact first witness cell.
@@ -156,7 +159,7 @@ def check_no_signalling(behavior: Behavior, tol: float = DEFAULT_TOL) -> CheckRe
 
 def check_parameter_independence(model: HiddenVariableModel, tol: float = DEFAULT_TOL) -> CheckReport:
     """Lambda-conditional marginal independence of the far setting."""
-    value, il, witness = _marginal_shift(model.scenario, *model.marginals())
+    value, il, witness = model._kept("_shift", _marginal_shift, model.scenario, *model.marginals())
     return CheckReport(Condition.PARAMETER_INDEPENDENCE, value <= tol, value, tol, {"lambda": il, **witness})
 
 
@@ -206,7 +209,7 @@ def check_factorizability(model: HiddenVariableModel, tol: float = DEFAULT_TOL) 
     """
     sc = model.scenario
     marg_a, marg_b = model.marginals()
-    value, (il, ia, ib, iA, iB) = _product_gap(model.stacked_tables(), marg_a, marg_b)
+    value, (il, ia, ib, iA, iB) = model._kept("_gap", _product_gap, model.stacked_tables(), marg_a, marg_b)
     witness = {
         "lambda": il,
         "a": sc.settings_a[ia],
@@ -215,7 +218,7 @@ def check_factorizability(model: HiddenVariableModel, tol: float = DEFAULT_TOL) 
         "B": sc.outcomes_b[iB],
     }
     notes: tuple[str, ...] = ()
-    pi_shift, _, _ = _marginal_shift(sc, marg_a, marg_b)
+    pi_shift, _, _ = model._kept("_shift", _marginal_shift, sc, marg_a, marg_b)
     if not pi_shift <= tol:
         notes = (
             "parameter independence fails "
@@ -273,7 +276,7 @@ def suppes_zanotti_reduction(model: HiddenVariableModel, tol: float = DEFAULT_TO
     pairs = _parallel_pairs(model)
 
     marg_a, marg_b = model.marginals()
-    fact, _ = _product_gap(model.stacked_tables(), marg_a, marg_b)
+    fact, _ = model._kept("_gap", _product_gap, model.stacked_tables(), marg_a, marg_b)
     avg = average(model)
     same = [float(sum(avg.table[ia, ib, i, i] for i in range(len(sc.outcomes_a)))) for ia, ib in pairs]
     deficit = max(same)

@@ -69,13 +69,16 @@ class EmptyBranchError(ValueError):
     """Conditioning basis state has (numerically) zero overlap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointerBasis:
-    """Labelled orthonormal basis; columns of ``matrix`` are the basis states."""
+    """Labelled orthonormal basis; columns of ``matrix`` are the basis states.
+
+    ``==`` and ``hash`` go by identity; ``np.array_equal`` on ``.matrix`` compares by value.
+    """
 
     labels: tuple[str, ...]
     matrix: np.ndarray
-    _adjoint: np.ndarray | None = field(init=False, repr=False, compare=False)  # B^H; None when B is the identity
+    _adjoint: np.ndarray | None = field(init=False, repr=False)  # B^H; None when B is the identity
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=np.complex128)
@@ -235,9 +238,12 @@ def _definite_cells(
     return {lab: ("yes" if one else "no") if ok else "-" for lab, ok, one in zip(names, live.tolist(), single.tolist())}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stage:
-    """Protocol snapshot: name, state, event, bases, the local operator that made it (or None), expansion, branches."""
+    """Protocol snapshot: name, state, event, bases, the local operator that made it (or None), expansion, branches.
+
+    ``==`` and ``hash`` go by identity; ``np.array_equal`` on ``.expansion`` compares by value.
+    """
 
     name: str
     state: StateVector
@@ -245,7 +251,7 @@ class Stage:
     pointer_bases: dict[str, PointerBasis]
     operator: Operator | None
     branches: tuple[Branch, ...] = field(init=False)
-    expansion: np.ndarray = field(init=False, repr=False, compare=False)
+    expansion: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         t = _expand(self.state, self.pointer_bases, self.state.labels)
@@ -254,12 +260,13 @@ class Stage:
         object.__setattr__(self, "branches", _branches(self.state, t, self.pointer_bases))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolTrace:
     """Stages in time order; refuses events out of causal order and measurement stages that act on the far wing.
 
     Out of causal order means a stage whose event lies in the future light
-    cone of a stage listed after it.
+    cone of a stage listed after it. ``==`` and ``hash`` go by identity, as
+    for its stages.
     """
 
     stages: tuple[Stage, ...]

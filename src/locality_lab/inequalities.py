@@ -41,9 +41,12 @@ class ScenarioShapeError(ValueError):
     """The operation needs a two-setting, two-outcome scenario."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelatorSet:
-    """Expectation values E(a, b) of the +/-1 outcome product over a grid."""
+    """Expectation values E(a, b) of the +/-1 outcome product over a grid.
+
+    ``==`` and ``hash`` go by identity; ``np.array_equal`` on ``.values`` compares by value.
+    """
 
     settings_a: tuple[str, ...]
     settings_b: tuple[str, ...]

@@ -103,12 +103,13 @@ class StateVector:
         return f"StateVector(dims={self.dims})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """Dense unitary on the labelled subsystems named in ``dims``; unitarity is checked.
 
     ``apply`` acts on the subsystems it names, wherever they sit in a state,
-    and leaves every other subsystem alone.
+    and leaves every other subsystem alone. ``==`` and ``hash`` go by
+    identity; ``np.array_equal`` on ``.matrix`` compares by value.
     """
 
     dims: DimSpec

@@ -30,6 +30,10 @@ Claims covered:
   - validate names the same first bad cell, with the same message, as a
     per-cell loop over a table (non-finite, then out of [0, 1], then
     normalisation), and a model file reports its first bad lambda;
+  - the stack check raises what that loop raises on the first bad lambda, on
+    stacks of 0, 1 and 7 lambdas with 1, 2, 3, 8 and 9 outcomes per side and
+    NaN, +-inf, out-of-range, unnormalising and -0.0 entries in several
+    lambdas; its pair sums equal numpy's bit for bit;
   - a model stores one read-only table stack and weight vector, and rejects
     non-finite weights;
   - the one-sided marginals, by `marginals` and by the model's method, equal
@@ -37,13 +41,19 @@ Claims covered:
     and 9 outcomes per side (numpy adds eight or more terms of a contiguous
     axis pairwise);
   - a model derives nothing when built (pairs, `from_arrays`, `from_dict`,
-    `sign_model`); its marginals are derived on first use, read-only, and
+    `sign_model`), nor keeps a shift or product gap; its marginals are derived on first use, read-only, and
     the same arrays on later calls; an average that fails validation is not
     kept; and two models built from the same arrays share no derived array;
   - JSON round-trips preserve behaviours and models, malformed objects
     (numbers too large for a float among them, and scenario label fields
     or a context of the wrong JSON type, named in the error) are rejected
-    with diagnostics, and parsing a model holds at most two copies of its stack.
+    with diagnostics, and parsing a 2,048-lambda model peaks below 1.6 stacks;
+  - `from_dict`, which converts a model's tables in one call, gives the same
+    model, or the same error and message, as a per-entry parse kept here as
+    the reference, on hand cases (faults in two entries in either order,
+    tuple, nested and ragged rows, no lambdas, string, bool, null and NaN
+    entries) and on the mutated documents of `test_fuzz`; pair sums of
+    inf - inf or past the float range raise no warning.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -70,12 +81,17 @@ from locality_lab.behavior import (
     behavior_to_dict,
     from_dict,
     from_quantum,
+    json_number,
     marginals,
     model_to_dict,
+    scenario_from_dict,
+    _check_stack,
+    _outcome_sum,
     sign_model,
     validate,
 )
 from locality_lab.qstate import StateVector, singlet, tensor, up
+from test_fuzz import FUZZ, behavior_documents
 
 BINARY = Scenario(("a0", "a1"), ("b0", "b1"))
 
@@ -152,6 +168,16 @@ def spawned_children_oracle(angles_a, angles_b, n, seed):
     return prod / float(n), want_keys, want_counts
 
 
+def stack_with_signed_zeros(rng, n_lambda, sc):
+    """A valid (n_lambda, *sc.shape) stack: random tables next to deterministic ones whose zeros are -0.0."""
+    n_a, n_b, k_a, k_b = sc.shape
+    tables = rng.dirichlet(np.ones(k_a * k_b), size=(n_lambda, n_a, n_b)).reshape(n_lambda, *sc.shape)
+    for il in range(0, n_lambda, 2):
+        tables[il] = -0.0
+        tables[il, :, :, rng.integers(0, k_a), rng.integers(0, k_b)] = 1.0
+    return tables
+
+
 def loop_validate(sc, t, tol=1e-12):
     """Per-cell reference for validate: (error type, message) of the first bad cell, or None."""
     if not np.all(np.isfinite(t)):
@@ -205,6 +231,27 @@ class TestValidate:
             else:
                 got = None
             assert got == loop_validate(sc, table)
+
+    @pytest.mark.parametrize("n_lambda", [0, 1, 7])
+    @pytest.mark.parametrize("k_a, k_b", list(itertools.product((1, 2, 3, 8, 9), repeat=2)))
+    def test_first_bad_cell_of_a_stack_matches_loop_oracle(self, n_lambda, k_a, k_b):
+        # The stack check, lambda by lambda against the per-cell loop, with faults in several lambdas.
+        rng = np.random.default_rng([n_lambda, k_a, k_b])
+        sc = Scenario(("a0", "a1", "a2"), ("b0", "b1"), [f"A{i}" for i in range(k_a)], [f"B{i}" for i in range(k_b)])
+        faults = [np.nan, np.inf, -np.inf, -0.25, 1.5, 0.5, -0.0, -1e-13, 1.0 + 1e-13]
+        for _ in range(40):
+            tables = stack_with_signed_zeros(rng, n_lambda, sc)
+            for _ in range(rng.integers(0, 4) if n_lambda else 0):
+                cell = (rng.integers(0, n_lambda), *(rng.integers(0, n) for n in sc.shape))
+                tables[cell] = rng.choice(faults)
+            try:
+                _check_stack(sc, tables)
+            except BehaviorError as exc:
+                got = (type(exc), str(exc))
+            else:
+                got = None
+            want = next(filter(None, (loop_validate(sc, t) for t in tables)), None)
+            assert got == want
 
     def test_quantum_behaviour_revalidates(self):
         b = from_quantum(singlet(), [0.0, math.pi / 2], [math.pi / 4, 3 * math.pi / 4])
@@ -511,8 +558,8 @@ def assert_bitwise_equal(got, want):
 
 
 def derived_nothing_yet(model) -> bool:
-    """The model's derived-array slots are still empty."""
-    return model._marginals is None and model._average is None
+    """The model's derived slots are still empty: marginals, average, far-setting shift and product gap."""
+    return all(getattr(model, slot) is None for slot in ("_marginals", "_average", "_shift", "_gap"))
 
 
 class TestMarginals:
@@ -523,6 +570,11 @@ class TestMarginals:
         for got_a, got_b in (marginals(tables), model.marginals()):
             assert_bitwise_equal(got_a, tables.sum(axis=4))
             assert_bitwise_equal(got_b, tables.sum(axis=3))
+
+    @pytest.mark.parametrize("k_a, k_b", list(itertools.product((1, 2, 3, 7, 8, 9), repeat=2)))
+    def test_pair_sums_of_the_stack_check_equal_numpy_sums_bit_for_bit(self, k_a, k_b):
+        sc, tables = outcome_stack(k_a, k_b)
+        assert_bitwise_equal(_outcome_sum(tables.reshape(20, 3, 2, k_a * k_b), 3), tables.sum(axis=(3, 4)))
 
 
 class TestDerivedOnce:
@@ -584,7 +636,7 @@ class TestJson:
         assert np.array_equal(again.weights(), model.weights())
 
     def test_model_parse_holds_two_stack_copies_at_most(self):
-        # The parsed stack and the model's own copy; the JSON rows are not copied again.
+        # One conversion of the JSON rows to the stack, plus the stack check's pair sums and their deviations.
         labels = [str(i) for i in range(8)]
         table = from_quantum(singlet(), range(8), range(8)).table.reshape(-1).tolist()
         payload = {
@@ -597,7 +649,7 @@ class TestJson:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * model.stacked_tables().nbytes
+        assert peak <= 1.6 * model.stacked_tables().nbytes
 
     def test_table_length_checked(self):
         payload = behavior_to_dict(from_quantum(singlet(), [0.0], [0.0]))
@@ -651,3 +703,105 @@ class TestJson:
     def test_angle_label_stable(self):
         assert angle_label(0.5) == angle_label(0.5)
         assert angle_label(0.0) != angle_label(math.pi)
+
+
+def loop_from_dict(obj):
+    """Reference model parse, one entry at a time: its weight, then its table, then each table by `loop_validate`.
+
+    Anything that is not a scenario with a list of lambda entries goes to `from_dict`.
+    """
+    is_model = isinstance(obj, dict) and "scenario" in obj and "table" not in obj
+    if not (is_model and isinstance(obj.get("lambdas"), list)):
+        return from_dict(obj)
+    scenario = scenario_from_dict(obj["scenario"])
+    size = math.prod(scenario.shape)
+    weights, tables = [], []
+    for k, lam in enumerate(obj["lambdas"]):
+        try:
+            weights.append(json_number(lam["weight"], "'weight' must be a number"))
+            raw = lam["table"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BehaviorError(f"malformed lambda entry {k}: {exc}") from exc
+        if not isinstance(raw, list):
+            raise BehaviorError(f"lambda {k} table must be a list of numbers, got {type(raw).__name__}")
+        try:
+            flat = np.asarray(raw, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise BehaviorError(f"lambda {k} table must be a list of numbers: {exc}") from exc
+        if flat.ndim != 1:
+            raise BehaviorError(f"lambda {k} table must be a flat list of numbers, not a nested list")
+        if flat.size != size:
+            raise BehaviorError(f"lambda {k} table has {flat.size} entries, needs {size}")
+        tables.append(flat.reshape(scenario.shape))
+    for table in tables:
+        fault = loop_validate(scenario, table)
+        if fault is not None:
+            raise fault[0](fault[1])
+    return HiddenVariableModel.from_arrays(scenario, weights, np.reshape(tables, (len(tables), *scenario.shape)))
+
+
+def parse_outcome(parse, document):
+    """What a parse gives: the error's type and message, or the parsed object's scenario and array bytes."""
+    try:
+        got = parse(document)
+    except Exception as exc:  # any error counts, as long as both parses raise it with one message
+        return type(exc), str(exc)
+    if isinstance(got, Behavior):
+        return Behavior, got.scenario, got.table.tobytes()
+    return HiddenVariableModel, got.scenario, got.weights().tobytes(), got.stacked_tables().tobytes()
+
+
+GOOD = [0.25, 0.25, 0.25, 0.25]
+DEEP = 0.25
+for _ in range(70):  # deeper than numpy's 64 dimensions
+    DEEP = [DEEP]
+HAND_ENTRIES = {
+    "weight-fault-after-table-fault": [{"weight": 0.5, "table": [0.25, "x", 0.25, 0.25]}, {"weight": "w"}],
+    "weight-fault-after-short-table": [{"weight": 0.5, "table": [0.5, 0.5]}, {"table": GOOD}],
+    "table-fault-after-weight-fault": [{"weight": None, "table": GOOD}, {"weight": 0.5, "table": [0.5, 0.5]}],
+    "bad-element-before-short-table": [{"weight": 0.5, "table": [0.25, {}, 0.5, 0.25]}, {"weight": 0.5, "table": [1]}],
+    "tuple-row": [{"weight": 1.0, "table": tuple(GOOD)}],
+    "tuple-row-last": [{"weight": 0.5, "table": GOOD}, {"weight": 0.5, "table": tuple(GOOD)}],
+    "nested-row-of-size": [{"weight": 1.0, "table": [[0.25]] * 4}],
+    "nested-row-after-good": [{"weight": 0.5, "table": GOOD}, {"weight": 0.5, "table": [[0.25, 0.25]] * 4}],
+    "ragged-row": [{"weight": 1.0, "table": [[0.25, 0.25], 0.25, 0.25, 0.25]}],
+    "deeply-nested-row": [{"weight": 1.0, "table": [DEEP] * 4}],
+    "empty": [],
+    "string-entries": [{"weight": 1.0, "table": ["0.25", "0.25", "0.25", "0.25"]}],
+    "word-entry": [{"weight": 1.0, "table": ["up", 0.25, 0.25, 0.25]}],
+    "bool-entries": [{"weight": 0.5, "table": GOOD}, {"weight": 0.5, "table": [True, False, False, False]}],
+    "null-entry": [{"weight": 0.5, "table": GOOD}, {"weight": 0.5, "table": [None, 0.5, 0.5, 0.0]}],
+    "nan-entry": [{"weight": 0.5, "table": [math.nan, 0.5, 0.5, 0.0]}, {"weight": 0.5, "table": [-1.0, 1.0, 0.5, 0.5]}],
+    "huge-int-entry": [{"weight": 1.0, "table": [10**400, 0, 0, 0]}],
+    "bool-weight": [{"weight": True, "table": GOOD}],
+    "entry-not-an-object": [{"weight": 0.5, "table": GOOD}, [0.5, GOOD]],
+    "table-object": [{"weight": 1.0, "table": {"0": 0.25}}],
+    "unnormalised-after-good": [{"weight": 0.5, "table": GOOD}, {"weight": 0.5, "table": [0.5, 0.25, 0.25, 0.25]}],
+    "weights-sum-off": [{"weight": 0.5, "table": GOOD}, {"weight": 0.25, "table": [1.0, 0.0, 0.0, -0.0]}],
+}
+
+
+class TestBulkParse:
+    """`from_dict` converts every table of a model at once; it must parse, or fail, as the per-entry loop does."""
+
+    @pytest.mark.parametrize("entries", HAND_ENTRIES.values(), ids=HAND_ENTRIES.keys())
+    def test_hand_cases_equal_the_per_entry_loop(self, entries):
+        document = {"scenario": {"settings_a": ["a0"], "settings_b": ["b0"]}, "lambdas": entries}
+        assert parse_outcome(from_dict, document) == parse_outcome(loop_from_dict, document)
+
+    @FUZZ
+    @given(behavior_documents())
+    def test_mutated_documents_equal_the_per_entry_loop(self, document):
+        assert parse_outcome(from_dict, document) == parse_outcome(loop_from_dict, document)
+
+    @pytest.mark.parametrize(
+        "table", [[math.inf, -math.inf, 0.5, 0.5], [1e308, 1e308, 0.5, 0.5]], ids=["inf-minus-inf", "overflow"]
+    )
+    @pytest.mark.parametrize("kind", ["behaviour", "model"])
+    def test_bad_pair_sums_raise_without_a_warning(self, table, kind):
+        # A warning would reach the CLI's stderr beside its one error line.
+        body = {"table": table} if kind == "behaviour" else {"lambdas": [{"weight": 1.0, "table": table}]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BehaviorError):
+                from_dict({"scenario": {"settings_a": ["a0"], "settings_b": ["b0"]}, **body})

@@ -32,15 +32,18 @@ Claims covered:
   - on deterministic, product, Born, NaN-entry and all-skipped
     outcome-independence models, each checker's report (or error) on a fresh
     model equals its report after the other four have filled the model's
-    derived marginals and average, and the Jarrett check gives the same
-    verdict either way;
+    derived marginals, average, far-setting shift and product gap, and the
+    Jarrett check gives the same verdict either way;
+  - the five checkers and the Jarrett check, run on one fresh model, compute
+    the far-setting shift of its marginals once and its product gap once;
   - a NaN entry fails every checker with a NaN max_violation, and outcome
     independence counts the cells conditioned on a NaN marginal as skipped;
   - the parameter-independence, factorizability and outcome-independence
     checks of a fresh 2000-lambda 8x8 model stay within tracemalloc peaks of
     8, 10 and 20 MiB, below the pair tensor's and the stacked conditionals'
     sizes; after four checkers, the model holds its marginals and average,
-    one stack's bytes (4 MiB), and the checkers keep nothing else;
+    one stack's bytes (4 MiB), and its shift and product gap, and the
+    checkers keep nothing else;
   - with a zero cutoff of 0.5, wholly skipped (lambda, side) blocks sit next
     to partly skipped ones, and the outcome-independence report still
     equals the loop's.
@@ -51,6 +54,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -213,7 +217,10 @@ class TestPeakMemory:
             tracemalloc.stop()
         marg_a, marg_b = model.marginals()
         assert marg_a.nbytes + marg_b.nbytes == model.stacked_tables().nbytes == 4_096_000
-        kept = marg_a.nbytes + marg_b.nbytes + average(model).table.nbytes
+        # The kept shift and product gap: two tuples, two floats, a witness dict and a cell of cached small ints.
+        (shift, _, witness), (gap, cell) = model._shift, model._gap
+        scalars = sum(sys.getsizeof(x) for x in (model._shift, shift, witness, model._gap, gap, cell))
+        kept = marg_a.nbytes + marg_b.nbytes + average(model).table.nbytes + scalars
         assert kept <= held < kept + 16 * 2**10
 
 
@@ -281,7 +288,7 @@ class TestReportsIndependentOfCheckOrder:
             for other in CHECKS.values():
                 if other is not check:
                     check_outcome(other, warm)
-            assert warm._marginals is not None
+            assert not any(getattr(warm, slot) is None for slot in ("_marginals", "_shift", "_gap"))
             assert check_outcome(check, warm) == first, name
         warm = order_model(kind)
         for check in CHECKS.values():
@@ -293,6 +300,21 @@ class TestReportsIndependentOfCheckOrder:
         assert json.loads(check_outcome(CHECKS["oi"], order_model("born")))["passed"] is False
         monkeypatch.setattr(causality, "ZERO_CUTOFF", 1.0)
         assert json.loads(check_outcome(CHECKS["oi"], order_model("product")))["witness"] is None
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("kind", ["deterministic", "product", "born", "nan-entry"])
+    def test_checkers_derive_the_shift_and_the_product_gap_once(self, kind, monkeypatch):
+        calls = {"_marginal_shift": [], "_product_gap": []}
+        for name, log in calls.items():
+            kernel = getattr(causality, name)
+            monkeypatch.setattr(causality, name, lambda *args, f=kernel, log=log: log.append(args) or f(*args))
+        model = order_model(kind)
+        for check in [*CHECKS.values(), jarrett_equivalence]:
+            check_outcome(check, model)
+        tables, (marg_a, _) = model.stacked_tables(), model.marginals()
+        assert sum(args[1] is marg_a for args in calls["_marginal_shift"]) == 1  # no-signalling's runs on the average
+        assert [args[0] is tables for args in calls["_product_gap"]] == [True]
 
 
 class TestNonFiniteTables:

@@ -20,6 +20,9 @@ Claims covered:
     `inequalities`; `behavior`, `qstate` and `spacetime` for `everett`; and
     `behavior`, `inequalities` and `qstate` for `cli`, which imports the rest
     inside the subcommands that use them;
+  - `everett.PointerBasis`, `Stage` and `ProtocolTrace`, `qstate.Operator`
+    and `inequalities.CorrelatorSet` hold arrays, so `==`, `hash` and set
+    membership go by identity and return answers instead of raising;
   - in a fresh interpreter, `locality_lab.__all__` is sorted and has no
     duplicates, `dir(locality_lab)` lists every name in it before any is
     read, `from locality_lab import *` binds every name to the object its
@@ -55,7 +58,7 @@ from locality_lab.qstate import ALG_TOL
 
 OPTIONS = 14
 EXPORTS = 49
-SRC_LINES = 2476
+SRC_LINES = 2535
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -285,6 +288,28 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert abs(float(out.getvalue().splitlines()[0]) - 2.0 * math.sqrt(2.0)) <= ALG_TOL
+
+
+def array_holders():
+    """One instance of each frozen dataclass that holds an array, built twice from the same inputs."""
+    from locality_lab import everett, inequalities, qstate
+
+    trace = everett.run_parallel_epr()
+    return {
+        "PointerBasis": everett.PointerBasis.spin(1.0),
+        "Stage": trace.stages[-1],
+        "ProtocolTrace": trace,
+        "Operator": qstate.Operator((("s1", 2),), qstate.rotated_basis_matrix(0.5)),
+        "CorrelatorSet": inequalities.CorrelatorSet.from_state(qstate.singlet(), [0.0, 1.0], [0.5]),
+    }
+
+
+@pytest.mark.parametrize("name", ["PointerBasis", "Stage", "ProtocolTrace", "Operator", "CorrelatorSet"])
+def test_array_holders_compare_and_hash_by_identity(name):
+    first, second = array_holders()[name], array_holders()[name]
+    assert first == first and first != second and not (first == second)
+    assert hash(first) == hash(first) and len({first, second, first}) == 2
+    assert first in {first} and second not in {first}
 
 
 INPUTS = {
