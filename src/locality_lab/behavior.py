@@ -79,7 +79,8 @@ class Scenario:
 
     Context entries describe the fixed experimental arrangement (everything
     but the settings chosen at the wings); they are carried as inert strings
-    and never conditioned on.
+    and never conditioned on. ``==`` and ``hash`` go by value, ``context`` as
+    its sorted items.
     """
 
     settings_a: tuple[str, ...]
@@ -94,6 +95,10 @@ class Scenario:
         object.__setattr__(self, "outcomes_a", _unique_nonempty("outcomes_a", self.outcomes_a))
         object.__setattr__(self, "outcomes_b", _unique_nonempty("outcomes_b", self.outcomes_b))
         object.__setattr__(self, "context", {str(k): str(v) for k, v in dict(self.context).items()})
+
+    def __hash__(self) -> int:
+        labels = (self.settings_a, self.settings_b, self.outcomes_a, self.outcomes_b)
+        return hash((labels, tuple(sorted(self.context.items()))))
 
     @property
     def shape(self) -> tuple[int, int, int, int]:

@@ -162,14 +162,18 @@ def _scan(e: np.ndarray) -> tuple[int, int, int, int]:
     # For fixed (a, a'), S = plus[b] + minus[b'], so the largest |S| over (b, b')
     # is a separable bound. A four-term sum rounds by under 3e-15, so a pair
     # whose bound falls 1e-12 below the best bound cannot hold the maximum.
-    # Terms are laid out (b, a, a'), so each max and min reduces whole (a, a')
-    # slabs; min over b' of E(a',b') - E(a,b') is -high.T, as negation is exact.
-    et = e.T
-    plus = et[:, :, None] + et[:, None, :]  # E(a,b) + E(a',b) over (b, a, a')
-    top, bottom = plus.max(axis=0), plus.min(axis=0)
-    del plus
-    high = (et[:, None, :] - et[:, :, None]).max(axis=0)  # max over b' of E(a',b') - E(a,b')
-    bound = np.maximum(top + high, -(bottom - high.T))
+    # plus is symmetric in (a, a') and minus antisymmetric, bit for bit, so each is
+    # reduced once per pair a <= a', laid out (b, pair) in one buffer that minus
+    # reuses; the mirrored pair (a', a) reads minus's max as -min and min as -max.
+    first, second = np.triu_indices(len(e))
+    ea, eap = np.take(e.T, first, axis=1), np.take(e.T, second, axis=1)  # E(a,b), E(a',b) over (b, pair)
+    terms = np.add(ea, eap)
+    top, bottom = terms.max(axis=0), terms.min(axis=0)
+    np.subtract(eap, ea, out=terms)
+    high, low = terms.max(axis=0), terms.min(axis=0)
+    bound = np.empty((len(e), len(e)))
+    bound[second, first] = np.maximum(top - low, -(bottom - high))
+    bound[first, second] = np.maximum(top + high, -(bottom + low))
     candidates = bound >= bound.max() - 1e-12
     # Candidates are summed as in the full scan, one (a', b, b') block per a;
     # a block's first maximum replaces the best only when strictly larger.

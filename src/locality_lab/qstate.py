@@ -28,7 +28,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 ALG_TOL = 1e-12  # algebraic identities: norms, unitarity, probability sums
-_BITS2 = ((0, 0), (0, 1), (1, 0), (1, 1))  # outcome and basis index pairs in C order
+_BITS2 = ((0, 0), (0, 1), (1, 0), (1, 1))  # basis index pairs in C order
+_BLOCK_CELLS = 1 << 12  # Born-table cells formed at a time; it bounds memory, not the arithmetic
 
 DimSpec = tuple[tuple[str, int], ...]
 
@@ -187,10 +188,22 @@ def singlet() -> StateVector:
 
 def rotated_basis_matrix(theta: float) -> np.ndarray:
     """2x2 real matrix whose columns are the rotated up/down spin states."""
-    if not math.isfinite(theta):
-        raise ValueError(f"angle must be finite, got {theta!r}")
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.float64)
+    return _rotated_bases((theta,)).reshape(2, 2)
+
+
+def _rotated_bases(angles: Iterable[float]) -> np.ndarray:
+    """The rotated basis matrices of all ``angles`` in one (2, 2, n) array: ``[:, :, i]`` is that of ``angles[i]``.
+
+    Raises naming the first non-finite angle.
+    """
+    c, s = [], []
+    for theta in angles:
+        if not math.isfinite(theta):
+            raise ValueError(f"angle must be finite, got {theta!r}")
+        c.append(math.cos(theta / 2.0))
+        s.append(math.sin(theta / 2.0))
+    c, s = np.array(c), np.array(s)
+    return np.array([[c, -s], [s, c]])
 
 
 def _positions(dims: DimSpec, labels: Sequence[str]) -> list[int]:
@@ -236,22 +249,31 @@ def joint_probability_table(
     Entry ``[i, j, p, q]`` is the probability of outcomes (up, down)[p] on the
     first subsystem at angle ``angles_a[i]`` and (up, down)[q] on the second
     at angle ``angles_b[j]``, the squared norm of the state's projection onto
-    those two rotated spin states. Each (p, q) plane sums
-    ``(wa[:, k, p] * t[k, l]) * wb[:, l, q]`` over (k, l) = (0,0), (0,1), (1,0), (1,1) in that
-    order, which makes the table bitwise equal to ``abs(einsum("akp,kl,blq->abpq", wa, t, wb)) ** 2``.
+    those two rotated spin states. The amplitude of every cell sums
+    ``(wa[i, k, p] * t[k, l]) * wb[j, l, q]`` over (k, l) = (0,0), (0,1), (1,0), (1,1) in that order,
+    which makes the table bitwise equal to ``abs(einsum("akp,kl,blq->abpq", wa, t, wb)) ** 2``. The
+    rows of wing A go in blocks of about _BLOCK_CELLS cells, each block all four (p, q) planes at once.
+    Raises naming the first non-finite angle, wing A's before wing B's.
     """
     if state.sizes != (2, 2):
         raise SubsystemError("joint probability tables require a two-qubit state")
-    wa = np.stack([rotated_basis_matrix(t) for t in angles_a]).astype(np.complex128)  # (na, 2, cols)
-    wb = np.stack([rotated_basis_matrix(t) for t in angles_b]).astype(np.complex128)
-    wat = wa[:, :, :, None] * state.as_tensor()[:, None, :]  # [i, k, p, l] = wa[i, k, p] * t[k, l]
-    out = np.empty((len(wa), len(wb), 2, 2))
-    for p, q in _BITS2:
-        acc = wat[:, 0, p, 0, None] * wb[None, :, 0, q]
+    wa = _rotated_bases(angles_a)
+    wb = _rotated_bases(angles_b).astype(np.complex128)  # [l, q, j]
+    wat = wa[:, None] * state.as_tensor()[:, :, None, None]  # [k, l, p, i] = wa[i, k, p] * t[k, l]
+    n_a, n_b = wa.shape[2], wb.shape[2]
+    out = np.empty((n_a, n_b, 2, 2))
+    rows = max(1, _BLOCK_CELLS // max(1, n_b))
+    acc = np.empty((2, 2, min(rows, n_a), n_b), dtype=np.complex128)  # [p, q, i, j], reused by every block
+    term = np.empty_like(acc)
+    for lo in range(0, n_a, rows):
+        hi = min(lo + rows, n_a)
+        a, b = acc[:, :, : hi - lo], term[:, :, : hi - lo]
+        np.multiply(wat[0, 0, :, None, lo:hi, None], wb[0, None, :, None], out=a)
         for k, l in _BITS2[1:]:
-            acc += wat[:, k, p, l, None] * wb[None, :, l, q]
-        np.abs(acc, out=out[:, :, p, q])
-    return np.square(out, out=out)
+            a += np.multiply(wat[k, l, :, None, lo:hi, None], wb[l, None, :, None], out=b)
+        block = out[lo:hi].transpose(2, 3, 0, 1)
+        np.square(np.abs(a, out=block), out=block)
+    return out
 
 
 def correlator_matrix(

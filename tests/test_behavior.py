@@ -4,7 +4,10 @@ Claims covered:
   - validate accepts well-formed tables and names the first offending cell;
   - from_quantum reproduces the parallel-setting anticorrelation halves, the
     matched-setting perfect correlation of the symmetric entangled state, and
-    product-state factorisation;
+    product-state factorisation, and names the first non-finite angle, wing
+    A's before wing B's;
+  - equal scenarios hash equal, whatever the order of their context, so a
+    set of scenarios holds each once;
   - average is the convex combination, bitwise equal to a naive per-cell
     loop in lambda order (up to 300 lambdas at 2x2 and 3x3 settings, tables
     holding exact 0.0 and -0.0), always valid, and kept by the model, so a
@@ -287,6 +290,24 @@ class TestFromQuantum:
         psi = tensor(up("m"), singlet())
         with pytest.raises(Exception):
             from_quantum(psi, [0.0], [0.0])
+
+    def test_non_finite_angle_named(self):
+        # wing A's first bad angle is named, though wing B's comes earlier in the call
+        with pytest.raises(ValueError) as excinfo:
+            from_quantum(singlet(), [0.5, math.inf], [math.nan, 1.0])
+        assert str(excinfo.value) == "angle must be finite, got inf"
+        with pytest.raises(ValueError) as excinfo:
+            from_quantum(singlet(), np.array([0.5]), np.array([1.0, -math.inf, math.nan]))
+        assert str(excinfo.value) == "angle must be finite, got -inf"
+
+
+class TestScenarioValue:
+    def test_equal_scenarios_hash_equal(self):
+        sc = Scenario(("a0", "a1"), ("b0",), context={"x": "1", "y": "2"})
+        same = Scenario(["a0", "a1"], ["b0"], context={"y": 2, "x": 1})
+        assert sc == same and hash(sc) == hash(same)
+        assert {sc, same, BINARY} == {BINARY, same}
+        assert len({sc, BINARY, Scenario(("a0", "a1"), ("b0", "b1"), context={"x": "1"})}) == 3
 
 
 def _deterministic(scenario, idx_a, idx_b):

@@ -61,7 +61,8 @@ Claims covered:
     the rotated basis has cos(theta/2) < 0 up to |k| = 119), `chsh --grid`
     at steps 0.5, 0.04, 0.05, 0.065 and 0.0126 (500 angles per axis),
     `signmodel --format json` at n = 4095, 4096, 4097 and 131073 (the edges
-    of the sampler's 4096-row block and 2**17-draw chunk), the input-contract
+    of the sampler's 4096-row block and 2**17-draw chunk), `bell1964` with a
+    NaN or infinite angle (exit 2, one `error:` line), the input-contract
     exit-2 cases above and argparse usage errors. On every row's live output, an
     exit-2 row writes nothing to stdout, a `--format json` row that exits 0
     or 1 prints JSON, and a `check --format csv` row starts with its header.
