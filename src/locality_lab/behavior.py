@@ -11,7 +11,7 @@ both once, on first use, and keeps them, as it keeps the far-setting shift
 and product gap of `causality`. `validate` checks a table and the model
 paths check a whole stack with the same first-bad-cell search, which finds
 the bad lambdas from their min, max and pair sums and scans cells in the
-first one only. `from_dict` converts a model's tables in one call.
+first one only. `from_dict` packs each table straight into the stack.
 
 Generators:
   * `from_quantum` packages the Born rule over an angle grid for a two-qubit
@@ -31,6 +31,7 @@ model; tables are dense row-major in (a, b, A, B) order.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -41,6 +42,7 @@ from .qstate import ALG_TOL, StateVector, joint_probability_table
 _CHUNK = 1 << 17  # draws per child seed: it fixes the random stream, so changing it changes every sampled output
 _BLOCK = 1 << 12  # rows drawn and projected at a time within a chunk; it bounds memory, not the stream
 MAX_MODEL_CELLS = 1 << 24  # lambdas x table cells a model file may declare: one 128 MiB float64 stack
+_PACK_RUN = 1 << 12  # table entries per struct call: longer rows are packed in runs, not unpacked whole
 
 
 class BehaviorError(ValueError):
@@ -470,33 +472,78 @@ def model_to_dict(model: HiddenVariableModel) -> dict:
     }
 
 
-def _table_array(raw, what: str) -> np.ndarray:
-    """Float array of a JSON table, which must be a flat list of numbers."""
+def _row_packer(size: int):
+    """``pack(stack, k, row)``: write a JSON table row into row k of a C-contiguous (L, size) float64 stack.
+
+    struct's native ``d`` writes the float64 numpy writes, bit for bit (ints
+    correctly rounded, booleans as 1.0 and 0.0). It raises struct.error
+    unless ``row`` is a list of ``size`` entries that all read as floats. A
+    row longer than _PACK_RUN goes in runs of that many entries, so no
+    argument tuple holds a whole long row.
+    """
+    step, head = 8 * size, size - size % _PACK_RUN
+    run = struct.Struct(f"{min(size, _PACK_RUN)}d").pack_into
+    tail = struct.Struct(f"{size - head}d").pack_into
+
+    def pack(stack, k, row):
+        if not isinstance(row, list) or len(row) != size:
+            raise struct.error
+        if size <= _PACK_RUN:
+            run(stack, step * k, *row)
+            return
+        for lo in range(0, head, _PACK_RUN):
+            run(stack, step * k + 8 * lo, *row[lo : lo + _PACK_RUN])
+        tail(stack, step * k + 8 * head, *row[head:])
+
+    return pack
+
+
+def _refuse_row(raw, size: int, what: str, needs: str) -> None:
+    """Raise the error of a JSON table row that `_row_packer` refused.
+
+    Faults are named in the order numpy finds them: not a list, an entry it
+    cannot convert, a nested list, a wrong length. A row numpy converts whole
+    holds a numeric string or a null; the first one is named by JSON type.
+    """
     if not isinstance(raw, list):
         raise BehaviorError(f"{what} must be a list of numbers, got {type(raw).__name__}")
     try:
-        arr = np.asarray(raw, dtype=np.float64)
+        flat = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BehaviorError(f"{what} must be a list of numbers: {exc}") from exc
-    if arr.ndim != 1:
+    if flat.ndim != 1:
         raise BehaviorError(f"{what} must be a flat list of numbers, not a nested list")
-    return arr
+    if flat.size != size:
+        raise BehaviorError(f"{what} has {flat.size} entries, {needs} {size}")
+    for i, x in enumerate(raw):
+        try:
+            struct.pack("d", x)
+        except struct.error:
+            kind = {str: "string", type(None): "null"}.get(type(x), type(x).__name__)
+            raise BehaviorError(f"{what} entry {i} must be a JSON number, got {kind}") from None
 
 
 def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
     """Parse either a behaviour or a model; tables are validated.
 
-    A model's tables are converted in one call; if that fails, one at a time,
-    so the first faulty entry (weight or table) raises its per-entry error.
+    One pass over a model's entries, in order, reads each weight and packs
+    each table straight into a preallocated float64 stack (`_row_packer`).
+    A row that does not pack is refused by `_refuse_row`, so the first
+    faulty entry, weight or table, raises its own error. Table entries must
+    be JSON numbers; booleans read as 1.0 and 0.0, as numpy reads them.
     """
     if not isinstance(obj, Mapping) or "scenario" not in obj:
         raise BehaviorError("expected an object with a 'scenario' field")
     scenario = scenario_from_dict(obj["scenario"])
     size = math.prod(scenario.shape)
+    pack = _row_packer(size)
     if "table" in obj:
-        flat = _table_array(obj["table"], "table")
-        if flat.size != size:
-            raise BehaviorError(f"table has {flat.size} entries, scenario needs {size}")
+        raw = obj["table"]
+        flat = np.empty(len(raw) if isinstance(raw, list) else 0)  # sized by the row, not by the scenario's labels
+        try:
+            pack(flat, 0, raw)
+        except struct.error:
+            _refuse_row(raw, size, "table", "scenario needs")
         return validate(Behavior(scenario, flat))
     if "lambdas" in obj:
         entries = obj["lambdas"]
@@ -504,31 +551,17 @@ def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
             raise BehaviorError(f"'lambdas' must be a list of objects, got {type(entries).__name__}")
         if len(entries) * size > MAX_MODEL_CELLS:
             raise BehaviorError(f"{len(entries)} lambdas of {size} cells exceed the limit of {MAX_MODEL_CELLS} cells")
-        weights, rows, malformed, tables = np.empty(len(entries)), [], None, None
-        for k, lam in enumerate(entries):  # weights and rows, up to the first structural fault
+        weights, tables = np.empty(len(entries)), np.empty((len(entries), size))
+        for k, lam in enumerate(entries):
             try:
                 weights[k] = json_number(lam["weight"], "'weight' must be a number")
-                rows.append(lam["table"])
+                row = lam["table"]
             except (KeyError, TypeError, ValueError) as exc:
-                malformed = k, exc
-                break
-            if not (isinstance(rows[-1], list) and len(rows[-1]) == size):
-                break
-        else:
-            try:
-                tables = np.array(rows, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
-                pass
-        if tables is None or tables.shape != (len(entries), size):
-            tables = np.empty((len(rows), size))  # row by row: the first faulty entry raises its own error
-            for k, raw in enumerate(rows):
-                flat = _table_array(raw, f"lambda {k} table")
-                if flat.size != size:
-                    raise BehaviorError(f"lambda {k} table has {flat.size} entries, needs {size}")
-                tables[k] = flat
-            if malformed is not None:
-                k, exc = malformed
                 raise BehaviorError(f"malformed lambda entry {k}: {exc}") from exc
+            try:
+                pack(tables, k, row)
+            except struct.error:
+                _refuse_row(row, size, f"lambda {k} table", "needs")
         tables = tables.reshape(len(entries), *scenario.shape)
         _check_stack(scenario, tables)
         return HiddenVariableModel._owning(scenario, weights, tables)

@@ -74,7 +74,8 @@ class CheckReport:
     ``passed`` is None only when a check's hypotheses were unsatisfied and no
     pass/fail verdict applies (see `suppes_zanotti_reduction`); otherwise
     ``passed`` iff ``max_violation <= tol``. The witness names the cell
-    achieving the maximal violation.
+    achieving the maximal violation. ``hash`` goes by value, as ``==`` does,
+    the witness as its sorted items (a nested dict as its own).
     """
 
     condition: Condition
@@ -84,6 +85,11 @@ class CheckReport:
     witness: dict | None = None
     skipped_cells: int = 0
     notes: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        witness = {k: tuple(sorted(v.items())) if isinstance(v, dict) else v for k, v in (self.witness or {}).items()}
+        fields = (self.condition, self.passed, self.max_violation, self.tol, self.skipped_cells, self.notes)
+        return hash((fields, tuple(sorted(witness.items()))))
 
     def to_dict(self) -> dict:
         return {

@@ -115,10 +115,13 @@ _RECORDS = {"A-side": ("m_A", "d_L"), "B-side": ("m_B", "d_R")}  # the subsystem
 
 @dataclass(frozen=True)
 class Branch:
-    """One pointer-basis component of the state: labels, amplitude, weight."""
+    """One pointer-basis component of the state: labels, amplitude, weight; ``hash`` goes by value, as ``==`` does."""
 
     labels: Mapping[str, str]
     amplitude: complex
+
+    def __hash__(self) -> int:
+        return hash((tuple(sorted(self.labels.items())), self.amplitude))
 
     @property
     def weight(self) -> float:

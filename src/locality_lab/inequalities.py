@@ -231,13 +231,17 @@ def quantum_max(state: StateVector) -> ChshResult:
 
 @dataclass(frozen=True)
 class Bell1964Result:
-    """Slack of 1 + E(b,c) - |E(a,b) - E(a,c)| plus the precondition status."""
+    """Slack of 1 + E(b,c) - |E(a,b) - E(a,c)| plus the precondition status; ``hash`` goes by value, as ``==`` does."""
 
     slack: float
     settings: tuple[str, str, str]
     terms: dict[str, float]
     anticorrelation_ok: bool
     max_equal_setting_deviation: float
+
+    def __hash__(self) -> int:
+        fields = (self.slack, self.settings, self.anticorrelation_ok, self.max_equal_setting_deviation)
+        return hash((fields, tuple(sorted(self.terms.items()))))
 
     @property
     def satisfied(self) -> bool:

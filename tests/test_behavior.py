@@ -50,18 +50,28 @@ Claims covered:
   - JSON round-trips preserve behaviours and models, malformed objects
     (numbers too large for a float among them, and scenario label fields
     or a context of the wrong JSON type, named in the error) are rejected
-    with diagnostics, and parsing a 2,048-lambda model peaks below 1.6 stacks;
-  - `from_dict`, which converts a model's tables in one call, gives the same
-    model, or the same error and message, as a per-entry parse kept here as
-    the reference, on hand cases (faults in two entries in either order,
-    tuple, nested and ragged rows, no lambdas, string, bool, null and NaN
-    entries) and on the mutated documents of `test_fuzz`; pair sums of
-    inf - inf or past the float range raise no warning.
+    with diagnostics, and parsing a 2,048-lambda 8x8 model or a 1-lambda
+    128x128 one (65,536 cells in one row) peaks below 1.6 stacks;
+  - `from_dict`, which packs each table straight into the stack, gives the
+    same model, or the same error and message, as a per-entry parse kept
+    here as the reference, on hand cases (faults in two entries in either
+    order, tuple, nested and ragged rows, no lambdas, string, bool, null and
+    NaN entries, ints above 2**53 and 2**64 and below -2**63, -0.0, 5e-324,
+    NaN and Infinity literals, list-subclass rows, rows one entry short or
+    long), on rows of 4,096, 4,224 and 8,192 cells (one whole row, a run and
+    a tail, two runs) with such faults in the first or last run, and on the
+    mutated documents of `test_fuzz`; the reference refuses a table numpy
+    converts whole if it holds a string or a null, naming the first such
+    entry and its JSON type; the stack is bitwise
+    `np.array(rows, dtype=float64)` on seeded deterministic (integer),
+    product and Born models of 1 to 2,000 lambdas at 4x4 to 8x8 settings;
+    pair sums of inf - inf or past the float range raise no warning.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -656,13 +666,15 @@ class TestJson:
         assert np.array_equal(again.stacked_tables(), model.stacked_tables())
         assert np.array_equal(again.weights(), model.weights())
 
-    def test_model_parse_holds_two_stack_copies_at_most(self):
-        # One conversion of the JSON rows to the stack, plus the stack check's pair sums and their deviations.
-        labels = [str(i) for i in range(8)]
-        table = from_quantum(singlet(), range(8), range(8)).table.reshape(-1).tolist()
+    @pytest.mark.parametrize("n_lambda, n", [(2048, 8), (1, 128)], ids=["2048-lambdas-8x8", "1-lambda-128x128"])
+    def test_model_parse_holds_two_stack_copies_at_most(self, n_lambda, n):
+        # The stack the JSON rows are packed into, plus the stack check's pair sums and their deviations.
+        # One row of 65,536 cells unpacked whole into an argument tuple would take two more stacks.
+        labels = [str(i) for i in range(n)]
+        table = from_quantum(singlet(), range(n), range(n)).table.reshape(-1).tolist()
         payload = {
             "scenario": {"settings_a": labels, "settings_b": labels},
-            "lambdas": [{"weight": 1.0 / 2048, "table": table}] * 2048,
+            "lambdas": [{"weight": 1.0 / n_lambda, "table": table}] * n_lambda,
         }
         tracemalloc.start()
         try:
@@ -729,7 +741,9 @@ class TestJson:
 def loop_from_dict(obj):
     """Reference model parse, one entry at a time: its weight, then its table, then each table by `loop_validate`.
 
-    Anything that is not a scenario with a list of lambda entries goes to `from_dict`.
+    A table numpy converts whole is refused if it holds a string or a null,
+    the first one named. Anything that is not a scenario with a list of
+    lambda entries goes to `from_dict`.
     """
     is_model = isinstance(obj, dict) and "scenario" in obj and "table" not in obj
     if not (is_model and isinstance(obj.get("lambdas"), list)):
@@ -753,6 +767,10 @@ def loop_from_dict(obj):
             raise BehaviorError(f"lambda {k} table must be a flat list of numbers, not a nested list")
         if flat.size != size:
             raise BehaviorError(f"lambda {k} table has {flat.size} entries, needs {size}")
+        words = [(i, x) for i, x in enumerate(raw) if x is None or isinstance(x, str)]
+        if words:
+            i, x = words[0]
+            raise BehaviorError(f"lambda {k} table entry {i} must be a JSON number, got {'null' if x is None else 'string'}")
         tables.append(flat.reshape(scenario.shape))
     for table in tables:
         fault = loop_validate(scenario, table)
@@ -770,6 +788,10 @@ def parse_outcome(parse, document):
     if isinstance(got, Behavior):
         return Behavior, got.scenario, got.table.tobytes()
     return HiddenVariableModel, got.scenario, got.weights().tobytes(), got.stacked_tables().tobytes()
+
+
+class Row(list):
+    """A table row of a `list` subclass, as a caller other than `json` may pass."""
 
 
 GOOD = [0.25, 0.25, 0.25, 0.25]
@@ -799,6 +821,17 @@ HAND_ENTRIES = {
     "table-object": [{"weight": 1.0, "table": {"0": 0.25}}],
     "unnormalised-after-good": [{"weight": 0.5, "table": GOOD}, {"weight": 0.5, "table": [0.5, 0.25, 0.25, 0.25]}],
     "weights-sum-off": [{"weight": 0.5, "table": GOOD}, {"weight": 0.25, "table": [1.0, 0.0, 0.0, -0.0]}],
+    "numeric-string-after-good": [{"weight": 0.5, "table": GOOD}, {"weight": 0.5, "table": [0.25, 0.25, 0.25, "nan"]}],
+    "null-before-short-row": [{"weight": 0.5, "table": [0.5, None, 0.5, 0.0]}, {"weight": 0.5, "table": [1.0]}],
+    "int-above-2**53": [{"weight": 1.0, "table": [2**53 + 1, 0, 0, 0]}],
+    "int-above-2**64": [{"weight": 0.5, "table": GOOD}, {"weight": 0.5, "table": [2**64 + 4097, 0, 0, 1]}],
+    "int-below--2**63": [{"weight": 1.0, "table": [-(2**63) - 1025, 1, 0, 0]}],
+    "negative-zero": [{"weight": 1.0, "table": [1.0, -0.0, 0.0, -0.0]}],
+    "subnormal": [{"weight": 1.0, "table": [1.0, 5e-324, 0.0, 0.0]}],
+    "nan-infinity-literals": [{"weight": 1.0, "table": json.loads("[NaN, Infinity, -Infinity, 0.5]")}],
+    "list-subclass-row": [{"weight": 0.5, "table": Row(GOOD)}, {"weight": 0.5, "table": Row([1, 0, 0, 0])}],
+    "row-one-short": [{"weight": 0.5, "table": GOOD}, {"weight": 0.5, "table": GOOD[:3]}],
+    "row-one-long": [{"weight": 0.5, "table": GOOD}, {"weight": 0.5, "table": [*GOOD, 0.0]}],
 }
 
 
@@ -809,6 +842,60 @@ class TestBulkParse:
     def test_hand_cases_equal_the_per_entry_loop(self, entries):
         document = {"scenario": {"settings_a": ["a0"], "settings_b": ["b0"]}, "lambdas": entries}
         assert parse_outcome(from_dict, document) == parse_outcome(loop_from_dict, document)
+
+    @pytest.mark.parametrize("n_b", [32, 33, 64], ids=["4096-cells", "4224-cells", "8192-cells"])
+    @pytest.mark.parametrize(
+        "fault",
+        ["none", "one-short", "one-long", "numeric-string-in-last-run", "null-in-first-run", "word-in-last-run"],
+    )
+    def test_rows_packed_in_runs_equal_the_per_entry_loop(self, n_b, fault):
+        # Rows of more than 4,096 cells are packed 4,096 entries at a time; 4,096 cells is one whole row.
+        row = [1, 0, 0, 0] * (32 * n_b)
+        row[-3:] = [5e-324, -0.0, 0.0]
+        second = {
+            "none": row,
+            "one-short": row[:-1],
+            "one-long": [*row, 0.0],
+            "numeric-string-in-last-run": [*row[:-2], "0", row[-1]],
+            "null-in-first-run": [row[0], None, *row[2:]],
+            "word-in-last-run": [*row[:-1], "x"],
+        }[fault]
+        document = {
+            "scenario": {"settings_a": [str(i) for i in range(32)], "settings_b": [str(i) for i in range(n_b)]},
+            "lambdas": [{"weight": 0.5, "table": row}, {"weight": 0.5, "table": second}],
+        }
+        outcome = parse_outcome(from_dict, document)
+        assert outcome == parse_outcome(loop_from_dict, document)
+        assert (outcome[0] is HiddenVariableModel) == (fault == "none")
+
+    @pytest.mark.parametrize(
+        "kind, n_lambda, n",
+        [("deterministic", 1, 4), ("product", 2, 4), ("born", 37, 5), ("deterministic", 300, 6), ("product", 2000, 7),
+         ("born", 2000, 8), ("deterministic", 2000, 8)],
+    )
+    def test_stack_equals_numpy_conversion_bitwise(self, kind, n_lambda, n):
+        rng = np.random.default_rng([n_lambda, n])
+        if kind == "deterministic":  # integer entries, as a file writes 0 and 1
+            tables = np.zeros((n_lambda, n, n, 2, 2), dtype=np.int64)
+            resp = rng.integers(0, 2, size=(n_lambda, 2, n))
+            il, ia, ib = np.ix_(range(n_lambda), range(n), range(n))
+            tables[il, ia, ib, resp[il, 0, ia], resp[il, 1, ib]] = 1
+        elif kind == "product":
+            pa, pb = rng.uniform(0.05, 0.95, size=(2, n_lambda, n, 1))
+            ma, mb = np.concatenate([pa, 1.0 - pa], axis=2), np.concatenate([pb, 1.0 - pb], axis=2)
+            tables = ma[:, :, None, :, None] * mb[:, None, :, None, :]
+        else:
+            angles = rng.uniform(0.0, 2.0 * math.pi, n)
+            amps = rng.normal(size=(n_lambda, 4)) + 1j * rng.normal(size=(n_lambda, 4))
+            states = [StateVector((("s1", 2), ("s2", 2)), a / np.linalg.norm(a)) for a in amps]
+            tables = np.stack([from_quantum(state, angles, angles).table for state in states])
+        rows = tables.reshape(n_lambda, -1).tolist()
+        labels = [str(i) for i in range(n)]
+        document = {
+            "scenario": {"settings_a": labels, "settings_b": labels},
+            "lambdas": [{"weight": 1.0 / n_lambda, "table": row} for row in rows],
+        }
+        assert from_dict(document).stacked_tables().tobytes() == np.array(rows, dtype=np.float64).tobytes()
 
     @FUZZ
     @given(behavior_documents())

@@ -46,11 +46,14 @@ Claims covered:
     checkers keep nothing else;
   - with a zero cutoff of 0.5, wholly skipped (lambda, side) blocks sit next
     to partly skipped ones, and the outcome-independence report still
-    equals the loop's.
+    equals the loop's;
+  - equal reports hash equal, also when the witness (which nests a dict)
+    lists its keys in another order, so a set of reports holds each once.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -580,6 +583,16 @@ class TestReportSerialization:
         assert set(payload) >= {"condition", "passed", "max_violation", "witness", "skipped_cells"}
         assert payload["condition"] == "outcome-independence"
         assert payload["passed"] is False
+
+    def test_equal_reports_hash_equal(self, singlet_parallel):
+        # The outcome-independence witness nests its conditioning event in a dict.
+        model = empty_lambda(singlet_parallel)
+        report, again = check_outcome_independence(model), check_outcome_independence(empty_lambda(singlet_parallel))
+        assert isinstance(report.witness["conditioned_on"], dict)
+        assert report == again and hash(report) == hash(again)
+        reordered = dataclasses.replace(again, witness=dict(reversed(list(again.witness.items()))))
+        assert reordered == report and hash(reordered) == hash(report)
+        assert len({report, again, reordered, check_factorizability(model), check_parameter_independence(model)}) == 3
 
 
 # -- loop oracles for the vectorised checkers ---------------------------------

@@ -9,7 +9,9 @@ Claims covered:
     past the cell cap (refused before its stack is allocated), JSON nested
     past the parser's depth, a scenario label field or context of the wrong
     JSON type, a label or context value that is not a JSON string, or a
-    `table` of nested lists (behaviour or lambda), a NaN, out-of-range or
+    `table` of nested lists (behaviour or lambda), a `table` entry that is a
+    numeric string or a null (behaviour or lambda; the error line names the
+    entry and its JSON type), a NaN, out-of-range or
     unnormalised table, weights that do not sum to 1 or are negative, a
     table of the wrong size, a lambda that is not an object or has no
     weight, an empty lambda list, neither table nor lambdas, a missing or
@@ -362,6 +364,18 @@ CONTRACT_CASES = {
     "check-deep-json": (["check"], "[" * 100_000, {}),
     "timeline-deep-json": (["timeline"], "[" * 100_000, {}),
     "table-nan-entry": (["check"], json.dumps({"scenario": PARALLEL, "table": [float("nan"), 0.5, 0.5, 0.0]}), {}),
+    "table-numeric-string": (["check"], json.dumps({"scenario": PARALLEL, "table": ["0", 0.5, 0.5, 0.0]}), {}),
+    "table-null-entry": (["check"], json.dumps({"scenario": PARALLEL, "table": [0.0, 0.5, 0.5, None]}), {}),
+    "lambda-table-numeric-string": (
+        ["check"],
+        json.dumps({"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": ["0", "0.5", "0.5", "0"]}]}),
+        {},
+    ),
+    "lambda-table-null-entry": (
+        ["check"],
+        json.dumps({"scenario": PARALLEL, "lambdas": [{"weight": 0.5, "table": ANTI}, {"weight": 0.5, "table": [0.0, 0.5, 0.5, None]}]}),
+        {},
+    ),
     "table-entry-out-of-range": (["check"], json.dumps({"scenario": PARALLEL, "table": [-0.5, 1.0, 0.5, 0.0]}), {}),
     "table-unnormalised": (["check"], json.dumps({"scenario": PARALLEL, "table": [0.25, 0.5, 0.5, 0.5]}), {}),
     "weights-sum-half": (["check"], json.dumps(_model(0.25, 0.25)), {}),
@@ -415,6 +429,22 @@ class TestInputContract:
         assert main(["check", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.endswith(text + "\n") and "np." not in err
+
+    @pytest.mark.parametrize(
+        "case, text",
+        [
+            ("table-numeric-string", "table entry 0 must be a JSON number, got string"),
+            ("table-null-entry", "table entry 3 must be a JSON number, got null"),
+            ("lambda-table-numeric-string", "lambda 0 table entry 0 must be a JSON number, got string"),
+            ("lambda-table-null-entry", "lambda 1 table entry 3 must be a JSON number, got null"),
+        ],
+    )
+    def test_error_line_names_the_entry_json_type(self, case, text, tmp_path, capsys):
+        argv, payload, _ = CONTRACT_CASES[case]
+        path = tmp_path / "input.json"
+        path.write_text(payload)
+        assert main([*argv, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
 
 
 class TestChsh:

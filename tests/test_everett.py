@@ -2,7 +2,8 @@
 
 Claims covered:
   - the aligned protocol ends in exactly the two anticorrelated branches
-    with amplitudes +/- 1/sqrt(2), matching the Born weights;
+    with amplitudes +/- 1/sqrt(2), matching the Born weights; equal branches
+    hash equal, whatever the order of their labels;
   - the general protocol's stages reproduce the prepared state, its rotated
     rewrite (same amplitudes), the post-measurement four-branch state with
     the derived half-angle coefficients, and the post-comparison state whose
@@ -200,6 +201,12 @@ class TestParallelProtocol:
     def test_stage_events_causally_valid(self):
         trace = run_parallel_epr()
         assert validate_protocol([s.event for s in trace.stages]).passed
+
+    def test_equal_branches_hash_equal(self):
+        branches, again = run_parallel_epr().final_branches, run_parallel_epr().final_branches
+        assert branches == again and [hash(b) for b in branches] == [hash(b) for b in again]
+        reordered = [dataclasses.replace(b, labels=dict(reversed(list(b.labels.items())))) for b in again]
+        assert len({*branches, *again, *reordered}) == 2
 
 
 class TestNonParallelProtocol:

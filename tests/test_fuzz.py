@@ -9,8 +9,9 @@ Claims covered:
 
 Examples are drawn near the documented layouts (scenario objects, tables of
 small probabilities, event objects with coordinates and roles) as well as
-from arbitrary JSON, including numbers too large for a float. The search is
-derandomised and bounded, so the suite stays deterministic.
+from arbitrary JSON, including numbers too large for a float and numeric
+strings such as "0.25" and "nan". The search is derandomised and bounded,
+so the suite stays deterministic.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from locality_lab.cli import main
 FUZZ = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
 scalars = (
-    hst.none()
+    hst.sampled_from(["0.25", "1", "nan"])  # numeric strings, which numpy converts; drawn first, so drawn often
+    | hst.none()
     | hst.booleans()
     | hst.integers()
     | hst.floats()

@@ -18,7 +18,8 @@ Claims covered:
     temporaries, also on states where every angle pair ties;
   - the original-form slack is -1/2 at the canonical violating triple, zero
     on the a = b boundary, and nonnegative for the sign ensemble up to
-    sampling error;
+    sampling error; equal results hash equal, whatever the order of their
+    terms;
   - the anticorrelation precondition reads E(s, s) on the grid's diagonal
     by position: with the labels ("0", "0", "1") on both wings and E = -1 on
     the diagonal except +1 at any one diagonal cell, it is reported broken
@@ -56,6 +57,7 @@ Claims covered:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -298,6 +300,13 @@ class TestBell1964:
         result = bell_1964(corr)
         assert result.slack == pytest.approx(-0.5, abs=1e-9)
         assert not result.satisfied
+
+    def test_equal_results_hash_equal(self):
+        result = bell_1964(self.triple_correlators(0.0, math.pi / 3, 2 * math.pi / 3))
+        again = bell_1964(self.triple_correlators(0.0, math.pi / 3, 2 * math.pi / 3))
+        reordered = dataclasses.replace(again, terms=dict(reversed(list(again.terms.items()))))
+        assert result == again == reordered and hash(result) == hash(again) == hash(reordered)
+        assert len({result, again, reordered, bell_1964(self.triple_correlators(0.0, 0.0, 1.0))}) == 2
         assert result.anticorrelation_ok
 
     def test_equal_first_settings_boundary(self):
