@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -43,6 +43,9 @@ _CHUNK = 1 << 17  # draws per child seed: it fixes the random stream, so changin
 _BLOCK = 1 << 12  # rows drawn and projected at a time within a chunk; it bounds memory, not the stream
 MAX_MODEL_CELLS = 1 << 24  # lambdas x table cells a model file may declare: one 128 MiB float64 stack
 _PACK_RUN = 1 << 12  # table entries per struct call: longer rows are packed in runs, not unpacked whole
+_JSON_TYPES = {  # an input fault is named by its JSON type: by the Python type json.loads gives, else as Python names it
+    type(None): "null", bool: "boolean", int: "number", float: "number", str: "string", list: "array", dict: "object"
+}
 
 
 class BehaviorError(ValueError):
@@ -439,20 +442,24 @@ def json_number(raw, error: str) -> float:
     raise ValueError(error)
 
 
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def scenario_from_dict(obj: Mapping) -> Scenario:
-    """Scenario from its JSON object: label fields are lists of strings, ``context`` an object of strings."""
+    """Scenario from its JSON object: label fields are arrays of strings, ``context`` an object of strings."""
     try:
         fields = {key: obj[key] for key in ("settings_a", "settings_b")}
         fields.update({key: obj[key] for key in ("outcomes_a", "outcomes_b", "context") if key in obj})
     except (KeyError, TypeError) as exc:
         raise BehaviorError(f"malformed scenario object: {exc}") from exc
     for key, value in fields.items():
-        kind, name = (dict, "object") if key == "context" else (list, "list")
+        kind, name = (dict, "object") if key == "context" else (list, "array")
         if not isinstance(value, kind):
-            raise BehaviorError(f"scenario field {key!r} must be a JSON {name}, got {type(value).__name__}")
+            raise BehaviorError(f"scenario field {key!r} must be a JSON {name}, got {_json_type(value)}")
         bad = [x for x in (value.values() if key == "context" else value) if not isinstance(x, str)]
         if bad:
-            raise BehaviorError(f"scenario field {key!r} must hold JSON strings, got {type(bad[0]).__name__}")
+            raise BehaviorError(f"scenario field {key!r} must hold JSON strings, got {_json_type(bad[0])}")
     return Scenario(**{key: value if key == "context" else tuple(value) for key, value in fields.items()})
 
 
@@ -498,29 +505,17 @@ def _row_packer(size: int):
     return pack
 
 
-def _refuse_row(raw, size: int, what: str, needs: str) -> None:
-    """Raise the error of a JSON table row that `_row_packer` refused.
-
-    Faults are named in the order numpy finds them: not a list, an entry it
-    cannot convert, a nested list, a wrong length. A row numpy converts whole
-    holds a numeric string or a null; the first one is named by JSON type.
-    """
+def _refuse_row(raw, size: int, what: str, needs: str) -> NoReturn:
+    """Raise why `_row_packer` refused a row: not an array, else its first entry `d` cannot pack, else its length."""
     if not isinstance(raw, list):
-        raise BehaviorError(f"{what} must be a list of numbers, got {type(raw).__name__}")
-    try:
-        flat = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BehaviorError(f"{what} must be a list of numbers: {exc}") from exc
-    if flat.ndim != 1:
-        raise BehaviorError(f"{what} must be a flat list of numbers, not a nested list")
-    if flat.size != size:
-        raise BehaviorError(f"{what} has {flat.size} entries, {needs} {size}")
+        raise BehaviorError(f"{what} must be an array of numbers, got {_json_type(raw)}")
     for i, x in enumerate(raw):
         try:
             struct.pack("d", x)
         except struct.error:
-            kind = {str: "string", type(None): "null"}.get(type(x), type(x).__name__)
+            kind = "an integer outside the float64 range" if isinstance(x, int) else _json_type(x)
             raise BehaviorError(f"{what} entry {i} must be a JSON number, got {kind}") from None
+    raise BehaviorError(f"{what} has {len(raw)} entries, {needs} {size}")
 
 
 def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
@@ -529,8 +524,8 @@ def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
     One pass over a model's entries, in order, reads each weight and packs
     each table straight into a preallocated float64 stack (`_row_packer`).
     A row that does not pack is refused by `_refuse_row`, so the first
-    faulty entry, weight or table, raises its own error. Table entries must
-    be JSON numbers; booleans read as 1.0 and 0.0, as numpy reads them.
+    faulty entry, weight or table, raises its own error, which names the
+    JSON type found. Table entries must be JSON numbers; booleans read as 1.0 and 0.0.
     """
     if not isinstance(obj, Mapping) or "scenario" not in obj:
         raise BehaviorError("expected an object with a 'scenario' field")
@@ -548,7 +543,7 @@ def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
     if "lambdas" in obj:
         entries = obj["lambdas"]
         if not isinstance(entries, list):
-            raise BehaviorError(f"'lambdas' must be a list of objects, got {type(entries).__name__}")
+            raise BehaviorError(f"'lambdas' must be an array of objects, got {_json_type(entries)}")
         if len(entries) * size > MAX_MODEL_CELLS:
             raise BehaviorError(f"{len(entries)} lambdas of {size} cells exceed the limit of {MAX_MODEL_CELLS} cells")
         weights, tables = np.empty(len(entries)), np.empty((len(entries), size))

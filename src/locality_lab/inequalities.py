@@ -177,12 +177,8 @@ def _scan(e: np.ndarray) -> tuple[int, int, int, int]:
     candidates = bound >= bound.max() - 1e-12
     # Candidates are summed as in the full scan, one (a', b, b') block per a;
     # a block's first maximum replaces the best only when strictly larger.
-    # No |S| rounds above the ceiling, so the scan ends once the best reaches it.
-    ceiling = bound.max() + 1e-12 * np.abs(e).max()
     best_abs = -1.0
     for i in np.flatnonzero(candidates.any(axis=1)):
-        if best_abs >= ceiling:
-            break
         rows = np.flatnonzero(candidates[i])
         block = np.abs(e[i, None, :, None] - e[i, None, None, :] + e[rows, :, None] + e[rows, None, :])
         k = int(np.argmax(block))

@@ -60,9 +60,11 @@ Claims covered:
     NaN and Infinity literals, list-subclass rows, rows one entry short or
     long), on rows of 4,096, 4,224 and 8,192 cells (one whole row, a run and
     a tail, two runs) with such faults in the first or last run, and on the
-    mutated documents of `test_fuzz`; the reference refuses a table numpy
-    converts whole if it holds a string or a null, naming the first such
-    entry and its JSON type; the stack is bitwise
+    mutated documents of `test_fuzz`; the reference reads each entry by its
+    Python type, with neither struct nor numpy: a row that is not a list is
+    named by its JSON type, then the first entry that is not an int, float or
+    bool (or is an int past the float64 range) by index and JSON type, then
+    a wrong length; the stack is bitwise
     `np.array(rows, dtype=float64)` on seeded deterministic (integer),
     product and Born models of 1 to 2,000 lambdas at 4x4 to 8x8 settings;
     pair sums of inf - inf or past the float range raise no warning.
@@ -738,12 +740,17 @@ class TestJson:
         assert angle_label(0.0) != angle_label(math.pi)
 
 
+JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string", list: "array", dict: "object"}
+
+
 def loop_from_dict(obj):
     """Reference model parse, one entry at a time: its weight, then its table, then each table by `loop_validate`.
 
-    A table numpy converts whole is refused if it holds a string or a null,
-    the first one named. Anything that is not a scenario with a list of
-    lambda entries goes to `from_dict`.
+    A table entry is read by its Python type alone: an int, float or bool is
+    a number (an int past the float64 range is refused), anything else is
+    refused by its JSON type. A table that is not a list is refused before
+    its entries, and its length after them. Anything that is not a scenario
+    with a list of lambda entries goes to `from_dict`.
     """
     is_model = isinstance(obj, dict) and "scenario" in obj and "table" not in obj
     if not (is_model and isinstance(obj.get("lambdas"), list)):
@@ -758,20 +765,19 @@ def loop_from_dict(obj):
         except (KeyError, TypeError, ValueError) as exc:
             raise BehaviorError(f"malformed lambda entry {k}: {exc}") from exc
         if not isinstance(raw, list):
-            raise BehaviorError(f"lambda {k} table must be a list of numbers, got {type(raw).__name__}")
-        try:
-            flat = np.asarray(raw, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise BehaviorError(f"lambda {k} table must be a list of numbers: {exc}") from exc
-        if flat.ndim != 1:
-            raise BehaviorError(f"lambda {k} table must be a flat list of numbers, not a nested list")
-        if flat.size != size:
-            raise BehaviorError(f"lambda {k} table has {flat.size} entries, needs {size}")
-        words = [(i, x) for i, x in enumerate(raw) if x is None or isinstance(x, str)]
-        if words:
-            i, x = words[0]
-            raise BehaviorError(f"lambda {k} table entry {i} must be a JSON number, got {'null' if x is None else 'string'}")
-        tables.append(flat.reshape(scenario.shape))
+            raise BehaviorError(f"lambda {k} table must be an array of numbers, got {JSON_TYPES.get(type(raw), type(raw).__name__)}")
+        table = []
+        for i, x in enumerate(raw):
+            if type(x) not in (int, float, bool):
+                kind = JSON_TYPES.get(type(x), type(x).__name__)
+                raise BehaviorError(f"lambda {k} table entry {i} must be a JSON number, got {kind}")
+            try:
+                table.append(float(x))
+            except OverflowError:
+                raise BehaviorError(f"lambda {k} table entry {i} must be a JSON number, got an integer outside the float64 range") from None
+        if len(table) != size:
+            raise BehaviorError(f"lambda {k} table has {len(table)} entries, needs {size}")
+        tables.append(np.reshape(table, scenario.shape))
     for table in tables:
         fault = loop_validate(scenario, table)
         if fault is not None:

@@ -10,8 +10,10 @@ Claims covered:
     past the parser's depth, a scenario label field or context of the wrong
     JSON type, a label or context value that is not a JSON string, or a
     `table` of nested lists (behaviour or lambda), a `table` entry that is a
-    numeric string or a null (behaviour or lambda; the error line names the
-    entry and its JSON type), a NaN, out-of-range or
+    string, a null, an object or an integer past the float64 range
+    (behaviour or lambda; the entry is named before a wrong length); every
+    such line names what it found by its JSON type (null, boolean, number,
+    string, array, object), each pinned exactly; a NaN, out-of-range or
     unnormalised table, weights that do not sum to 1 or are negative, a
     table of the wrong size, a lambda that is not an object or has no
     weight, an empty lambda list, neither table nor lambdas, a missing or
@@ -366,6 +368,8 @@ CONTRACT_CASES = {
     "table-nan-entry": (["check"], json.dumps({"scenario": PARALLEL, "table": [float("nan"), 0.5, 0.5, 0.0]}), {}),
     "table-numeric-string": (["check"], json.dumps({"scenario": PARALLEL, "table": ["0", 0.5, 0.5, 0.0]}), {}),
     "table-null-entry": (["check"], json.dumps({"scenario": PARALLEL, "table": [0.0, 0.5, 0.5, None]}), {}),
+    "table-object-entry": (["check"], json.dumps({"scenario": PARALLEL, "table": [0.0, {}, 0.5, 0.0]}), {}),
+    "table-short-with-string": (["check"], json.dumps({"scenario": PARALLEL, "table": ["0.5", 0.5]}), {}),
     "lambda-table-numeric-string": (
         ["check"],
         json.dumps({"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": ["0", "0.5", "0.5", "0"]}]}),
@@ -376,6 +380,7 @@ CONTRACT_CASES = {
         json.dumps({"scenario": PARALLEL, "lambdas": [{"weight": 0.5, "table": ANTI}, {"weight": 0.5, "table": [0.0, 0.5, 0.5, None]}]}),
         {},
     ),
+    "lambda-table-huge-int": (["check"], json.dumps({"scenario": PARALLEL, "lambdas": [{"weight": 1.0, "table": [10**400, 0, 0, 0]}]}), {}),
     "table-entry-out-of-range": (["check"], json.dumps({"scenario": PARALLEL, "table": [-0.5, 1.0, 0.5, 0.0]}), {}),
     "table-unnormalised": (["check"], json.dumps({"scenario": PARALLEL, "table": [0.25, 0.5, 0.5, 0.5]}), {}),
     "weights-sum-half": (["check"], json.dumps(_model(0.25, 0.25)), {}),
@@ -437,6 +442,20 @@ class TestInputContract:
             ("table-null-entry", "table entry 3 must be a JSON number, got null"),
             ("lambda-table-numeric-string", "lambda 0 table entry 0 must be a JSON number, got string"),
             ("lambda-table-null-entry", "lambda 1 table entry 3 must be a JSON number, got null"),
+            ("table-object", "table must be an array of numbers, got object"),
+            ("table-strings", "table entry 0 must be a JSON number, got string"),
+            ("table-nested", "table entry 0 must be a JSON number, got array"),
+            ("lambdas-int", "'lambdas' must be an array of objects, got number"),
+            ("lambda-table-number", "lambda 0 table must be an array of numbers, got number"),
+            ("lambda-table-nested", "lambda 0 table entry 0 must be a JSON number, got array"),
+            ("settings-string", "scenario field 'settings_a' must be a JSON array, got string"),
+            ("context-string", "scenario field 'context' must be a JSON object, got string"),
+            ("scenario-label-bool", "scenario field 'settings_a' must hold JSON strings, got boolean"),
+            ("scenario-label-null", "scenario field 'settings_b' must hold JSON strings, got null"),
+            ("context-list", "scenario field 'context' must hold JSON strings, got array"),
+            ("table-object-entry", "table entry 1 must be a JSON number, got object"),
+            ("lambda-table-huge-int", "lambda 0 table entry 0 must be a JSON number, got an integer outside the float64 range"),
+            ("table-short-with-string", "table entry 0 must be a JSON number, got string"),
         ],
     )
     def test_error_line_names_the_entry_json_type(self, case, text, tmp_path, capsys):

@@ -28,7 +28,7 @@ from locality_lab.cli import main
 FUZZ = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
 scalars = (
-    hst.sampled_from(["0.25", "1", "nan"])  # numeric strings, which numpy converts; drawn first, so drawn often
+    hst.sampled_from(["0.25", "1", "nan"])  # numeric strings, which float() would convert; drawn first, so drawn often
     | hst.none()
     | hst.booleans()
     | hst.integers()
