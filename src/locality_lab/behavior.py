@@ -49,7 +49,7 @@ _JSON_TYPES = {  # an input fault is named by its JSON type: by the Python type 
 
 
 class BehaviorError(ValueError):
-    """A probability table violates its invariants."""
+    """A probability table, or a JSON value read by this module, violates its invariants."""
 
 
 class NegativeEntryError(BehaviorError):
@@ -84,26 +84,19 @@ class Scenario:
 
     Context entries describe the fixed experimental arrangement (everything
     but the settings chosen at the wings); they are carried as inert strings
-    and never conditioned on. ``==`` and ``hash`` go by value, ``context`` as
-    its sorted items.
+    and never conditioned on. ``==`` goes by value; ``hash`` skips ``context``.
     """
 
     settings_a: tuple[str, ...]
     settings_b: tuple[str, ...]
     outcomes_a: tuple[str, ...] = ("up", "down")
     outcomes_b: tuple[str, ...] = ("up", "down")
-    context: Mapping[str, str] = field(default_factory=dict)
+    context: Mapping[str, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "settings_a", _unique_nonempty("settings_a", self.settings_a))
-        object.__setattr__(self, "settings_b", _unique_nonempty("settings_b", self.settings_b))
-        object.__setattr__(self, "outcomes_a", _unique_nonempty("outcomes_a", self.outcomes_a))
-        object.__setattr__(self, "outcomes_b", _unique_nonempty("outcomes_b", self.outcomes_b))
+        for name in ("settings_a", "settings_b", "outcomes_a", "outcomes_b"):
+            object.__setattr__(self, name, _unique_nonempty(name, getattr(self, name)))
         object.__setattr__(self, "context", {str(k): str(v) for k, v in dict(self.context).items()})
-
-    def __hash__(self) -> int:
-        labels = (self.settings_a, self.settings_b, self.outcomes_a, self.outcomes_b)
-        return hash((labels, tuple(sorted(self.context.items()))))
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -115,29 +108,22 @@ class Scenario:
         )
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class Behavior:
     """Dense conditional probability table P(A, B | a, b) over a scenario.
 
-    The constructor only checks the shape; call `validate` to enforce the
-    probability invariants (generators in this module always do).
+    The constructor keeps a read-only float64 copy of ``table`` and checks
+    only its shape; call `validate` to enforce the probability invariants
+    (generators in this module always do). ``==`` and ``hash`` go by identity.
     """
 
-    __slots__ = ("scenario", "table")
+    scenario: Scenario
+    table: np.ndarray
 
-    def __init__(self, scenario: Scenario, table: np.ndarray | Sequence):
-        arr = np.asarray(table, dtype=np.float64)
-        if arr.shape != scenario.shape:
-            arr = arr.reshape(scenario.shape)
-        arr = arr.copy()
+    def __post_init__(self):
+        arr = np.array(self.table, dtype=np.float64, order="C").reshape(self.scenario.shape)
         arr.setflags(write=False)
-        object.__setattr__(self, "scenario", scenario)
         object.__setattr__(self, "table", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Behavior is immutable")
-
-    def __repr__(self) -> str:
-        return f"Behavior(shape={self.scenario.shape})"
 
 
 def _check_stack(scenario: Scenario, tables: np.ndarray) -> None:
@@ -433,13 +419,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def json_number(raw, error: str) -> float:
-    """A JSON number (weight, slab bound, coordinate) as a float; a str, bool or huge int raises ValueError(error)."""
+    """A JSON number (weight, slab bound, coordinate) as a float; a str, bool or huge int raises BehaviorError(error)."""
     if type(raw) in (int, float):
         try:
             return float(raw)
         except OverflowError:
             pass
-    raise ValueError(error)
+    raise BehaviorError(error)
+
+
+def json_member(obj, key: str, what: str):
+    """``obj[key]``; raises BehaviorError if ``what`` (the JSON value ``obj``) is not an object or has no ``key``."""
+    if not isinstance(obj, Mapping):
+        raise BehaviorError(f"{what} must be a JSON object, got {_json_type(obj)}")
+    if key not in obj:
+        raise BehaviorError(f"{what} has no {key!r}")
+    return obj[key]
 
 
 def _json_type(value) -> str:
@@ -448,11 +443,8 @@ def _json_type(value) -> str:
 
 def scenario_from_dict(obj: Mapping) -> Scenario:
     """Scenario from its JSON object: label fields are arrays of strings, ``context`` an object of strings."""
-    try:
-        fields = {key: obj[key] for key in ("settings_a", "settings_b")}
-        fields.update({key: obj[key] for key in ("outcomes_a", "outcomes_b", "context") if key in obj})
-    except (KeyError, TypeError) as exc:
-        raise BehaviorError(f"malformed scenario object: {exc}") from exc
+    fields = {key: json_member(obj, key, "scenario") for key in ("settings_a", "settings_b")}
+    fields.update({key: obj[key] for key in ("outcomes_a", "outcomes_b", "context") if key in obj})
     for key, value in fields.items():
         kind, name = (dict, "object") if key == "context" else (list, "array")
         if not isinstance(value, kind):
@@ -549,10 +541,11 @@ def from_dict(obj: Mapping) -> Behavior | HiddenVariableModel:
         weights, tables = np.empty(len(entries)), np.empty((len(entries), size))
         for k, lam in enumerate(entries):
             try:
-                weights[k] = json_number(lam["weight"], "'weight' must be a number")
-                row = lam["table"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise BehaviorError(f"malformed lambda entry {k}: {exc}") from exc
+                weights[k], row = json_number(lam["weight"], ""), lam["table"]
+            except (KeyError, TypeError, BehaviorError):  # read again, each step checked, to name the fault
+                what = f"lambda entry {k}"
+                weights[k] = json_number(json_member(lam, "weight", what), f"malformed {what}: 'weight' must be a number")
+                row = json_member(lam, "table", what)
             try:
                 pack(tables, k, row)
             except struct.error:

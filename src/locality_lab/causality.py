@@ -44,7 +44,7 @@ Witnesses are defined on finite tables only: a NaN entry still yields
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,22 +74,17 @@ class CheckReport:
     ``passed`` is None only when a check's hypotheses were unsatisfied and no
     pass/fail verdict applies (see `suppes_zanotti_reduction`); otherwise
     ``passed`` iff ``max_violation <= tol``. The witness names the cell
-    achieving the maximal violation. ``hash`` goes by value, as ``==`` does,
-    the witness as its sorted items (a nested dict as its own).
+    achieving the maximal violation. ``==`` goes by value; ``hash`` skips
+    the witness.
     """
 
     condition: Condition
     passed: bool | None
     max_violation: float
     tol: float
-    witness: dict | None = None
+    witness: dict | None = field(default=None, hash=False)
     skipped_cells: int = 0
     notes: tuple[str, ...] = ()
-
-    def __hash__(self) -> int:
-        witness = {k: tuple(sorted(v.items())) if isinstance(v, dict) else v for k, v in (self.witness or {}).items()}
-        fields = (self.condition, self.passed, self.max_violation, self.tol, self.skipped_cells, self.notes)
-        return hash((fields, tuple(sorted(witness.items()))))
 
     def to_dict(self) -> dict:
         return {

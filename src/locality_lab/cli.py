@@ -386,14 +386,12 @@ def cmd_timeline(args) -> int:
     slab = _parse_slab(data["region3"]) if "region3" in data else None
     events = []
     for k, entry in enumerate(data["timeline"]):
-        try:
-            t, x = (bh.json_number(entry[c], f"malformed timeline entry {k}: {c!r} must be a number") for c in "tx")
-            role, label = entry.get("role", "other"), entry.get("label", "")
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed timeline entry {k}: {exc}") from exc
+        what = f"timeline entry {k}"
+        t, x = (bh.json_number(bh.json_member(entry, c, what), f"malformed {what}: {c!r} must be a number") for c in "tx")
+        role, label = entry.get("role", "other"), entry.get("label", "")
         for key, value in (("role", role), ("label", label)):
             if not isinstance(value, str):
-                raise ValueError(f"malformed timeline entry {k}: {key!r} must be a string")
+                raise ValueError(f"malformed {what}: {key!r} must be a string")
         if (alias := role.replace("-", "").replace("_", "").lower()) not in roles:
             raise ValueError(f"unknown event role {role!r}")
         events.append(st.Event(t, x, roles[alias], label))

@@ -115,13 +115,10 @@ _RECORDS = {"A-side": ("m_A", "d_L"), "B-side": ("m_B", "d_R")}  # the subsystem
 
 @dataclass(frozen=True)
 class Branch:
-    """One pointer-basis component of the state: labels, amplitude, weight; ``hash`` goes by value, as ``==`` does."""
+    """One pointer-basis component: labels, amplitude, weight; ``==`` goes by value, ``hash`` skips the labels."""
 
-    labels: Mapping[str, str]
+    labels: Mapping[str, str] = field(hash=False)
     amplitude: complex
-
-    def __hash__(self) -> int:
-        return hash((tuple(sorted(self.labels.items())), self.amplitude))
 
     @property
     def weight(self) -> float:

@@ -22,7 +22,7 @@ still computed when that precondition fails, but the result is flagged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
@@ -227,17 +227,13 @@ def quantum_max(state: StateVector) -> ChshResult:
 
 @dataclass(frozen=True)
 class Bell1964Result:
-    """Slack of 1 + E(b,c) - |E(a,b) - E(a,c)| plus the precondition status; ``hash`` goes by value, as ``==`` does."""
+    """Slack of 1 + E(b,c) - |E(a,b) - E(a,c)| and its precondition; ``==`` goes by value, ``hash`` skips the terms."""
 
     slack: float
     settings: tuple[str, str, str]
-    terms: dict[str, float]
+    terms: dict[str, float] = field(hash=False)
     anticorrelation_ok: bool
     max_equal_setting_deviation: float
-
-    def __hash__(self) -> int:
-        fields = (self.slack, self.settings, self.anticorrelation_ok, self.max_equal_setting_deviation)
-        return hash((fields, tuple(sorted(self.terms.items()))))
 
     @property
     def satisfied(self) -> bool:

@@ -57,19 +57,21 @@ def _as_dims(dims: Iterable[tuple[str, int]]) -> DimSpec:
     return out
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class StateVector:
     """Normalised pure state over an ordered sequence of labelled subsystems.
 
     ``amps[i]`` is the amplitude of the joint basis state whose multi-index is
     the lexicographic decomposition of ``i`` (first subsystem most
-    significant). Instances are immutable; the amplitude array is read-only.
+    significant). ``amps`` is read-only; ``==`` and ``hash`` go by identity.
     """
 
-    __slots__ = ("dims", "amps")
+    dims: DimSpec
+    amps: np.ndarray
 
-    def __init__(self, dims: Iterable[tuple[str, int]], amps: Sequence[complex] | np.ndarray):
-        dims = _as_dims(dims)
-        arr = np.array(amps, dtype=np.complex128).reshape(-1)
+    def __post_init__(self):
+        dims = _as_dims(self.dims)
+        arr = np.array(self.amps, dtype=np.complex128).reshape(-1)
         expected = math.prod(d for _, d in dims)
         if arr.size != expected:
             raise ValueError(f"expected {expected} amplitudes for dims {dims}, got {arr.size}")
@@ -81,9 +83,6 @@ class StateVector:
         arr.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StateVector is immutable")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -99,9 +98,6 @@ class StateVector:
 
     def as_tensor(self) -> np.ndarray:
         return self.amps.reshape(self.sizes)
-
-    def __repr__(self) -> str:
-        return f"StateVector(dims={self.dims})"
 
 
 @dataclass(frozen=True, eq=False)

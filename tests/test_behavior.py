@@ -7,7 +7,9 @@ Claims covered:
     product-state factorisation, and names the first non-finite angle, wing
     A's before wing B's;
   - equal scenarios hash equal, whatever the order of their context, so a
-    set of scenarios holds each once;
+    set of scenarios holds each once; `==` goes by value, context included,
+    and `hash` skips the context, so scenarios that differ only in it are
+    unequal but hash equal;
   - average is the convex combination, bitwise equal to a naive per-cell
     loop in lambda order (up to 300 lambdas at 2x2 and 3x3 settings, tables
     holding exact 0.0 and -0.0), always valid, and kept by the model, so a
@@ -320,6 +322,8 @@ class TestScenarioValue:
         assert sc == same and hash(sc) == hash(same)
         assert {sc, same, BINARY} == {BINARY, same}
         assert len({sc, BINARY, Scenario(("a0", "a1"), ("b0", "b1"), context={"x": "1"})}) == 3
+        other = Scenario(("a0", "a1"), ("b0",), context={"x": "1", "y": "3"})
+        assert sc != other and hash(sc) == hash(other) and len({sc, other}) == 2
 
 
 def _deterministic(scenario, idx_a, idx_b):
@@ -746,6 +750,9 @@ JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number
 def loop_from_dict(obj):
     """Reference model parse, one entry at a time: its weight, then its table, then each table by `loop_validate`.
 
+    An entry that is not a dict is refused by its JSON type, then one without
+    a weight, then its weight, then one without a table, each by an
+    `isinstance` or `in` check, not by catching an exception of the read.
     A table entry is read by its Python type alone: an int, float or bool is
     a number (an int past the float64 range is refused), anything else is
     refused by its JSON type. A table that is not a list is refused before
@@ -759,11 +766,14 @@ def loop_from_dict(obj):
     size = math.prod(scenario.shape)
     weights, tables = [], []
     for k, lam in enumerate(obj["lambdas"]):
-        try:
-            weights.append(json_number(lam["weight"], "'weight' must be a number"))
-            raw = lam["table"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BehaviorError(f"malformed lambda entry {k}: {exc}") from exc
+        if not isinstance(lam, dict):
+            raise BehaviorError(f"lambda entry {k} must be a JSON object, got {JSON_TYPES.get(type(lam), type(lam).__name__)}")
+        if "weight" not in lam:
+            raise BehaviorError(f"lambda entry {k} has no 'weight'")
+        weights.append(json_number(lam["weight"], f"malformed lambda entry {k}: 'weight' must be a number"))
+        if "table" not in lam:
+            raise BehaviorError(f"lambda entry {k} has no 'table'")
+        raw = lam["table"]
         if not isinstance(raw, list):
             raise BehaviorError(f"lambda {k} table must be an array of numbers, got {JSON_TYPES.get(type(raw), type(raw).__name__)}")
         table = []

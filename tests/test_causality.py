@@ -48,7 +48,9 @@ Claims covered:
     to partly skipped ones, and the outcome-independence report still
     equals the loop's;
   - equal reports hash equal, also when the witness (which nests a dict)
-    lists its keys in another order, so a set of reports holds each once.
+    lists its keys in another order, so a set of reports holds each once;
+    `hash` skips the witness but `==` does not, so reports that differ only
+    in it are unequal.
 """
 
 from __future__ import annotations
@@ -593,6 +595,8 @@ class TestReportSerialization:
         reordered = dataclasses.replace(again, witness=dict(reversed(list(again.witness.items()))))
         assert reordered == report and hash(reordered) == hash(report)
         assert len({report, again, reordered, check_factorizability(model), check_parameter_independence(model)}) == 3
+        moved = dataclasses.replace(report, witness={**report.witness, "conditioned_on": {}})
+        assert moved != report and hash(moved) == hash(report) and len({report, moved}) == 2
 
 
 # -- loop oracles for the vectorised checkers ---------------------------------

@@ -3,7 +3,8 @@
 Claims covered:
   - the aligned protocol ends in exactly the two anticorrelated branches
     with amplitudes +/- 1/sqrt(2), matching the Born weights; equal branches
-    hash equal, whatever the order of their labels;
+    hash equal, whatever the order of their labels, and branches that differ
+    only in their labels are unequal (`hash` skips them, `==` does not);
   - the general protocol's stages reproduce the prepared state, its rotated
     rewrite (same amplitudes), the post-measurement four-branch state with
     the derived half-angle coefficients, and the post-comparison state whose
@@ -207,6 +208,8 @@ class TestParallelProtocol:
         assert branches == again and [hash(b) for b in branches] == [hash(b) for b in again]
         reordered = [dataclasses.replace(b, labels=dict(reversed(list(b.labels.items())))) for b in again]
         assert len({*branches, *again, *reordered}) == 2
+        relabelled = dataclasses.replace(branches[0], labels={**branches[0].labels, "s1": "other"})
+        assert relabelled != branches[0] and hash(relabelled) == hash(branches[0]) and len({branches[0], relabelled}) == 2
 
 
 class TestNonParallelProtocol:

@@ -19,7 +19,8 @@ Claims covered:
   - the original-form slack is -1/2 at the canonical violating triple, zero
     on the a = b boundary, and nonnegative for the sign ensemble up to
     sampling error; equal results hash equal, whatever the order of their
-    terms;
+    terms, and results that differ only in their terms are unequal (`hash`
+    skips them, `==` does not);
   - the anticorrelation precondition reads E(s, s) on the grid's diagonal
     by position: with the labels ("0", "0", "1") on both wings and E = -1 on
     the diagonal except +1 at any one diagonal cell, it is reported broken
@@ -307,6 +308,8 @@ class TestBell1964:
         reordered = dataclasses.replace(again, terms=dict(reversed(list(again.terms.items()))))
         assert result == again == reordered and hash(result) == hash(again) == hash(reordered)
         assert len({result, again, reordered, bell_1964(self.triple_correlators(0.0, 0.0, 1.0))}) == 2
+        shifted = dataclasses.replace(result, terms={key: value + 1.0 for key, value in result.terms.items()})
+        assert shifted != result and hash(shifted) == hash(result) and len({result, shifted}) == 2
         assert result.anticorrelation_ok
 
     def test_equal_first_settings_boundary(self):

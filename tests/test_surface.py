@@ -3,8 +3,9 @@
 Claims covered:
   - the package has 14 options: parameters and dataclass fields with a
     default, counted with `ast` over every module. A `field(init=False)` is
-    derived, not set by a caller, so it is not counted. A new option shows
-    up as a deliberate edit of OPTIONS;
+    derived, not set by a caller, and a `field()` with neither `default` nor
+    `default_factory` (such as `field(hash=False)`) has no default, so
+    neither is counted. A new option shows up as a deliberate edit of OPTIONS;
   - the package exports EXPORTS public names, so a change to the export
     list shows up as a deliberate edit of EXPORTS;
   - the package's modules hold SRC_LINES lines in total, so growth or
@@ -20,9 +21,14 @@ Claims covered:
     `inequalities`; `behavior`, `qstate` and `spacetime` for `everett`; and
     `behavior`, `inequalities` and `qstate` for `cli`, which imports the rest
     inside the subcommands that use them;
-  - `everett.PointerBasis`, `Stage` and `ProtocolTrace`, `qstate.Operator`
-    and `inequalities.CorrelatorSet` hold arrays, so `==`, `hash` and set
-    membership go by identity and return answers instead of raising;
+  - every immutable type is a frozen dataclass: no class defines
+    `__hash__`, and only `behavior.HiddenVariableModel` (whose derived
+    slots are filled after construction) defines `__setattr__`;
+  - `behavior.Behavior`, `qstate.StateVector`, `everett.PointerBasis`,
+    `Stage` and `ProtocolTrace`, `qstate.Operator` and
+    `inequalities.CorrelatorSet` hold arrays, so `==`, `hash` and set
+    membership go by identity and return answers instead of raising, and
+    assigning a field raises `FrozenInstanceError`;
   - in a fresh interpreter, `locality_lab.__all__` is sorted and has no
     duplicates, `dir(locality_lab)` lists every name in it before any is
     read, `from locality_lab import *` binds every name to the object its
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -58,7 +65,7 @@ from locality_lab.qstate import ALG_TOL
 
 OPTIONS = 14
 EXPORTS = 49
-SRC_LINES = 2603
+SRC_LINES = 2578
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -69,13 +76,15 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def _init_false(value: ast.expr) -> bool:
-    return (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Name)
-        and value.func.id == "field"
-        and any(kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False for kw in value.keywords)
-    )
+def _has_default(value: ast.expr | None) -> bool:
+    """A dataclass field's value gives it a default: a plain value, or a `field()` with a default and no init=False."""
+    if not (isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id == "field"):
+        return value is not None
+    keywords = {kw.arg: kw.value for kw in value.keywords}
+    init = keywords.get("init")
+    if isinstance(init, ast.Constant) and init.value is False:
+        return False
+    return "default" in keywords or "default_factory" in keywords
 
 
 def count_options(source: str) -> int:
@@ -84,10 +93,7 @@ def count_options(source: str) -> int:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            count += sum(
-                isinstance(stmt, ast.AnnAssign) and stmt.value is not None and not _init_false(stmt.value)
-                for stmt in node.body
-            )
+            count += sum(isinstance(stmt, ast.AnnAssign) and _has_default(stmt.value) for stmt in node.body)
     return count
 
 
@@ -102,11 +108,14 @@ class R:
     x: int
     y: int = 0
     z: bool = field(init=False)
+    h: dict = field(hash=False)
+    c: dict = field(default_factory=dict, hash=False)
+    n: int | None = field(default=None, compare=True)
 
 class Plain:
     w: int = 3
 '''
-    assert count_options(source) == 3
+    assert count_options(source) == 5
 
 
 def test_option_count_pinned():
@@ -121,6 +130,44 @@ def test_export_count_pinned():
 def test_src_line_count_pinned():
     package = Path(locality_lab.__file__).parent
     assert sum(len(path.read_text().splitlines()) for path in sorted(package.glob("*.py"))) == SRC_LINES
+
+
+def dunder_classes(source: str, *names: str) -> dict[str, list[str]]:
+    """For each dunder name, the classes in a module's source with a `def` of it in their body, in `ast.walk` order."""
+    classes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    return {
+        name: [cls.name for cls in classes if any(isinstance(fn, ast.FunctionDef) and fn.name == name for fn in cls.body)]
+        for name in names
+    }
+
+
+def test_dunder_finder_follows_the_rule():
+    source = '''
+class A:
+    def __hash__(self):
+        return 0
+
+class B:
+    def __setattr__(self, name, value): ...
+
+    class Inner:
+        def __hash__(self):
+            return 1
+
+def __hash__():
+    return 2
+'''
+    assert dunder_classes(source, "__hash__", "__setattr__") == {"__hash__": ["A", "Inner"], "__setattr__": ["B"]}
+
+
+def test_value_types_are_dataclasses():
+    """No class defines `__hash__`, and only `HiddenVariableModel`, which fills derived slots later, `__setattr__`."""
+    package = Path(locality_lab.__file__).parent
+    found = {"__hash__": [], "__setattr__": []}
+    for path in sorted(package.glob("*.py")):
+        for name, classes in dunder_classes(path.read_text(), *found).items():
+            found[name] += classes
+    assert found == {"__hash__": [], "__setattr__": ["HiddenVariableModel"]}
 
 
 def stage_calls(source: str) -> tuple[int, list[int]]:
@@ -292,10 +339,12 @@ def test_readme_library_example_runs():
 
 def array_holders():
     """One instance of each frozen dataclass that holds an array, built twice from the same inputs."""
-    from locality_lab import everett, inequalities, qstate
+    from locality_lab import behavior, everett, inequalities, qstate
 
     trace = everett.run_parallel_epr()
     return {
+        "Behavior": behavior.from_quantum(qstate.singlet(), [0.0, 1.0], [0.5]),
+        "StateVector": qstate.singlet(),
         "PointerBasis": everett.PointerBasis.spin(1.0),
         "Stage": trace.stages[-1],
         "ProtocolTrace": trace,
@@ -304,12 +353,14 @@ def array_holders():
     }
 
 
-@pytest.mark.parametrize("name", ["PointerBasis", "Stage", "ProtocolTrace", "Operator", "CorrelatorSet"])
+@pytest.mark.parametrize("name", ["Behavior", "StateVector", "PointerBasis", "Stage", "ProtocolTrace", "Operator", "CorrelatorSet"])
 def test_array_holders_compare_and_hash_by_identity(name):
     first, second = array_holders()[name], array_holders()[name]
     assert first == first and first != second and not (first == second)
     assert hash(first) == hash(first) and len({first, second, first}) == 2
     assert first in {first} and second not in {first}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(first, dataclasses.fields(first)[0].name, None)
 
 
 INPUTS = {
